@@ -211,5 +211,5 @@ def extract_density_stats(
     if stats is None:
         data, work = workload.get_workload(spec, cfg, seed, need_counts=False)
         stats = stats_from_work(data, work, cfg.chunk_size)
-        workload.cache_put(key, stats, nbytes=stats.input_integral.nbytes)
+        workload.cache_put(key, stats, arrays=(stats.input_integral,))
     return stats

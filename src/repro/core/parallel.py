@@ -10,6 +10,23 @@ the serial path. Worker processes are flagged so nested fan-out (a
 parallelised figure calling a parallelised comparison) degrades to serial
 instead of forking a process tree.
 
+**One pool lives across calls.** The first fan-out starts a spawn-context
+``ProcessPoolExecutor`` and later calls reuse it, so workers keep their
+imports, native kernel and workload/result caches warm from one figure
+to the next. The pool is keyed on ``(jobs, the REPRO_* environment)``:
+a call under a different worker count or a changed ``REPRO_*`` variable
+(shard scoping, fidelity/profile scoping, a new fault plan) retires the
+old pool and starts a fresh one, because workers read their
+configuration from the environment they were spawned with. A pool is
+also retired when it breaks (``BrokenProcessPool``), when a watchdog
+abandons an item in it (without waiting for the hung worker), when a
+call exits with an exception, by :func:`shutdown_pool` -- which
+``workload.clear_caches`` calls, so "drop every cached entry" holds in
+workers too -- and at interpreter exit. Each start counts
+``parallel.pool_start`` and emits a matching event. Fault *budgets*
+(``REPRO_FAULT=kind:N``) are per worker process, so they are spent over
+the pool's life rather than per call.
+
 Failure handling is **per item**, not per pool. Each item is its own
 future with a bounded retry budget (``REPRO_RETRIES``, exponential
 backoff via ``REPRO_RETRY_BACKOFF``) and an optional watchdog
@@ -23,13 +40,14 @@ item before recomputing it locally):
   never a run. Retries count ``resilience.retry``.
 - An item that *stalls* past the watchdog is abandoned to its zombie
   worker and recomputed in the parent (``resilience.timeout``); the
-  pool is shut down without waiting so a hung worker cannot wedge the
+  pool is retired without waiting so a hung worker cannot wedge the
   caller.
 - A *dead pool* (``BrokenProcessPool``: OOM kill, unimportable
   ``__main__``, an ``os._exit`` in a worker) costs only the in-flight
   items: completed results and their telemetry snapshots are kept, and
   just the unfinished remainder recomputes serially
-  (``pool_fallback``), instead of the old all-or-nothing restart.
+  (``pool_fallback``), instead of the old all-or-nothing restart. The
+  next call starts on a fresh pool.
 
 Telemetry crosses the process boundary: each worker invocation runs in a
 fresh telemetry window and ships its snapshot (span seconds, counters,
@@ -59,8 +77,10 @@ Observability rides the same boundary three ways:
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing as mp
 import os
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -74,7 +94,7 @@ from repro.resilience.retry import RetryPolicy, call_with_retry
 from repro.telemetry import events
 from repro.telemetry.progress import ProgressRenderer
 
-__all__ = ["default_jobs", "parallel_map"]
+__all__ = ["default_jobs", "parallel_map", "shutdown_pool"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -83,6 +103,11 @@ _IN_WORKER = False
 
 #: Sentinel marking an item whose result is still owed.
 _PENDING = object()
+
+#: The shared worker pool and the ``(jobs, REPRO_* env)`` key it serves.
+_POOL: ProcessPoolExecutor | None = None
+_POOL_KEY: tuple | None = None
+_POOL_LOCK = threading.Lock()
 
 
 def default_jobs() -> int:
@@ -93,6 +118,53 @@ def default_jobs() -> int:
     absorbing a typo like ``REPRO_JOBS=abc``.
     """
     return env_int("REPRO_JOBS", 1, minimum=1)
+
+
+def _shared_pool(jobs: int) -> ProcessPoolExecutor:
+    """The live pool for *jobs* workers under the current environment.
+
+    Reuses the pool when its key still matches; otherwise retires the
+    old one (idle: every call drains or retires it) and starts a new
+    one. Workers spawn on demand, so a pool sized for *jobs* only
+    starts as many processes as calls have needed.
+    """
+    global _POOL, _POOL_KEY
+    env = tuple(sorted((k, v) for k, v in os.environ.items() if k.startswith("REPRO_")))
+    key = (jobs, env)
+    with _POOL_LOCK:
+        if _POOL is not None and _POOL_KEY == key:
+            return _POOL
+        stale = _POOL
+        pool = _POOL = ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=mp.get_context("spawn"),
+            initializer=_worker_init,
+        )
+        _POOL_KEY = key
+    if stale is not None:
+        stale.shutdown(wait=True, cancel_futures=True)
+    telemetry.count("parallel.pool_start")
+    events.emit("parallel.pool_start", jobs=jobs)
+    return pool
+
+
+def _retire(pool: ProcessPoolExecutor, wait: bool = True) -> None:
+    """Shut *pool* down; the next fan-out starts a fresh one."""
+    global _POOL, _POOL_KEY
+    with _POOL_LOCK:
+        if _POOL is pool:
+            _POOL = _POOL_KEY = None
+    pool.shutdown(wait=wait, cancel_futures=True)
+
+
+def shutdown_pool() -> None:
+    """Retire the shared worker pool, if one is running."""
+    pool = _POOL
+    if pool is not None:
+        _retire(pool)
+
+
+atexit.register(shutdown_pool)
 
 
 def _worker_init() -> None:
@@ -148,7 +220,8 @@ def parallel_map(
     Serial unless ``jobs`` (or ``REPRO_JOBS``) exceeds 1; *fn* must then
     be picklable -- a module-level function or a ``functools.partial`` of
     one. The spawn start method keeps workers hermetic (no inherited
-    interpreter state), which is what makes parallel runs reproducible.
+    interpreter state), which is what makes parallel runs reproducible;
+    the pool itself is shared across calls (see the module docstring).
     Per-item failures retry under the :class:`RetryPolicy` from the
     environment and completed work survives a dying pool; see the module
     docstring for the full degradation ladder.
@@ -158,7 +231,6 @@ def parallel_map(
     if _IN_WORKER or n <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     policy = RetryPolicy.from_env()
-    ctx = mp.get_context("spawn")
     results: list = [_PENDING] * len(items)
     attempts = [0] * len(items)
     broken = False
@@ -186,18 +258,19 @@ def parallel_map(
         # The open parallel_map span is the trace context every worker
         # attempt adopts, re-parenting its spans in the merged trace.
         trace_ctx = telemetry.current_span_id()
-        pool = ProcessPoolExecutor(
-            max_workers=pool_size,
-            mp_context=ctx,
-            initializer=_worker_init,
-        )
+        pool = _shared_pool(n)
+        healthy = False
         try:
-            pending = {
-                i: pool.submit(
-                    _instrumented_call, fn, items[i], f"item{i}", 0, trace_ctx
-                )
-                for i in range(len(items))
-            }
+            pending = {}
+            for i in range(len(items)):
+                try:
+                    pending[i] = pool.submit(
+                        _instrumented_call, fn, items[i], f"item{i}", 0, trace_ctx
+                    )
+                except BrokenProcessPool:
+                    # A worker died while the pool sat idle between calls.
+                    broken = True
+                    break
             while pending:
                 # One pass over the outstanding futures in index order.
                 # A broken pool resolves every pending future with
@@ -275,8 +348,10 @@ def parallel_map(
                         _progress_tick()
                 if broken:
                     break
+            healthy = not (broken or abandoned)
         finally:
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
+            if not healthy:
+                _retire(pool, wait=not abandoned)
         # Pool join: fold the kept attempts' event files into the main
         # stream (timestamp order) and discard the rest.
         events.merge_parts(kept_parts)

@@ -51,7 +51,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from repro import profiling, telemetry
-from repro.core import timing
+from repro.core import parallel, timing
 from repro.telemetry import events
 from repro.core.env import env_int
 from repro.resilience import checkpoint, faults
@@ -108,6 +108,15 @@ class CacheStats:
         self.hits = self.misses = self.disk_hits = self.evictions = 0
 
 
+def _buffer_of(arr):
+    """The array that owns *arr*'s memory (*arr* itself unless a view)."""
+    if arr is None:
+        return None
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
 class _LRU:
     """A thread-safe LRU bounded by entry count and (optionally) bytes.
 
@@ -126,6 +135,8 @@ class _LRU:
         self.stats = CacheStats()
         self._data: OrderedDict = OrderedDict()
         self._sizes: dict = {}
+        self._held: dict = {}  # key -> the distinct array buffers it holds
+        self._buffers: dict = {}  # id(buffer) -> [buffer, entries holding it]
         self._bytes = 0
         self._lock = threading.Lock()
 
@@ -140,23 +151,45 @@ class _LRU:
             telemetry.count(f"cache.{self.name}.miss")
             return None
 
-    def put(self, key, value, nbytes: int = 0) -> None:
+    def put(self, key, value, nbytes: int = 0, arrays=()) -> None:
+        """Insert *value*; it costs *nbytes* plus its *arrays*' buffers.
+
+        A buffer shared by several entries (the ``LayerData`` arrays
+        every config of one layer reuses) is counted once, while any
+        entry holding it lives -- so the byte bound tracks the memory
+        the cache actually keeps alive.
+        """
         with self._lock:
             if key in self._data:
-                self._bytes -= self._sizes.pop(key)
-                del self._data[key]
+                self._drop(key)
             self._data[key] = value
             self._sizes[key] = nbytes
             self._bytes += nbytes
+            held = {id(buf): buf for buf in map(_buffer_of, arrays) if buf is not None}
+            self._held[key] = list(held.values())
+            for buf in self._held[key]:
+                ref = self._buffers.setdefault(id(buf), [buf, 0])
+                if not ref[1]:
+                    self._bytes += buf.nbytes
+                ref[1] += 1
             while len(self._data) > self.max_entries or (
                 self.max_bytes is not None
                 and self._bytes > self.max_bytes
                 and len(self._data) > 1
             ):
-                old, _ = self._data.popitem(last=False)
-                self._bytes -= self._sizes.pop(old)
+                self._drop(next(iter(self._data)))
                 self.stats.evictions += 1
                 telemetry.count(f"cache.{self.name}.evict")
+
+    def _drop(self, key) -> None:
+        del self._data[key]
+        self._bytes -= self._sizes.pop(key)
+        for buf in self._held.pop(key):
+            ref = self._buffers[id(buf)]
+            ref[1] -= 1
+            if not ref[1]:
+                del self._buffers[id(buf)]
+                self._bytes -= buf.nbytes
 
     def __len__(self) -> int:
         return len(self._data)
@@ -169,6 +202,8 @@ class _LRU:
         with self._lock:
             self._data.clear()
             self._sizes.clear()
+            self._held.clear()
+            self._buffers.clear()
             self._bytes = 0
             self.stats.reset()
 
@@ -228,7 +263,7 @@ def get_layer_data(spec: ConvLayerSpec, seed: int = 0) -> LayerData:
     if data is None:
         with telemetry.span("synthesize", layer=spec.name):
             data = synthesize_layer(spec, seed=seed)
-        _WORKLOADS.put(key, data, nbytes=data.input_map.nbytes + data.filters.nbytes)
+        _WORKLOADS.put(key, data, arrays=(data.input_map, data.filters))
     return data
 
 
@@ -257,13 +292,13 @@ def get_workload(
         return entry
     disk = _disk_load(key, spec, need_counts)
     if disk is not None:
-        _WORKLOADS.put(key, disk, nbytes=_pair_nbytes(disk))
+        _WORKLOADS.put(key, disk, arrays=_pair_arrays(disk))
         return disk
     claim, published = _claim_compute(key)
     if published:
         disk = _disk_load(key, spec, need_counts)
         if disk is not None:
-            _WORKLOADS.put(key, disk, nbytes=_pair_nbytes(disk))
+            _WORKLOADS.put(key, disk, arrays=_pair_arrays(disk))
             return disk
         # The peer's entry is unusable for us (shallower need_counts,
         # quarantined): compute after all, and republish richer.
@@ -272,7 +307,7 @@ def get_workload(
         with telemetry.span("chunk_work", layer=spec.name):
             work = compute_chunk_work(data, cfg, need_counts=need_counts)
         pair = (data, work)
-        _WORKLOADS.put(key, pair, nbytes=_pair_nbytes(pair))
+        _WORKLOADS.put(key, pair, arrays=_pair_arrays(pair))
         _disk_store(key, pair)
     finally:
         if claim is not None:
@@ -310,9 +345,13 @@ def cache_get(key: tuple):
     return _WORKLOADS.get(key)
 
 
-def cache_put(key: tuple, value, nbytes: int = 0) -> None:
-    """Store a derived per-workload product in the workload LRU."""
-    _WORKLOADS.put(key, value, nbytes=nbytes)
+def cache_put(key: tuple, value, arrays=()) -> None:
+    """Store a derived per-workload product in the workload LRU.
+
+    *arrays* are the buffers *value* keeps alive; ones another entry
+    already holds add nothing to the byte count.
+    """
+    _WORKLOADS.put(key, value, arrays=arrays)
 
 
 def lookup_result(key: tuple):
@@ -345,9 +384,14 @@ def cache_stats() -> dict[str, dict[str, float]]:
 
 
 def clear_caches() -> None:
-    """Drop every in-memory entry and reset statistics (disk untouched)."""
+    """Drop every in-memory entry and reset statistics (disk untouched).
+
+    Also retires the shared worker pool, whose processes hold caches of
+    their own, so the next fan-out starts from cold workers too.
+    """
     _WORKLOADS.clear()
     _RESULTS.clear()
+    parallel.shutdown_pool()
 
 
 def reset_cache_stats() -> None:
@@ -376,12 +420,12 @@ def _satisfies(work: ChunkWork, need_counts: bool) -> bool:
     return work.counts is not None or work.packed is not None
 
 
-def _pair_nbytes(pair: tuple[LayerData, ChunkWork]) -> int:
+def _pair_arrays(pair: tuple[LayerData, ChunkWork]) -> list:
+    """Every array one (LayerData, ChunkWork) entry keeps alive."""
     data, work = pair
-    total = data.input_map.nbytes + data.filters.nbytes
-    if work.packed is not None:
-        total += work.packed.nbytes
-    for arr in (
+    arrays = [
+        data.input_map,
+        data.filters,
         work.counts,
         work.input_pop,
         work.match_sums,
@@ -390,10 +434,16 @@ def _pair_nbytes(pair: tuple[LayerData, ChunkWork]) -> int:
         work.assignment.cluster_of,
         work.assignment.weight_of,
         work.assignment.cluster_positions,
-    ):
-        if arr is not None:
-            total += arr.nbytes
-    return total
+    ]
+    if work.packed is not None:
+        arrays += [work.packed.win_words, work.packed.filt_words]
+    return arrays
+
+
+def _pair_nbytes(pair: tuple[LayerData, ChunkWork]) -> int:
+    """Bytes of the distinct buffers one entry holds."""
+    buffers = {id(b): b for b in map(_buffer_of, _pair_arrays(pair)) if b is not None}
+    return sum(b.nbytes for b in buffers.values())
 
 
 def _cache_dir() -> pathlib.Path | None:

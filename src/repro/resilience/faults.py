@@ -17,7 +17,9 @@ Specification grammar (comma-separated ``kind:value`` pairs)::
 - ``value`` >= 1 (integer) -- a *budget*: the first N calls of that kind
   in this process fire, then the fault goes quiet. Budgets are
   per-process (each spawn worker has its own), which makes "every worker
-  crashes its first item" expressible.
+  crashes its first item" expressible. Pool workers outlive a single
+  ``parallel_map`` call, so a budget is spent over a worker's life; a
+  changed ``REPRO_FAULT`` starts a fresh pool with fresh budgets.
 
 Kinds understood by :func:`fault_point` (the worker-side hook in
 :mod:`repro.core.parallel`):

@@ -2,7 +2,14 @@
 
 import dataclasses
 import os
+import pickle
+import threading
+import time
+import warnings
 
+import pytest
+
+from repro import telemetry
 from repro.core import parallel
 from repro.core.compare import compare_architectures
 from repro.core.workload import clear_caches
@@ -127,3 +134,103 @@ class TestPoolEventStream:
         monkeypatch.delenv("REPRO_EVENTS", raising=False)
         assert parallel.parallel_map(_emit_marker, [0, 1], jobs=2) == [0, 1]
         assert not list(tmp_path.iterdir())
+
+
+def _worker_pid(_):
+    return os.getpid()
+
+
+def _kill_worker_on_zero(x):
+    """Item 0 hard-exits its worker (a broken pool); elsewhere it squares."""
+    if x == 0 and parallel._IN_WORKER:
+        os._exit(87)
+    return x * x
+
+
+def _layer_then_pid(spec):
+    from repro.core.workload import get_layer_data
+
+    get_layer_data(spec, seed=0)
+    return os.getpid()
+
+
+class TestSharedPool:
+    @pytest.fixture(autouse=True)
+    def fresh_pool(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        parallel.shutdown_pool()
+        telemetry.reset()
+        yield
+        parallel.shutdown_pool()
+        telemetry.reset()
+
+    @staticmethod
+    def _counter(name):
+        return telemetry.get_recorder().counters().get(name, 0)
+
+    def test_consecutive_fanouts_reuse_the_workers(self):
+        first = parallel.parallel_map(_worker_pid, range(6), jobs=2)
+        second = parallel.parallel_map(_worker_pid, range(6), jobs=2)
+        assert os.getpid() not in first
+        assert set(second) <= set(first)
+        assert self._counter("parallel.pool_start") == 1
+
+    def test_changed_repro_env_starts_a_new_pool(self, monkeypatch):
+        first = parallel.parallel_map(_worker_pid, range(4), jobs=2)
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.0")
+        second = parallel.parallel_map(_worker_pid, range(4), jobs=2)
+        assert set(second).isdisjoint(first)
+        assert self._counter("parallel.pool_start") == 2
+
+    def test_broken_pool_is_replaced_on_the_next_call(self):
+        items = [0, 1, 2, 3]
+        with pytest.warns(RuntimeWarning, match="worker pool died"):
+            killed = parallel.parallel_map(_kill_worker_on_zero, items, jobs=2)
+        assert killed == [x * x for x in items]
+        assert self._counter("pool_fallback") == 1
+        serial = parallel.parallel_map(_kill_worker_on_zero, items[1:], jobs=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fanned = parallel.parallel_map(_kill_worker_on_zero, items[1:], jobs=2)
+        assert pickle.dumps(fanned) == pickle.dumps(serial)
+        assert self._counter("pool_fallback") == 1  # no second fallback
+        assert self._counter("parallel.pool_start") == 2
+
+    def test_watchdog_retires_pool_without_blocking(self, monkeypatch):
+        # Each worker's first item stalls far past the watchdog.
+        monkeypatch.setenv("REPRO_FAULT", "timeout:1")
+        monkeypatch.setenv("REPRO_FAULT_SLEEP", "3")
+        monkeypatch.setenv("REPRO_ITEM_TIMEOUT", "0.2")
+        t0 = time.perf_counter()
+        assert parallel.parallel_map(_square, [1, 2], jobs=2) == [1, 4]
+        assert time.perf_counter() - t0 < 2.5
+        assert self._counter("resilience.timeout") >= 1
+        assert parallel._POOL is None
+
+    def test_concurrent_callers_share_one_pool(self):
+        # Several threads race to start the pool; exactly one may win.
+        results = {}
+
+        def fan(tid):
+            results[tid] = parallel.parallel_map(_square, range(tid, tid + 8), jobs=3)
+
+        threads = [threading.Thread(target=fan, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert results == {
+            t: [x * x for x in range(t, t + 8)] for t in range(4)
+        }
+        assert self._counter("parallel.pool_start") == 1
+
+    def test_clear_caches_retires_warm_workers(self, tiny_spec):
+        specs = [tiny_spec] * 4
+        warm = parallel.parallel_map(_layer_then_pid, specs, jobs=2)
+        clear_caches()
+        telemetry.reset()
+        cold = parallel.parallel_map(_layer_then_pid, specs, jobs=2)
+        assert set(cold).isdisjoint(warm)
+        # Every fresh worker misses the shared layer once, then hits.
+        assert self._counter("cache.workload.miss") == len(set(cold))

@@ -216,7 +216,48 @@ class TestWarmRunAllHits:
         assert counters["cache.result.hit"] > 0
 
 
+def _owner(arr):
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
 class TestLRUBounds:
+    def test_bytes_count_each_shared_buffer_once(self):
+        spec = _spec()
+        pairs = [
+            get_workload(spec, _cfg(chunk_size=chunk, n_clusters=clusters))
+            for chunk in (16, 32)
+            for clusters in (1, 2, 3)
+        ]
+        arrays = []
+        for data, work in pairs:
+            # Every config of one layer reuses the same synthesized arrays.
+            assert data.input_map is pairs[0][0].input_map
+            arrays += [
+                data.input_map, data.filters, work.counts, work.input_pop,
+                work.match_sums, work.filter_chunk_nnz,
+                work.assignment.indices, work.assignment.cluster_of,
+                work.assignment.weight_of, work.assignment.cluster_positions,
+            ]
+            if work.packed is not None:
+                arrays += [work.packed.win_words, work.packed.filt_words]
+        held = {id(_owner(a)): _owner(a) for a in arrays if a is not None}
+        distinct = sum(a.nbytes for a in held.values())
+        assert cache_stats()["workloads"]["entries"] == len(pairs) + 1
+        assert cache_stats()["workloads"]["bytes"] == distinct
+
+    def test_shared_buffer_freed_with_its_last_holder(self):
+        lru = workload._LRU(max_entries=2)
+        buf = np.zeros(100, dtype=np.uint8)
+        lru.put("x", 1, arrays=(buf,))
+        lru.put("y", 2, arrays=(buf, buf[10:]))  # a view of the same buffer
+        assert lru.nbytes == 100
+        lru.put("z", 3)  # evicts x; y still holds the buffer
+        assert lru.nbytes == 100
+        lru.put("w", 4)  # evicts y, the last holder
+        assert lru.nbytes == 0
+
     def test_entry_bound_evicts_oldest(self):
         lru = workload._LRU(max_entries=2)
         lru.put("a", 1)
