@@ -2,7 +2,7 @@
 
 ``compute_chunk_work`` was rewritten around a single im2col gather plus a
 bit-packed popcount kernel, and the per-scheme reductions moved from
-Python group loops into the fused engine (:mod:`repro.sim.reduce`); the
+Python group loops into the reduction engine (:mod:`repro.sim.reduce`); the
 benchmarks time these frozen copies of the original loops to report the
 speedups (and the tests keep their own copies to pin bit-identical
 results).

@@ -1,18 +1,15 @@
-"""Microbenchmark: the fused scheme-reduction engine vs the seed loops.
+"""Microbenchmark: the scheme-reduction engine vs the seed loops.
 
 Every SparTen variant's barrier/busy/permute reduction used to walk
 filter groups (and, for GB-H, every chunk) in Python; the engine in
-``repro.sim.reduce`` does the whole pass in one call, and with
-``REPRO_FUSE=on`` streams match counts straight out of the bit-packed
-masks so the ``(n_chunks, n_sel, F)`` counts tensor is never
-materialised. This benchmark times the frozen seed loops against the
-engine on an AlexNet-scale layer, checks bit-identity, measures the
-fused-vs-materialised workload footprint, and writes
-``benchmarks/output/BENCH_reduction.json`` for CI to gate on.
+``repro.sim.reduce`` does the whole pass in one call over the
+materialised ``(n_chunks, n_sel, F)`` counts tensor. This benchmark
+times the frozen seed loops against the engine on an AlexNet-scale
+layer, checks bit-identity, records the counts tensor's footprint, and
+writes ``benchmarks/output/BENCH_reduction.json`` for CI to gate on.
 """
 
 import json
-import os
 import time
 
 import numpy as np
@@ -32,19 +29,6 @@ from repro.sim.sparten import sparten_variant_plan, two_sided_reduction_spec
 VARIANTS = ("no_gb", "gb_s", "gb_h")
 
 
-def _fused_chunk_work(data):
-    """Compute the same workload with fusion forced on (packed, no counts)."""
-    prior = os.environ.get("REPRO_FUSE")
-    os.environ["REPRO_FUSE"] = "on"
-    try:
-        return compute_chunk_work(data, LARGE_CONFIG, need_counts=True)
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_FUSE", None)
-        else:
-            os.environ["REPRO_FUSE"] = prior
-
-
 def _best_of(func, runs=3):
     best = float("inf")
     for _ in range(runs):
@@ -58,9 +42,7 @@ def bench_scheme_reduction_alexnet_layer3(benchmark, record):
     spec = alexnet().layer("Layer3")
     data = synthesize_layer(spec, seed=0)
     work = compute_chunk_work(data, LARGE_CONFIG, need_counts=True)
-    assert work.counts is not None  # small enough that auto-fusion stays off
-    fused = _fused_chunk_work(data)
-    assert fused.counts is None and fused.packed is not None
+    assert work.counts is not None
     units = LARGE_CONFIG.units_per_cluster
     n_filters = spec.n_filters
 
@@ -76,10 +58,6 @@ def bench_scheme_reduction_alexnet_layer3(benchmark, record):
         assert np.array_equal(red.barrier, ref_bar)
         assert np.array_equal(red.busy, ref_busy)
         assert np.array_equal(red.permute, ref_perm)
-        fused_red = reduce.reduce_scheme(fused, rspec)
-        assert np.array_equal(fused_red.barrier, ref_bar)
-        assert np.array_equal(fused_red.busy, ref_busy)
-        assert np.array_equal(fused_red.permute, ref_perm)
 
         loop_s = _best_of(
             lambda: reference_two_sided_reduction(
@@ -87,11 +65,9 @@ def bench_scheme_reduction_alexnet_layer3(benchmark, record):
             )
         )
         engine_s = _best_of(lambda: reduce.reduce_scheme(work, rspec))
-        fused_s = _best_of(lambda: reduce.reduce_scheme(fused, rspec))
         variants[variant] = {
             "loop_ms": loop_s * 1e3,
             "engine_ms": engine_s * 1e3,
-            "fused_ms": fused_s * 1e3,
             "speedup": loop_s / engine_s,
         }
 
@@ -108,19 +84,12 @@ def bench_scheme_reduction_alexnet_layer3(benchmark, record):
     variants["dynamic"] = {
         "loop_ms": loop_s * 1e3,
         "engine_ms": engine_s * 1e3,
-        "fused_ms": _best_of(lambda: reduce.reduce_scheme(fused, dyn_spec)) * 1e3,
         "speedup": loop_s / engine_s,
     }
 
-    # Peak workload bytes: the counts tensor vs the packed masks that
-    # replace it under REPRO_FUSE=on (what the workload cache holds).
+    # Peak workload bytes: the counts tensor the workload cache holds.
     counts_bytes = int(work.counts.nbytes)
-    packed_bytes = int(fused.packed.nbytes)
-    memory = {
-        "counts_bytes": counts_bytes,
-        "packed_bytes": packed_bytes,
-        "ratio": counts_bytes / packed_bytes,
-    }
+    memory = {"counts_bytes": counts_bytes}
 
     payload = {
         "schema": "repro-bench-reduction/1",
@@ -141,9 +110,7 @@ def bench_scheme_reduction_alexnet_layer3(benchmark, record):
             f"({v['speedup']:.1f}x)"
             for name, v in variants.items()
         )
-        + f"  memory {counts_bytes}->{packed_bytes} B "
-        f"({memory['ratio']:.1f}x)  native={native.available()}",
+        + f"  counts {counts_bytes} B  native={native.available()}",
     )
     if native.available():
         assert variants["gb_h"]["speedup"] >= 3.0
-    assert memory["ratio"] >= 5.0

@@ -32,8 +32,7 @@ def oracle_plan(work: ChunkWork, n_units: int) -> BalancePlan:
     hardware would need to know ahead of time -- which it cannot -- so
     this is a bound, not a scheme.
     """
-    # Mean true work per (filter, chunk) over positions (regenerated
-    # exactly from the packed masks when the workload is fused).
+    # Mean true work per (filter, chunk) over positions.
     mean_work = work.materialized_counts().mean(axis=1).T  # (F, n_chunks)
     n_filters, n_chunks = mean_work.shape
     order = np.argsort(-mean_work.sum(axis=1), kind="stable").astype(np.int64)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from repro import telemetry
-from repro.core import parallel, timing, workload
+from repro.core import parallel, workload
 from repro.nets.layers import ConvLayerSpec
 from repro.nets.models import NetworkSpec
 from repro.sim.config import HardwareConfig, LARGE_CONFIG, config_for
@@ -156,7 +156,7 @@ def compare_architectures(
             comparison.results[scheme][spec.name] = layer_results[scheme]
     comparison.extras["timings"] = {
         "compare_seconds": time.perf_counter() - t0,
-        "stages": timing.snapshot(),
+        "stages": telemetry.get_recorder().span_totals(),
     }
     comparison.extras["cache"] = workload.cache_stats()
     comparison.extras["counters"] = telemetry.get_recorder().counters()

@@ -51,19 +51,14 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from repro import profiling, telemetry
-from repro.core import parallel, timing
+from repro.core import parallel
 from repro.telemetry import events
 from repro.core.env import env_int
 from repro.resilience import checkpoint, faults
 from repro.nets.layers import ConvLayerSpec
 from repro.nets.synthesis import LayerData, synthesize_layer
 from repro.sim.config import HardwareConfig
-from repro.sim.kernels import (
-    ChunkWork,
-    PackedMasks,
-    PositionAssignment,
-    compute_chunk_work,
-)
+from repro.sim.kernels import ChunkWork, PositionAssignment, compute_chunk_work
 
 __all__ = [
     "CacheStats",
@@ -408,22 +403,14 @@ def reset_cache_stats() -> None:
 
 
 def _satisfies(work: ChunkWork, need_counts: bool) -> bool:
-    """Whether a cached entry can serve a request.
-
-    Either match-count representation serves a ``need_counts`` caller:
-    materialized counts and packed masks are interchangeable (and
-    bit-identical) through the reduction engine, and the rare raw-count
-    consumer regenerates via ``ChunkWork.materialized_counts``.
-    """
-    if not need_counts:
-        return True
-    return work.counts is not None or work.packed is not None
+    """Whether a cached entry can serve a request."""
+    return not need_counts or work.counts is not None
 
 
 def _pair_arrays(pair: tuple[LayerData, ChunkWork]) -> list:
     """Every array one (LayerData, ChunkWork) entry keeps alive."""
     data, work = pair
-    arrays = [
+    return [
         data.input_map,
         data.filters,
         work.counts,
@@ -435,9 +422,6 @@ def _pair_arrays(pair: tuple[LayerData, ChunkWork]) -> list:
         work.assignment.weight_of,
         work.assignment.cluster_positions,
     ]
-    if work.packed is not None:
-        arrays += [work.packed.win_words, work.packed.filt_words]
-    return arrays
 
 
 def _pair_nbytes(pair: tuple[LayerData, ChunkWork]) -> int:
@@ -479,15 +463,11 @@ def _disk_store(key: tuple, pair: tuple[LayerData, ChunkWork]) -> None:
     }
     if work.counts is not None:
         payload["counts"] = work.counts
-    if work.packed is not None:
-        payload["win_words"] = work.packed.win_words
-        payload["filt_words"] = work.packed.filt_words
-        payload["packed_chunk_size"] = np.int64(work.packed.chunk_size)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with timing.stage("cache_disk"), os.fdopen(fd, "wb") as fh:
+            with telemetry.span("cache_disk"), os.fdopen(fd, "wb") as fh:
                 np.savez(fh, **payload)
             os.replace(tmp, path)
             telemetry.count("cache.disk.store")
@@ -517,7 +497,13 @@ def _disk_load(
     if path is None or not path.exists():
         return None
     try:
-        with timing.stage("cache_disk"), np.load(path, allow_pickle=False) as z:
+        # Open the file here: np.load(path) leaks its handle when it
+        # raises on a truncated archive.
+        with (
+            telemetry.span("cache_disk"),
+            open(path, "rb") as fh,
+            np.load(fh, allow_pickle=False) as z,
+        ):
             if str(z["key"][()]) != repr(key):
                 # Digest collision: the 96-bit file name matched but the
                 # full key does not. Recompute rather than trust -- and
@@ -529,7 +515,7 @@ def _disk_load(
                     telemetry.kv(path=path),
                 )
                 return None
-            if need_counts and "counts" not in z.files and "win_words" not in z.files:
+            if need_counts and "counts" not in z.files:
                 return None
             data = LayerData(
                 spec=spec, input_map=z["input_map"], filters=z["filters"]
@@ -540,13 +526,6 @@ def _disk_load(
                 weight_of=z["weight_of"],
                 cluster_positions=z["cluster_positions"],
             )
-            packed = None
-            if "win_words" in z.files:
-                packed = PackedMasks(
-                    win_words=z["win_words"],
-                    filt_words=z["filt_words"],
-                    chunk_size=int(z["packed_chunk_size"]),
-                )
             work = ChunkWork(
                 counts=z["counts"] if "counts" in z.files else None,
                 input_pop=z["input_pop"],
@@ -554,7 +533,6 @@ def _disk_load(
                 assignment=assignment,
                 n_chunks=int(z["n_chunks"]),
                 filter_chunk_nnz=z["filter_chunk_nnz"],
-                packed=packed,
             )
     except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         # np.load raises BadZipFile/EOFError on a truncated archive and

@@ -22,7 +22,7 @@ import numpy as np
 from repro import resilience, telemetry
 from repro.balance.greedy import gb_h_plan
 from repro.balance.metrics import Figure14Data, figure14_distribution
-from repro.core import parallel, timing, workload
+from repro.core import parallel, workload
 from repro.core.compare import ALL_SCHEMES, compare_architectures, run_scheme_cached
 from repro.core.workload import get_layer_data, get_workload
 from repro.nets.models import NetworkSpec, alexnet, all_networks, googlenet, vggnet
@@ -390,7 +390,7 @@ def headline_means(fast: bool = True, seed: int = 0) -> dict:
         },
         "extras": {
             "wall_seconds": _time.perf_counter() - t0,
-            "stages": timing.snapshot(),
+            "stages": telemetry.get_recorder().span_totals(),
             "cache": workload.cache_stats(),
             "counters": telemetry.get_recorder().counters(),
             "resilience": resilience.resilience_summary(

@@ -41,14 +41,13 @@ import numpy as np
 
 from repro import telemetry
 from repro.nets.synthesis import LayerData
-from repro.sim import native, reduce
+from repro.sim import native
 from repro.sim.config import HardwareConfig
 from repro.tensor.sparsemap import padded_length
 from repro.tensor.storage import even_slices
 
 __all__ = [
     "PositionAssignment",
-    "PackedMasks",
     "ChunkWork",
     "assign_positions",
     "batch_workloads",
@@ -149,46 +148,14 @@ def assign_positions(
 
 
 @dataclass(frozen=True)
-class PackedMasks:
-    """Bit-packed window/filter masks in the native kernels' layout.
-
-    When fusion is active these replace the counts tensor as the cached
-    representation: ~``chunk_size / 8`` the bytes per (position, chunk)
-    row, and the fused reduction engine streams match counts from them
-    without ever materializing ``(n_chunks, n_sel, F)``.
-
-    Attributes:
-        win_words: (n_chunks, n_sel, words) uint64 window masks.
-        filt_words: (n_chunks, words, F) uint64 word-major filter masks.
-        chunk_size: mask bits per chunk (trailing word bits are zero).
-    """
-
-    win_words: np.ndarray
-    filt_words: np.ndarray
-    chunk_size: int
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.win_words.nbytes + self.filt_words.nbytes)
-
-
-@dataclass(frozen=True)
 class ChunkWork:
     """Per-chunk work counts at the simulated output positions.
 
-    Exactly one of ``counts`` / ``packed`` is set when two-sided work was
-    requested (``REPRO_FUSE`` decides which); both are ``None`` when the
-    caller only needs one-sided/dense quantities.
-
     Attributes:
-        counts: (n_chunks, n_sel, F) match counts, or ``None`` when the
-            workload is fused (see ``packed``) or when only one-sided
-            quantities were requested. The dtype is the smallest unsigned
-            integer that can hold ``chunk_size`` (uint8 up to 255, see
-            :func:`count_dtype`).
-        packed: the bit-packed masks the fused reduction engine consumes
-            instead of ``counts``, or ``None`` when counts are
-            materialized (:mod:`repro.sim.reduce` explains the modes).
+        counts: (n_chunks, n_sel, F) match counts, or ``None`` when only
+            one-sided quantities were requested. The dtype is the
+            smallest unsigned integer that can hold ``chunk_size`` (uint8
+            up to 255, see :func:`count_dtype`).
         input_pop: (n_chunks, n_sel) non-zero input-window counts per
             chunk (one-sided work; identical for every compute unit).
         match_sums: (n_sel,) total matches across all chunks and filters
@@ -205,25 +172,19 @@ class ChunkWork:
     assignment: PositionAssignment
     n_chunks: int
     filter_chunk_nnz: np.ndarray
-    packed: PackedMasks | None = None
 
     def materialized_counts(self) -> np.ndarray:
-        """The counts tensor, regenerating it from packed masks if fused.
+        """The counts tensor, for consumers that need per-filter counts.
 
-        For consumers that genuinely need per-filter counts (balance
-        oracles, traces, characterisation). Exact on every path, but
-        O(n_chunks * n_sel * F) memory -- simulators should reduce
-        through :func:`repro.sim.reduce.reduce_scheme` instead.
+        Raises ``ValueError`` when the workload was computed with
+        ``need_counts=False``.
         """
-        if self.counts is not None:
-            return self.counts
-        if self.packed is None:
+        if self.counts is None:
             raise ValueError(
                 "workload carries no match counts (computed with "
                 "need_counts=False)"
             )
-        telemetry.count("kernel.counts_rematerialized")
-        return reduce.counts_from_packed(self.packed)
+        return self.counts
 
 
 def compute_chunk_work(
@@ -291,7 +252,6 @@ def compute_chunk_work(
     filter_chunk_nnz = _POPCOUNT[filt_packed].sum(axis=-1, dtype=np.int64)
 
     counts = None
-    packed = None
     if need_counts:
         dtype = count_dtype(chunk)
         words = (chunk + 63) // 64
@@ -299,22 +259,14 @@ def compute_chunk_work(
         # word-major filter words -- the native kernel's layout contract.
         w64 = np.ascontiguousarray(_as_words(win_packed, words).transpose(1, 0, 2))
         f64 = np.ascontiguousarray(_as_words(filt_packed, words).transpose(1, 2, 0))
-        counts_nbytes = n_chunks * n_sel * n_filters * dtype.itemsize
-        if reduce.fusion_active(counts_nbytes):
-            # Fused mode: the simulators reduce straight from the packed
-            # masks; the counts tensor is never materialized.
-            telemetry.count("kernel.fused_workload")
-            packed = PackedMasks(win_words=w64, filt_words=f64, chunk_size=chunk)
-            match_sums = _match_totals_gemm(windows, fmask)
+        got = native.match_counts(w64, f64, n_filters, dtype)
+        if got is not None:
+            telemetry.count("kernel.native_dispatch")
+            counts, pos_sums = got
+            match_sums = pos_sums.astype(np.float64)
         else:
-            got = native.match_counts(w64, f64, n_filters, dtype)
-            if got is not None:
-                telemetry.count("kernel.native_dispatch")
-                counts, pos_sums = got
-                match_sums = pos_sums.astype(np.float64)
-            else:
-                telemetry.count("kernel.gemm_dispatch")
-                counts, match_sums = _match_counts_gemm(windows, fmask, dtype)
+            telemetry.count("kernel.gemm_dispatch")
+            counts, match_sums = _match_counts_gemm(windows, fmask, dtype)
     else:
         telemetry.count("kernel.matvec_dispatch")
         match_sums = _match_totals_gemm(windows, fmask)
@@ -326,7 +278,6 @@ def compute_chunk_work(
         assignment=assignment,
         n_chunks=n_chunks,
         filter_chunk_nnz=filter_chunk_nnz,
-        packed=packed,
     )
 
 

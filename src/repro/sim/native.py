@@ -43,7 +43,6 @@ __all__ = [
     "load_error",
     "match_counts",
     "reduce_pairs",
-    "fused_reduce_pairs",
 ]
 
 _C_SOURCE = r"""
@@ -153,91 +152,6 @@ void reduce_pairs_##SUFFIX(const T *counts, const int64_t *pair_a,             \
 DEFINE_REDUCE_KERNEL(uint8_t, u8)
 DEFINE_REDUCE_KERNEL(uint16_t, u16)
 DEFINE_REDUCE_KERNEL(uint32_t, u32)
-
-/* Fused match + reduce: the (n_chunks, n_sel, F) counts tensor is never
-   materialized. Per (chunk, position) the match counts for all filters
-   are computed from the packed masks into a caller-provided scratch row
-   (n_filters int32), then reduced exactly like reduce_pairs. */
-
-static void row_match_counts(const uint64_t *w, const uint64_t *fbase,
-                             int32_t *scratch, int64_t n_filters,
-                             int64_t words)
-{
-    int64_t f = 0;
-#ifdef REPRO_AVX512_POPCNT
-    for (; f + 8 <= n_filters; f += 8) {
-        __m512i acc = _mm512_setzero_si512();
-        for (int64_t k = 0; k < words; ++k) {
-            __m512i fv = _mm512_loadu_si512(
-                (const void *)(fbase + k * n_filters + f));
-            __m512i wv = _mm512_set1_epi64((long long)w[k]);
-            acc = _mm512_add_epi64(
-                acc, _mm512_popcnt_epi64(_mm512_and_si512(fv, wv)));
-        }
-        _mm256_storeu_si256((__m256i *)(scratch + f),
-                            _mm512_cvtepi64_epi32(acc));
-    }
-#endif
-    for (; f < n_filters; ++f) {
-        uint64_t acc = 0;
-        for (int64_t k = 0; k < words; ++k)
-            acc += (uint64_t)__builtin_popcountll(
-                w[k] & fbase[k * n_filters + f]);
-        scratch[f] = (int32_t)acc;
-    }
-}
-
-void fused_reduce_pairs(const uint64_t *win, const uint64_t *filt,
-                        int32_t *scratch, const int64_t *pair_a,
-                        const int64_t *pair_b, const double *floors,
-                        double *barrier_acc, double *busy_acc,
-                        double *permute_acc,
-                        int64_t n_chunks, int64_t n_sel, int64_t n_filters,
-                        int64_t words, int64_t n_rows,
-                        int64_t rows_per_group, int64_t pair_per_chunk,
-                        int64_t dyn_units)
-{
-    int64_t n_groups = n_rows / rows_per_group;
-    for (int64_t c = 0; c < n_chunks; ++c) {
-        const uint64_t *fbase = filt + c * words * n_filters;
-        const int64_t *pa = pair_a + (pair_per_chunk ? c * n_rows : 0);
-        const int64_t *pb = pair_b + (pair_per_chunk ? c * n_rows : 0);
-        const double *fl = floors ? floors + c * n_groups : (const double *)0;
-        for (int64_t p = 0; p < n_sel; ++p) {
-            const uint64_t *w = win + (c * n_sel + p) * words;
-            row_match_counts(w, fbase, scratch, n_filters, words);
-            double bar = 0.0, busy = 0.0, perm = 0.0;
-            for (int64_t g = 0; g < n_groups; ++g) {
-                const int64_t *ga = pa + g * rows_per_group;
-                const int64_t *gb = pb + g * rows_per_group;
-                int64_t gmax = 0, gsum = 0;
-                for (int64_t r = 0; r < rows_per_group; ++r) {
-                    int64_t work = 0;
-                    if (ga[r] >= 0) work += (int64_t)scratch[ga[r]];
-                    if (gb[r] >= 0) work += (int64_t)scratch[gb[r]];
-                    gsum += work;
-                    if (work > gmax) gmax = work;
-                }
-                int64_t bi = gmax;
-                if (dyn_units > 0) {
-                    int64_t lb = (gsum + dyn_units - 1) / dyn_units;
-                    if (lb > bi) bi = lb;
-                }
-                if (bi < 1) bi = 1;
-                double bg = (double)bi;
-                if (fl && fl[g] > bg) {
-                    perm += fl[g] - bg;
-                    bg = fl[g];
-                }
-                bar += bg;
-                busy += (double)gsum;
-            }
-            barrier_acc[p] += bar;
-            busy_acc[p] += busy;
-            permute_acc[p] += perm;
-        }
-    }
-}
 
 #ifdef REPRO_AVX512_POPCNT
 /* uint8 counts are the common case (chunk_size <= 255): vectorise over 8
@@ -366,9 +280,6 @@ def _load() -> ctypes.CDLL | None:
             fn = getattr(lib, name)
             fn.restype = None
             fn.argtypes = reduce_args
-        fn = lib.fused_reduce_pairs
-        fn.restype = None
-        fn.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_int64] * 8
         _lib = lib
     except (OSError, RuntimeError, subprocess.TimeoutExpired, AttributeError) as exc:
         _error = str(exc)
@@ -479,63 +390,6 @@ def reduce_pairs(
         n_chunks,
         n_sel,
         n_filters,
-        n_rows,
-        rows_per_group,
-        1 if per_chunk else 0,
-        dyn_units,
-    )
-    return barrier, busy, permute
-
-
-def fused_reduce_pairs(
-    win_words: np.ndarray,
-    filt_words: np.ndarray,
-    n_filters: int,
-    pair_a: np.ndarray,
-    pair_b: np.ndarray,
-    floors: np.ndarray | None,
-    rows_per_group: int,
-    dyn_units: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Fused match+reduce from packed masks; ``None`` when unavailable.
-
-    The ``(n_chunks, n_sel, n_filters)`` counts tensor is never
-    materialized: each (chunk, position) row of match counts lives only
-    in an ``n_filters``-element scratch buffer.
-    """
-    lib = _load()
-    if lib is None:
-        return None
-    n_chunks, n_sel, words = win_words.shape
-    n_rows = pair_a.shape[-1]
-    assert win_words.flags.c_contiguous and win_words.dtype == np.uint64
-    assert filt_words.flags.c_contiguous and filt_words.dtype == np.uint64
-    assert filt_words.shape == (n_chunks, words, n_filters)
-    assert pair_a.flags.c_contiguous and pair_a.dtype == np.int64
-    assert pair_b.flags.c_contiguous and pair_b.dtype == np.int64
-    assert pair_a.shape == pair_b.shape and n_rows % rows_per_group == 0
-    per_chunk = pair_a.ndim == 2 and pair_a.shape[0] == n_chunks
-    if floors is not None:
-        assert floors.flags.c_contiguous and floors.dtype == np.float64
-        assert floors.shape == (n_chunks, n_rows // rows_per_group)
-    scratch = np.empty(n_filters, dtype=np.int32)
-    barrier = np.zeros(n_sel, dtype=np.float64)
-    busy = np.zeros(n_sel, dtype=np.float64)
-    permute = np.zeros(n_sel, dtype=np.float64)
-    lib.fused_reduce_pairs(
-        _ptr(win_words),
-        _ptr(filt_words),
-        _ptr(scratch),
-        _ptr(pair_a),
-        _ptr(pair_b),
-        _ptr(floors),
-        _ptr(barrier),
-        _ptr(busy),
-        _ptr(permute),
-        n_chunks,
-        n_sel,
-        n_filters,
-        words,
         n_rows,
         rows_per_group,
         1 if per_chunk else 0,

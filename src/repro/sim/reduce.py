@@ -1,4 +1,4 @@
-"""The fused scheme-reduction engine shared by the cycle simulators.
+"""The scheme-reduction engine shared by the cycle simulators.
 
 Every two-sided scheme reduces per-(chunk, position, filter) match counts
 to three per-position arrays: ``barrier`` (the cluster's wall cycles --
@@ -20,28 +20,19 @@ filters map onto unit rows:
   popcount (:func:`one_sided`).
 
 :class:`GroupReduction` captures that mapping as index tensors; one
-engine (:func:`reduce_scheme`) then evaluates any of them through three
-interchangeable, bit-identical paths:
+engine (:func:`reduce_scheme`) then evaluates any of them over the
+workload's materialized ``(n_chunks, n_sel, F)`` counts tensor through
+two interchangeable, bit-identical paths:
 
-1. native ``reduce_pairs`` over a materialized counts tensor;
-2. native ``fused_reduce_pairs`` straight from the bit-packed masks --
-   the ``(n_chunks, n_sel, F)`` counts tensor is **never materialized**
-   (one ``n_filters``-element scratch row lives per call);
-3. a blocked NumPy fallback (gather via ``np.take_along_axis``, reshape
-   to ``(.., n_groups, rows_per_group)``, max/sum) for either input.
+1. native ``reduce_pairs`` (:mod:`repro.sim.native`);
+2. a blocked NumPy fallback (gather via ``np.take_along_axis``, reshape
+   to ``(.., n_groups, rows_per_group)``, max/sum), used when the native
+   kernel is unavailable (no C compiler, or ``REPRO_NO_NATIVE``).
 
 Exactness: match counts are <= ``chunk_size`` and every group sum is far
-below 2**53, so all arithmetic is exact integer math in any of int64,
-float32-GEMM or float64 -- accumulation order cannot change a ULP, which
-is what lets ``REPRO_FUSE`` modes promise byte-identical figures.
-
-``REPRO_FUSE`` selects when workloads keep the counts tensor:
-
-- ``auto`` (default): fuse only when the native engine is available and
-  the counts tensor would be large (``REPRO_FUSE_AUTO_BYTES``, default
-  64 MiB) -- small workloads keep counts for cheap reuse.
-- ``on``: never materialize counts (the NumPy fallback streams blocks).
-- ``off``: always materialize counts (the pre-engine behaviour).
+below 2**53, so all arithmetic is exact integer math in int64 or float64
+-- accumulation order cannot change a ULP, which is what lets the two
+paths promise byte-identical figures.
 
 Dispatches are observable as ``kernel.reduce_native_dispatch`` /
 ``kernel.reduce_fallback_dispatch`` telemetry counters.
@@ -59,47 +50,17 @@ from repro.sim import native
 __all__ = [
     "GroupReduction",
     "Reduction",
-    "fuse_mode",
-    "fusion_active",
     "order_groups",
     "static_pairs",
     "chunk_pairs",
     "gb_h_route_floors",
     "reduce_scheme",
     "one_sided",
-    "counts_from_packed",
 ]
 
 #: Gathered unit-work elements per NumPy fallback block (bounds the
 #: temporary to ~32 MB of int64 regardless of layer size).
 _BLOCK_ELEMS = 4 << 20
-
-#: Default REPRO_FUSE=auto threshold: fuse when the counts tensor would
-#: exceed this many bytes.
-_AUTO_FUSE_BYTES = 64 << 20
-
-
-def fuse_mode() -> str:
-    """The active ``REPRO_FUSE`` mode (``auto``/``on``/``off``)."""
-    # Lazy: repro.core.__init__ imports the simulators, which import us.
-    from repro.core.env import env_choice
-
-    return env_choice("REPRO_FUSE", "auto", ("auto", "on", "off"))
-
-
-def fusion_active(counts_nbytes: int) -> bool:
-    """Whether a workload whose counts tensor would occupy *counts_nbytes*
-    should skip materializing it and carry packed masks instead."""
-    mode = fuse_mode()
-    if mode == "off":
-        return False
-    if mode == "on":
-        return True
-    from repro.core.env import env_int
-
-    return native.available() and counts_nbytes >= env_int(
-        "REPRO_FUSE_AUTO_BYTES", _AUTO_FUSE_BYTES, minimum=0
-    )
 
 
 @dataclass(frozen=True)
@@ -228,31 +189,13 @@ def one_sided(input_pop: np.ndarray, n_filters: int, units: int) -> Reduction:
 def reduce_scheme(work, rspec: GroupReduction) -> Reduction:
     """Evaluate one scheme's reduction over a workload's chunk work.
 
-    *work* is a :class:`repro.sim.kernels.ChunkWork`; whichever of
-    ``work.counts`` (materialized) or ``work.packed`` (fused) is present
-    selects the input path. All paths are bit-identical.
+    *work* is a :class:`repro.sim.kernels.ChunkWork` carrying counts
+    (computed with ``need_counts=True``). Both paths are bit-identical.
     """
-    if work.counts is not None:
-        got = native.reduce_pairs(
-            work.counts,
-            rspec.pair_a,
-            rspec.pair_b,
-            rspec.floors,
-            rspec.rows_per_group,
-            rspec.dyn_units,
-        )
-        if got is not None:
-            telemetry.count("kernel.reduce_native_dispatch")
-            return Reduction(*got)
-        telemetry.count("kernel.reduce_fallback_dispatch")
-        return _reduce_counts_numpy(work.counts, rspec)
-    packed = getattr(work, "packed", None)
-    if packed is None:
-        raise ValueError("workload carries neither counts nor packed masks")
-    got = native.fused_reduce_pairs(
-        packed.win_words,
-        packed.filt_words,
-        packed.filt_words.shape[2],
+    if work.counts is None:
+        raise ValueError("workload carries no match counts")
+    got = native.reduce_pairs(
+        work.counts,
         rspec.pair_a,
         rspec.pair_b,
         rspec.floors,
@@ -263,12 +206,7 @@ def reduce_scheme(work, rspec: GroupReduction) -> Reduction:
         telemetry.count("kernel.reduce_native_dispatch")
         return Reduction(*got)
     telemetry.count("kernel.reduce_fallback_dispatch")
-    return _reduce_packed_numpy(packed, rspec)
-
-
-def _block_chunks(n_chunks: int, n_sel: int, n_rows: int) -> int:
-    """Chunks per fallback block so the gathered temp stays bounded."""
-    return max(1, _BLOCK_ELEMS // max(1, n_sel * n_rows))
+    return _reduce_counts_numpy(work.counts, rspec)
 
 
 def _reduce_counts_numpy(counts: np.ndarray, rspec: GroupReduction) -> Reduction:
@@ -277,62 +215,28 @@ def _reduce_counts_numpy(counts: np.ndarray, rspec: GroupReduction) -> Reduction
     barrier = np.zeros(n_sel, dtype=np.float64)
     busy = np.zeros(n_sel, dtype=np.float64)
     permute = np.zeros(n_sel, dtype=np.float64)
-    step = _block_chunks(n_chunks, n_sel, rspec.n_rows)
+    # Chunks per block, so the gathered temporary stays bounded.
+    step = max(1, _BLOCK_ELEMS // max(1, n_sel * rspec.n_rows))
     for lo in range(0, n_chunks, step):
         hi = min(lo + step, n_chunks)
-        _reduce_block(counts[lo:hi], lo, hi, rspec, barrier, busy, permute)
+        cb = counts[lo:hi]
+        idx_a = rspec.pair_a[lo:hi] if rspec.per_chunk else rspec.pair_a
+        idx_b = rspec.pair_b[lo:hi] if rspec.per_chunk else rspec.pair_b
+        w = _gather_rows(cb, idx_a) + _gather_rows(cb, idx_b)
+        w = w.reshape(hi - lo, n_sel, rspec.n_groups, rspec.rows_per_group)
+        gsum = w.sum(axis=3)
+        bi = w.max(axis=3)
+        if rspec.dyn_units > 0:
+            np.maximum(bi, (gsum + rspec.dyn_units - 1) // rspec.dyn_units, out=bi)
+        np.maximum(bi, 1, out=bi)
+        bg = bi.astype(np.float64)
+        if rspec.floors is not None:
+            fl = rspec.floors[lo:hi, None, :]
+            permute += np.maximum(0.0, fl - bg).sum(axis=(0, 2))
+            np.maximum(bg, fl, out=bg)
+        barrier += bg.sum(axis=(0, 2))
+        busy += gsum.sum(axis=(0, 2), dtype=np.float64)
     return Reduction(barrier, busy, permute)
-
-
-def _reduce_packed_numpy(packed, rspec: GroupReduction) -> Reduction:
-    """Blocked NumPy reduction straight from the packed masks.
-
-    Each block of chunks is unpacked to booleans, multiplied into exact
-    integer match counts via float32 GEMM, reduced, and discarded -- the
-    full counts tensor never exists.
-    """
-    w64 = packed.win_words
-    n_chunks, n_sel, _ = w64.shape
-    n_filters = packed.filt_words.shape[2]
-    barrier = np.zeros(n_sel, dtype=np.float64)
-    busy = np.zeros(n_sel, dtype=np.float64)
-    permute = np.zeros(n_sel, dtype=np.float64)
-    step = _block_chunks(n_chunks, n_sel, max(rspec.n_rows, n_filters))
-    for lo in range(0, n_chunks, step):
-        hi = min(lo + step, n_chunks)
-        cb = _counts_block(packed, lo, hi)
-        _reduce_block(cb, lo, hi, rspec, barrier, busy, permute)
-    return Reduction(barrier, busy, permute)
-
-
-def _reduce_block(
-    cb: np.ndarray,
-    lo: int,
-    hi: int,
-    rspec: GroupReduction,
-    barrier: np.ndarray,
-    busy: np.ndarray,
-    permute: np.ndarray,
-) -> None:
-    """Reduce one (hi-lo, n_sel, F) integer counts block into the accs."""
-    n_sel = cb.shape[1]
-    idx_a = rspec.pair_a[lo:hi] if rspec.per_chunk else rspec.pair_a
-    idx_b = rspec.pair_b[lo:hi] if rspec.per_chunk else rspec.pair_b
-    w = _gather_rows(cb, idx_a) + _gather_rows(cb, idx_b)
-    w = w.reshape(hi - lo, n_sel, rspec.n_groups, rspec.rows_per_group)
-    gsum = w.sum(axis=3)
-    bi = w.max(axis=3)
-    if rspec.dyn_units > 0:
-        np.maximum(bi, (gsum + rspec.dyn_units - 1) // rspec.dyn_units, out=bi)
-    np.maximum(bi, 1, out=bi)
-    bg = bi.astype(np.float64)
-    if rspec.floors is not None:
-        fl = rspec.floors[lo:hi, None, :]
-        unhidden = np.maximum(0.0, fl - bg)
-        permute += unhidden.sum(axis=(0, 2))
-        np.maximum(bg, fl, out=bg)
-    barrier += bg.sum(axis=(0, 2))
-    busy += gsum.sum(axis=(0, 2), dtype=np.float64)
 
 
 def _gather_rows(cb: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -343,46 +247,3 @@ def _gather_rows(cb: np.ndarray, idx: np.ndarray) -> np.ndarray:
     gathered *= idx[:, None, :] >= 0
     return gathered
 
-
-def _counts_block(packed, lo: int, hi: int) -> np.ndarray:
-    """Exact match counts for chunks [lo, hi) from the packed masks."""
-    chunk = packed.chunk_size
-    n_filters = packed.filt_words.shape[2]
-    wb = packed.win_words[lo:hi].view(np.uint8)
-    win_bits = np.unpackbits(wb, axis=-1, count=chunk)
-    fb = packed.filt_words[lo:hi].view(np.uint8)
-    b, words = fb.shape[0], packed.filt_words.shape[1]
-    filt_bits = np.unpackbits(
-        np.ascontiguousarray(
-            fb.reshape(b, words, n_filters, 8).transpose(0, 2, 1, 3)
-        ).reshape(b, n_filters, words * 8),
-        axis=-1,
-        count=chunk,
-    )
-    # float32 GEMM over booleans is exact: counts <= chunk_size << 2**24.
-    prod = np.matmul(
-        win_bits.astype(np.float32), filt_bits.transpose(0, 2, 1).astype(np.float32)
-    )
-    return prod.astype(np.int64)
-
-
-def counts_from_packed(packed) -> np.ndarray:
-    """Regenerate the full counts tensor from packed masks (exact).
-
-    For the few consumers that genuinely need per-filter counts (balance
-    oracles, traces, characterisation) when the workload was fused.
-    """
-    from repro.sim.kernels import count_dtype
-
-    dtype = count_dtype(packed.chunk_size)
-    n_filters = packed.filt_words.shape[2]
-    got = native.match_counts(packed.win_words, packed.filt_words, n_filters, dtype)
-    if got is not None:
-        return got[0]
-    n_chunks, n_sel, _ = packed.win_words.shape
-    counts = np.empty((n_chunks, n_sel, n_filters), dtype=dtype)
-    step = _block_chunks(n_chunks, n_sel, n_filters)
-    for lo in range(0, n_chunks, step):
-        hi = min(lo + step, n_chunks)
-        counts[lo:hi] = _counts_block(packed, lo, hi)
-    return counts

@@ -5,9 +5,9 @@ through one :class:`Recorder`:
 
 - **Spans** (:meth:`Recorder.span`) are nestable timed regions with
   attributes (layer, network, scheme, kernel path). Each completed span
-  accumulates into a ``{name: {seconds, calls}}`` aggregate -- the same
-  shape :mod:`repro.core.timing` has always exposed -- and, up to a
-  bounded event budget, records a Chrome ``trace_event``-compatible
+  accumulates into a ``{name: {seconds, calls}}`` aggregate (the
+  ``extras["stages"]`` of comparison results) and, up to a bounded
+  event budget, records a Chrome ``trace_event``-compatible
   record (see :mod:`repro.telemetry.trace`). Attributes propagate: a
   span opened inside another span inherits the parent's attributes
   (its own win on collision), so a ``simulate`` span under a

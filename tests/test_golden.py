@@ -21,6 +21,14 @@ Regenerate with::
     json.dump(golden, open("tests/golden/speedups_fast_seed0.json", "w"),
               indent=1, sort_keys=True)
     PY
+
+The profiler's stall-bucket totals are pinned the same way, exactly (every
+bucket is an integer count of MAC-cycles). The golden file is the output
+of ``benchmarks/check_profile.py``, which CI diffs against it; regenerate
+with::
+
+    python benchmarks/check_profile.py
+    cp benchmarks/output/BENCH_profile.json tests/golden/profile_alexnet_seed0.json
 """
 
 import json
@@ -28,10 +36,12 @@ import pathlib
 
 import pytest
 
+from repro import profiling
 from repro.eval.experiments import speedup_figure
 from repro.nets.models import alexnet, googlenet, vggnet
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "speedups_fast_seed0.json"
+PROFILE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "profile_alexnet_seed0.json"
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +75,17 @@ def test_golden_file_sane(golden):
     )
     assert golden["VGGNet"]["layers"]["sparten"]["Layer0"] < 1.0  # shallow depth
     assert golden["VGGNet"]["geomean"]["sparten"] > 5.0
+
+
+def test_profile_totals_match_golden(monkeypatch):
+    """Stall-bucket totals and invariants, as ``check_profile.py`` runs them."""
+    monkeypatch.setenv("REPRO_PROFILE", "counters")
+    want = json.loads(PROFILE_GOLDEN.read_text())
+    profile = profiling.profile_network(
+        network=want["network"],
+        schemes=profiling.DEFAULT_SCHEMES + ("scnn",),
+        fast=True,
+        seed=want["seed"],
+    )
+    assert profile["totals"] == want["totals"]
+    assert profile["invariants"] == want["invariants"]

@@ -1,14 +1,14 @@
-"""The fused scheme-reduction engine: bit-exactness, fusion, caching.
+"""The scheme-reduction engine: bit-exactness, caching, telemetry.
 
-The engine (:mod:`repro.sim.reduce`) promises that every path -- native
-``reduce_pairs`` over materialized counts, native ``fused_reduce_pairs``
-straight from packed masks, and the blocked NumPy fallback for either --
-is *bit-identical* to the original Python group loops the simulators
-shipped with. These tests pin that promise across variants, sided modes,
-chunk sizes, collocation, sampled positions and ``REPRO_FUSE`` /
-``REPRO_NO_NATIVE`` settings; they also cover the satellites: the
-batch-path workload-cache routing, exact ``_pair_nbytes`` accounting,
-and the reduce-dispatch telemetry counters.
+The engine (:mod:`repro.sim.reduce`) promises that both paths -- native
+``reduce_pairs`` and the blocked NumPy fallback -- are *bit-identical*
+to the original Python group loops the simulators shipped with. These
+tests pin that promise across variants, chunk sizes, collocation,
+sampled positions and ``REPRO_NO_NATIVE`` settings, plus a property
+test of native against fallback over every :class:`GroupReduction`
+shape; they also cover the batch-path workload-cache routing, exact
+``_pair_nbytes`` accounting, the store's handling of entries written in
+an older format, and the reduce-dispatch telemetry counters.
 
 The reference loops below are frozen copies of the pre-engine
 ``_two_sided_cluster_cycles`` / dynamic group-sweep bodies (the same
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.core import workload
@@ -27,7 +29,7 @@ from repro.nets.synthesis import synthesize_layer
 from repro.sim import native, reduce
 from repro.sim.config import HardwareConfig
 from repro.sim.dynamic import simulate_dynamic_dispatch
-from repro.sim.kernels import compute_chunk_work
+from repro.sim.kernels import compute_chunk_work, count_dtype
 from repro.sim.sparten import (
     simulate_sparten,
     sparten_variant_plan,
@@ -156,19 +158,14 @@ def deep_data(deep_spec):
     return synthesize_layer(deep_spec, seed=3)
 
 
-def _counts_and_fused(data, cfg, monkeypatch):
-    """The same workload, materialized and fused."""
-    monkeypatch.setenv("REPRO_FUSE", "off")
+def _counts(data, cfg):
     work = compute_chunk_work(data, cfg, need_counts=True)
-    monkeypatch.setenv("REPRO_FUSE", "on")
-    fused = compute_chunk_work(data, cfg, need_counts=True)
     assert work.counts is not None
-    assert fused.counts is None and fused.packed is not None
-    return work, fused
+    return work
 
 
 # ---------------------------------------------------------------------------
-# Engine vs the frozen seed loops, every path.
+# Engine vs the frozen seed loops, native and NumPy fallback.
 
 
 @pytest.mark.parametrize("no_native", [False, True], ids=["native", "fallback"])
@@ -180,7 +177,7 @@ def test_engine_matches_seed_loop(
     cfg = _cfg(chunk_size=chunk_size)
     if no_native:
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-    work, fused = _counts_and_fused(deep_data, cfg, monkeypatch)
+    work = _counts(deep_data, cfg)
     plan = sparten_variant_plan(deep_data, cfg, variant)
     units = cfg.units_per_cluster
     for collocate in (plan.collocated, False):
@@ -188,11 +185,10 @@ def test_engine_matches_seed_loop(
         ref = reference_two_sided(
             work.counts, plan, units, cfg.bisection_width, collocate
         )
-        for w in (work, fused):  # counts path, then the fused packed path
-            red = reduce.reduce_scheme(w, rspec)
-            assert np.array_equal(red.barrier, ref[0])
-            assert np.array_equal(red.busy, ref[1])
-            assert np.array_equal(red.permute, ref[2])
+        red = reduce.reduce_scheme(work, rspec)
+        assert np.array_equal(red.barrier, ref[0])
+        assert np.array_equal(red.busy, ref[1])
+        assert np.array_equal(red.permute, ref[2])
 
 
 @pytest.mark.parametrize("no_native", [False, True], ids=["native", "fallback"])
@@ -203,7 +199,7 @@ def test_dynamic_engine_matches_seed_loop(
     cfg = _cfg(chunk_size=chunk_size)
     if no_native:
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-    work, fused = _counts_and_fused(deep_data, cfg, monkeypatch)
+    work = _counts(deep_data, cfg)
     units = cfg.units_per_cluster
     rspec = reduce.order_groups(
         np.arange(deep_data.spec.n_filters, dtype=np.int64),
@@ -211,11 +207,10 @@ def test_dynamic_engine_matches_seed_loop(
         dyn_units=units,
     )
     ref = reference_dynamic(work.counts, units)
-    for w in (work, fused):
-        red = reduce.reduce_scheme(w, rspec)
-        assert np.array_equal(red.barrier, ref[0])
-        assert np.array_equal(red.busy, ref[1])
-        assert np.array_equal(red.permute, np.zeros_like(ref[0]))
+    red = reduce.reduce_scheme(work, rspec)
+    assert np.array_equal(red.barrier, ref[0])
+    assert np.array_equal(red.busy, ref[1])
+    assert np.array_equal(red.permute, np.zeros_like(ref[0]))
 
 
 @pytest.mark.parametrize("no_native", [False, True], ids=["native", "fallback"])
@@ -224,7 +219,7 @@ def test_gb_h_floors_bind_on_thin_network(deep_data, no_native, monkeypatch):
     cfg = _cfg(chunk_size=64, bisection_width=1)
     if no_native:
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-    work, _ = _counts_and_fused(deep_data, cfg, monkeypatch)
+    work = _counts(deep_data, cfg)
     plan = sparten_variant_plan(deep_data, cfg, "gb_h")
     rspec = two_sided_reduction_spec(plan, cfg, True)
     assert rspec.floors is not None
@@ -240,7 +235,7 @@ def test_engine_with_sampled_positions(deep_data, no_native, monkeypatch):
     cfg = _cfg(chunk_size=64, position_sample=4)
     if no_native:
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-    work, fused = _counts_and_fused(deep_data, cfg, monkeypatch)
+    work = _counts(deep_data, cfg)
     assert work.counts.shape[1] < deep_data.spec.out_positions
     for variant in VARIANTS:
         plan = sparten_variant_plan(deep_data, cfg, variant)
@@ -249,71 +244,82 @@ def test_engine_with_sampled_positions(deep_data, no_native, monkeypatch):
             work.counts, plan, cfg.units_per_cluster, cfg.bisection_width,
             plan.collocated,
         )
-        for w in (work, fused):
-            red = reduce.reduce_scheme(w, rspec)
-            assert np.array_equal(red.barrier, ref[0])
-            assert np.array_equal(red.busy, ref[1])
-            assert np.array_equal(red.permute, ref[2])
-
-
-@pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-def test_counts_regenerated_from_packed_are_exact(
-    deep_data, chunk_size, monkeypatch
-):
-    cfg = _cfg(chunk_size=chunk_size)
-    work, fused = _counts_and_fused(deep_data, cfg, monkeypatch)
-    assert np.array_equal(reduce.counts_from_packed(fused.packed), work.counts)
-    assert np.array_equal(fused.materialized_counts(), work.counts)
-    # The NumPy regeneration path is exact too.
-    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-    assert np.array_equal(reduce.counts_from_packed(fused.packed), work.counts)
+        red = reduce.reduce_scheme(work, rspec)
+        assert np.array_equal(red.barrier, ref[0])
+        assert np.array_equal(red.busy, ref[1])
+        assert np.array_equal(red.permute, ref[2])
 
 
 # ---------------------------------------------------------------------------
-# Whole-simulator results are byte-identical across REPRO_FUSE modes.
+# Native reduce_pairs vs the NumPy fallback, over every GroupReduction shape.
 
 
-def _fuse_mode_results(spec, cfg, mode, monkeypatch):
-    monkeypatch.setenv("REPRO_FUSE", mode)
-    workload.clear_caches()  # the result memo must not key on fuse mode
-    out = []
-    for variant in VARIANTS:
-        for sided in ("two", "one"):
-            out.append(
-                simulate_sparten(spec, cfg, variant=variant, sided=sided, seed=0)
-            )
-    out.append(simulate_dynamic_dispatch(spec, cfg, seed=0))
-    return out
+def _scatter_filters(rng, n_filters, n_pairs):
+    """A (n_pairs, 2) pairing holding each filter once, -1 elsewhere."""
+    flat = np.full(2 * n_pairs, -1, dtype=np.int64)
+    flat[rng.choice(2 * n_pairs, n_filters, replace=False)] = rng.permutation(
+        n_filters
+    )
+    return flat.reshape(n_pairs, 2)
 
 
-def test_results_identical_across_fuse_modes(deep_spec, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
-    cfg = _cfg(chunk_size=64, batch=2)
-    baseline = _fuse_mode_results(deep_spec, cfg, "off", monkeypatch)
-    for mode in ("on", "auto"):
-        for got, want in zip(
-            _fuse_mode_results(deep_spec, cfg, mode, monkeypatch), baseline
-        ):
-            assert got == want  # cycles, breakdown, traffic, extras
-            for name in ("busy", "barrier_wait", "permute_stall",
-                         "imbalance_idle", "filter_zero"):
-                assert np.array_equal(
-                    got.counters.bucket(name), want.counters.bucket(name)
-                ), (got.scheme, name)
-            assert got.counters.barriers == want.counters.barriers
+def _random_rspec(rng, shape, n_chunks, n_filters, units):
+    if shape in ("order", "dynamic"):
+        order = rng.permutation(n_filters)[: rng.integers(1, n_filters + 1)]
+        if shape == "order":
+            return reduce.order_groups(order, units)
+        return reduce.order_groups(order, 2 * units, dyn_units=units)
+    # Enough whole groups of pairs to hold every filter, sometimes one spare.
+    groups = -(-n_filters // (2 * units)) + int(rng.integers(0, 2))
+    n_pairs = groups * units
+    if shape == "static":
+        return reduce.static_pairs(_scatter_filters(rng, n_filters, n_pairs), units)
+    pairing = np.stack(
+        [_scatter_filters(rng, n_filters, n_pairs) for _ in range(n_chunks)]
+    )
+    floors = None
+    if shape == "chunk_floors":
+        floors = rng.integers(0, 6, (n_chunks, n_pairs // units)).astype(np.float64)
+    return reduce.chunk_pairs(pairing, units, floors)
 
 
-def test_conservation_holds_under_fusion(deep_spec, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
-    monkeypatch.setenv("REPRO_FUSE", "on")
-    workload.clear_caches()
-    cfg = _cfg(chunk_size=64)
-    for variant in VARIANTS:
-        for sided in ("two", "one"):
-            result = simulate_sparten(deep_spec, cfg, variant=variant, sided=sided)
-            assert result.counters.check_conservation(rtol=1e-9) <= 1e-9
-    result = simulate_dynamic_dispatch(deep_spec, cfg)
-    assert result.counters.check_conservation(rtol=1e-9) <= 1e-9
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(("order", "dynamic", "static", "chunk", "chunk_floors")),
+    # u8, u16 and u32 counts respectively.
+    chunk_size=st.sampled_from((64, 256, 1 << 16)),
+    block_elems=st.sampled_from((1, reduce._BLOCK_ELEMS)),
+)
+def test_native_reduce_matches_numpy_fallback(seed, shape, chunk_size, block_elems):
+    if not native.available():
+        pytest.skip("native kernel unavailable")
+    rng = np.random.default_rng(seed)
+    n_chunks, n_sel, n_filters = (int(v) for v in rng.integers(1, 9, 3))
+    units = int(rng.integers(1, 5))
+    dtype = count_dtype(chunk_size)
+    # Small counts make the one-cycle and routing floors bind; large ones
+    # reach the top of the dtype.
+    high = chunk_size if rng.random() < 0.5 else 4
+    counts = rng.integers(0, high + 1, (n_chunks, n_sel, n_filters)).astype(dtype)
+    rspec = _random_rspec(rng, shape, n_chunks, n_filters, units)
+    got = native.reduce_pairs(
+        counts,
+        rspec.pair_a,
+        rspec.pair_b,
+        rspec.floors,
+        rspec.rows_per_group,
+        rspec.dyn_units,
+    )
+    prior = reduce._BLOCK_ELEMS
+    reduce._BLOCK_ELEMS = block_elems  # 1 => one chunk per fallback block
+    try:
+        want = reduce._reduce_counts_numpy(counts, rspec)
+    finally:
+        reduce._BLOCK_ELEMS = prior
+    assert np.array_equal(got[0], want.barrier)
+    assert np.array_equal(got[1], want.busy)
+    assert np.array_equal(got[2], want.permute)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +328,7 @@ def test_conservation_holds_under_fusion(deep_spec, monkeypatch):
 
 def test_reduce_dispatch_counters(deep_data, monkeypatch):
     cfg = _cfg(chunk_size=64)
-    work, _ = _counts_and_fused(deep_data, cfg, monkeypatch)
+    work = _counts(deep_data, cfg)
     plan = sparten_variant_plan(deep_data, cfg, "gb_s")
     rspec = two_sided_reduction_spec(plan, cfg, True)
     telemetry.reset()
@@ -344,8 +350,7 @@ def test_reduce_dispatch_counters(deep_data, monkeypatch):
 # Satellite: batch loops route per-image workloads through the cache.
 
 
-def test_batch_paths_share_workload_cache(deep_spec, monkeypatch):
-    monkeypatch.setenv("REPRO_FUSE", "off")
+def test_batch_paths_share_workload_cache(deep_spec):
     cfg = _cfg(chunk_size=64, batch=3)
     workload.clear_caches()
     simulate_sparten(deep_spec, cfg, variant="gb_h", seed=0)
@@ -360,17 +365,46 @@ def test_batch_paths_share_workload_cache(deep_spec, monkeypatch):
     workload.clear_caches()
 
 
-def test_fused_entry_satisfies_counts_request(deep_spec, monkeypatch):
-    """A cached packed-only workload serves need_counts callers."""
-    monkeypatch.setenv("REPRO_FUSE", "on")
+def test_packed_only_store_entry_is_recomputed(deep_spec, tmp_path, monkeypatch):
+    """An entry written by the removed packed-mask path (no ``counts``) is
+    a miss for a counts request, recomputed and overwritten with counts."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     cfg = _cfg(chunk_size=64)
+    key = workload.workload_key(deep_spec, cfg, 0)
+    path = workload._disk_path(key)
+    data = synthesize_layer(deep_spec, seed=0)
+    want = compute_chunk_work(data, cfg, need_counts=True)
+    n_sel = want.counts.shape[1]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    np.savez(
+        path,
+        key=np.array(repr(key)),
+        input_map=data.input_map,
+        filters=data.filters,
+        input_pop=want.input_pop,
+        match_sums=want.match_sums,
+        filter_chunk_nnz=want.filter_chunk_nnz,
+        n_chunks=np.int64(want.n_chunks),
+        indices=want.assignment.indices,
+        cluster_of=want.assignment.cluster_of,
+        weight_of=want.assignment.weight_of,
+        cluster_positions=want.assignment.cluster_positions,
+        win_words=np.zeros((want.n_chunks, n_sel, 1), dtype=np.uint64),
+        filt_words=np.zeros((want.n_chunks, 1, deep_spec.n_filters), np.uint64),
+        packed_chunk_size=np.int64(64),
+    )
     workload.clear_caches()
     _, work = workload.get_workload(deep_spec, cfg, seed=0, need_counts=True)
-    assert work.counts is None and work.packed is not None
-    before = workload.cache_stats()["workloads"]["misses"]
-    _, again = workload.get_workload(deep_spec, cfg, seed=0, need_counts=True)
-    assert again is work
-    assert workload.cache_stats()["workloads"]["misses"] == before
+    assert np.array_equal(work.counts, want.counts)
+    assert workload.cache_stats()["workloads"]["disk_hits"] == 0
+    assert not list(tmp_path.glob("*.corrupt"))  # a plain miss, not damage
+    with np.load(path) as z:
+        assert "counts" in z.files and "win_words" not in z.files
+        assert np.array_equal(z["counts"], want.counts)
+    # The rewritten entry now serves the next cold process.
+    workload.clear_caches()
+    workload.get_workload(deep_spec, cfg, seed=0, need_counts=True)
+    assert workload.cache_stats()["workloads"]["disk_hits"] == 1
     workload.clear_caches()
 
 
@@ -393,15 +427,10 @@ def _expected_pair_nbytes(pair):
     ]
     if work.counts is not None:
         arrays.append(work.counts)
-    total = sum(a.nbytes for a in arrays)
-    if work.packed is not None:
-        total += work.packed.nbytes
-    return total
+    return sum(a.nbytes for a in arrays)
 
 
-@pytest.mark.parametrize("fuse", ["off", "on"])
-def test_pair_nbytes_counts_every_array(deep_spec, fuse, monkeypatch):
-    monkeypatch.setenv("REPRO_FUSE", fuse)
+def test_pair_nbytes_counts_every_array(deep_spec):
     workload.clear_caches()
     pair = workload.get_workload(deep_spec, _cfg(chunk_size=64), seed=0)
     assert workload._pair_nbytes(pair) == _expected_pair_nbytes(pair)

@@ -1,5 +1,9 @@
 """Tests for the cross-experiment workload cache (core/workload.py)."""
 
+import gc
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -178,6 +182,31 @@ class TestDiskStore:
         get_workload(spec, cfg, seed=0)
         assert cache_stats()["workloads"]["disk_hits"] == 1
 
+    def test_truncated_npz_load_closes_its_file(self, tmp_path, monkeypatch):
+        # Regression: np.load(path) raised on a truncated archive before
+        # its own ``with`` owned the file, leaking the handle.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        spec, cfg = _spec(), _cfg()
+        get_workload(spec, cfg, seed=0)
+        (path,) = tmp_path.glob("workload-*.npz")
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        key = workload_key(spec, cfg, 0)
+        # A warning raised in a finalizer is routed to sys.unraisablehook,
+        # not to the caller, so collect it there.
+        unraisable = []
+        prior_hook = sys.unraisablehook
+        sys.unraisablehook = unraisable.append
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                assert workload._disk_load(key, spec, need_counts=True) is None
+                gc.collect()
+        finally:
+            sys.unraisablehook = prior_hook
+        assert [u.exc_value for u in unraisable] == []
+        assert path.with_suffix(".npz.corrupt").exists()
+
     def test_garbage_bytes_quarantined(self, tmp_path, monkeypatch):
         from repro import telemetry
 
@@ -240,8 +269,6 @@ class TestLRUBounds:
                 work.assignment.indices, work.assignment.cluster_of,
                 work.assignment.weight_of, work.assignment.cluster_positions,
             ]
-            if work.packed is not None:
-                arrays += [work.packed.win_words, work.packed.filt_words]
         held = {id(_owner(a)): _owner(a) for a in arrays if a is not None}
         distinct = sum(a.nbytes for a in held.values())
         assert cache_stats()["workloads"]["entries"] == len(pairs) + 1
