@@ -152,11 +152,10 @@ def regroup_stats(stats: DensityStats, cfg: HardwareConfig) -> DensityStats:
     in-slice sample to the slice's true position count (the same
     estimator :func:`repro.sim.kernels.assign_positions` uses).
 
-    Per-position arrays are shared (not copied) with the input, which is
-    what lets the analytical model reuse group-level work across the
-    cluster axis of a sweep. Raises ``ValueError`` when some cluster's
-    slice contains no stat position (the sample is too sparse for the
-    requested cluster count).
+    Per-position arrays are shared (not copied) with the input, so a
+    sweep's cluster axis costs one new assignment per cluster count.
+    Raises ``ValueError`` when some cluster's slice contains no stat
+    position (the sample is too sparse for the requested cluster count).
     """
     if cfg.n_clusters == stats.assignment.n_clusters:
         return stats

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from statistics import NormalDist
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,6 +68,9 @@ from repro.analytical.density import (
 
 __all__ = [
     "ANALYTICAL_SCHEMES",
+    "GRID_SCHEMES",
+    "GridPoint",
+    "predict_grid",
     "predict_layer",
     "predict_network",
     "predict_layer_energy",
@@ -114,12 +118,15 @@ def expected_max_coefficient(m: int | np.ndarray) -> np.ndarray:
     (a single contender has no selection inflation).
     """
     m_arr = np.atleast_1d(np.asarray(m, dtype=np.int64))
-    out = np.zeros(m_arr.shape, dtype=np.float64)
-    for value in np.unique(m_arr):
-        if value > 1:
-            out[m_arr == value] = _NORMAL.inv_cdf(
-                (value - 0.375) / (value + 0.25)
-            )
+    values, inverse = np.unique(m_arr, return_inverse=True)
+    coef = np.array(
+        [
+            _NORMAL.inv_cdf((v - 0.375) / (v + 0.25)) if v > 1 else 0.0
+            for v in values.tolist()
+        ],
+        dtype=np.float64,
+    )
+    out = coef[inverse].reshape(m_arr.shape)
     return out if np.ndim(m) else float(out[0])
 
 
@@ -249,47 +256,14 @@ def two_sided_row_loads(
     return loads_a, loads_b, floors
 
 
-#: Memoised barrier/permute terms. The per-position barrier model is
-#: independent of the cluster assignment (clusters only regroup the
-#: finished per-position array), so a sweep's cluster axis re-uses one
-#: evaluation per (units, variant, bisection) -- :func:`regroup_stats`
-#: shares the stat arrays, making identity a sound content key. Values
-#: keep references to the keyed arrays so ids are never recycled.
-_BARRIER_MEMO: dict = {}
-_BARRIER_MEMO_MAX = 64
+#: Elements per slab of the barrier kernel's (chunks, groups, positions)
+#: temporaries. Small enough to stay cache-resident, and far under the
+#: ~8M-double bound that keeps small-unit machines (many groups) from
+#: blowing memory.
+_SLAB = 1 << 15
 
 
 def _two_sided_barriers(
-    stats: DensityStats, cfg: HardwareConfig, variant: str
-) -> tuple[np.ndarray, np.ndarray, int]:
-    key = (
-        id(stats.input_pop),
-        id(stats.match_sums),
-        id(stats.filter_chunk_nnz),
-        stats.chunk_size,
-        cfg.units_per_cluster,
-        variant,
-        cfg.bisection_width if variant == "gb_h" else None,
-    )
-    hit = _BARRIER_MEMO.get(key)
-    if hit is not None:
-        telemetry.count("analytical.barrier_memo_hit")
-        return hit[3], hit[4], hit[5]
-    barrier, permute, n_groups = _two_sided_barriers_impl(stats, cfg, variant)
-    if len(_BARRIER_MEMO) >= _BARRIER_MEMO_MAX:
-        _BARRIER_MEMO.clear()
-    _BARRIER_MEMO[key] = (
-        stats.input_pop,
-        stats.match_sums,
-        stats.filter_chunk_nnz,
-        barrier,
-        permute,
-        n_groups,
-    )
-    return barrier, permute, n_groups
-
-
-def _two_sided_barriers_impl(
     stats: DensityStats, cfg: HardwareConfig, variant: str
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Expected per-position barrier/permute cycles and the group count.
@@ -297,16 +271,19 @@ def _two_sided_barriers_impl(
     Order-statistics model over the per-unit filter assignment: per
     (chunk, group), the barrier is ``E[max over rows]`` of hypergeometric
     match counts whose row means are anchored on the exact per-position
-    match totals.
+    match totals. Independent of the cluster assignment: clusters only
+    regroup the finished per-position arrays.
     """
     units = cfg.units_per_cluster
     chunk = float(stats.chunk_size)
     loads_a, loads_b, floors = two_sided_row_loads(stats, cfg, variant)
     n_chunks, n_rows = loads_a.shape
     n_groups = n_rows // units
+    # Without collocation the second component is all zero: skip it.
+    collocated = variant != "no_gb"
     ga = loads_a.reshape(n_chunks, n_groups, units)
-    gb = loads_b.reshape(n_chunks, n_groups, units)
-    combined = ga + gb
+    gb = loads_b.reshape(n_chunks, n_groups, units) if collocated else None
+    combined = ga + gb if collocated else ga
 
     # Group-level load summaries (independent of position): the heaviest
     # row by combined load (the barrier candidate -- row means share one
@@ -315,8 +292,8 @@ def _two_sided_barriers_impl(
     # contender count that selects the Blom coefficient.
     heaviest = np.argmax(combined, axis=2)[:, :, None]  # (n_chunks, n_groups, 1)
     wmax = np.take_along_axis(combined, heaviest, axis=2)[:, :, 0]
-    wa = np.take_along_axis(ga, heaviest, axis=2)[:, :, 0]
-    wb = np.take_along_axis(gb, heaviest, axis=2)[:, :, 0]
+    wa = np.take_along_axis(ga, heaviest, axis=2)[:, :, 0] if collocated else wmax
+    wb = np.take_along_axis(gb, heaviest, axis=2)[:, :, 0] if collocated else None
     near = np.maximum(_NEARMAX_ABS, _NEARMAX_REL * wmax)
     contenders = (combined >= (wmax - near)[:, :, None]).sum(axis=2)
     alpha = _MAX_COEF_SCALE * expected_max_coefficient(contenders)
@@ -335,37 +312,145 @@ def _two_sided_barriers_impl(
         where=predicted > 0,
     )
 
+    # Position-only terms, hoisted out of the 3-D arithmetic: the
+    # per-unit-load hit probability and the finite-population-corrected
+    # variance prefactor.
     n_sel = k.shape[1]
+    r = rho / chunk
+    kf = k * np.clip((chunk - k) / max(chunk - 1.0, 1.0), 0.0, 1.0)
     barrier = np.zeros(n_sel, dtype=np.float64)
     permute = np.zeros(n_sel, dtype=np.float64)
-    fpc = np.clip((chunk - k) / max(chunk - 1.0, 1.0), 0.0, 1.0)
-    # Vectorised over group slabs: temporaries are (chunks, block, sel),
-    # bounded to ~8M doubles so small-unit machines (many groups) never
-    # blow memory while the group axis stays off the Python interpreter.
-    block = max(1, int(8e6 / max(n_chunks * n_sel, 1)))
-    k3 = k[:, None, :]
-    fpc3 = fpc[:, None, :]
-    for g0 in range(0, n_groups, block):
-        g1 = min(g0 + block, n_groups)
-        # The heaviest row's work is the sum of two window intersections
-        # (hypergeometric parts); mean, variance and cap are per part --
-        # the pair total can reach 2k, never min(k, w_a + w_b).
-        wa3 = wa[:, g0:g1, None]
-        wb3 = wb[:, g0:g1, None]
-        qa = np.clip(rho[None, None, :] * wa3 / chunk, 0.0, 1.0)
-        qb = np.clip(rho[None, None, :] * wb3 / chunk, 0.0, 1.0)
-        cap = np.minimum(k3, wa3) + np.minimum(k3, wb3)
-        est = k3 * (qa + qb)
-        sigma = np.sqrt((k3 * qa * (1.0 - qa) + k3 * qb * (1.0 - qb)) * fpc3)
-        est += alpha[:, g0:g1, None] * sigma
-        np.minimum(est, cap, out=est)
-        np.maximum(est, 1.0, out=est)
-        if floors is not None:
-            fl = floors[:, g0:g1, None]
-            permute += np.maximum(0.0, fl - est).sum(axis=(0, 1))
-            np.maximum(est, fl, out=est)
-        barrier += est.sum(axis=(0, 1))
+    # (chunk, group) slabs of ~_SLAB elements: whole chunks when a chunk's
+    # groups fit, else group runs inside one chunk.
+    gstep = max(1, min(n_groups, _SLAB // max(n_sel, 1)))
+    cstep = max(1, _SLAB // (gstep * max(n_sel, 1))) if gstep == n_groups else 1
+    for c0 in range(0, n_chunks, cstep):
+        c1 = min(c0 + cstep, n_chunks)
+        k3 = k[c0:c1, None, :]
+        kf3 = kf[c0:c1, None, :]
+        for g0 in range(0, n_groups, gstep):
+            g1 = min(g0 + gstep, n_groups)
+            # The heaviest row's work is the sum of two window
+            # intersections (hypergeometric parts); mean, variance and
+            # cap are per part -- the pair total can reach 2k, never
+            # min(k, w_a + w_b).
+            wa3 = wa[c0:c1, g0:g1, None]
+            qa = wa3 * r
+            np.minimum(qa, 1.0, out=qa)
+            var = 1.0 - qa
+            var *= qa
+            cap = np.minimum(k3, wa3)
+            if collocated:
+                wb3 = wb[c0:c1, g0:g1, None]
+                qb = wb3 * r
+                np.minimum(qb, 1.0, out=qb)
+                qa += qb
+                var_b = 1.0 - qb
+                var_b *= qb
+                var += var_b
+                cap += np.minimum(k3, wb3, out=qb)
+            var *= kf3
+            np.sqrt(var, out=var)
+            var *= alpha[c0:c1, g0:g1, None]
+            est = np.multiply(qa, k3, out=qa)
+            est += var
+            np.minimum(est, cap, out=est)
+            np.maximum(est, 1.0, out=est)
+            if floors is not None:
+                # max(fl, est) - est == max(0, fl - est), bit for bit.
+                np.maximum(est, floors[c0:c1, g0:g1, None], out=cap)
+                np.subtract(cap, est, out=var)
+                permute += var.sum(axis=(0, 1))
+                est = cap
+            barrier += est.sum(axis=(0, 1))
     return barrier, permute, n_groups
+
+
+class _ClusterAxis(NamedTuple):
+    """Position-to-cluster assignments of one stat sample, stacked.
+
+    Assignment ``k`` (one machine's cluster count) owns the cluster ids
+    from ``starts[k]`` on, so one weighted bincount reduces a
+    per-position array onto the clusters of every stacked machine at
+    once. A single assignment is the one-machine case.
+    """
+
+    cluster_of: np.ndarray  # (K * n_sel,) offset cluster ids
+    weight_of: np.ndarray  # (K * n_sel,) sample weights
+    cluster_positions: np.ndarray  # (total clusters,) true positions
+    starts: np.ndarray  # (K,) first cluster id of each assignment
+
+    @classmethod
+    def stack(cls, assignments) -> "_ClusterAxis":
+        sizes = [a.cluster_positions.size for a in assignments]
+        starts = np.cumsum([0] + sizes[:-1]).astype(np.int64)
+        return cls(
+            cluster_of=np.concatenate(
+                [a.cluster_of + off for a, off in zip(assignments, starts)]
+            ),
+            weight_of=np.concatenate([a.weight_of for a in assignments]),
+            cluster_positions=np.concatenate(
+                [a.cluster_positions for a in assignments]
+            ),
+            starts=starts,
+        )
+
+    def sum(self, per_position: np.ndarray) -> np.ndarray:
+        """Weighted per-cluster sums of *per_position*, for every machine."""
+        reps = self.cluster_of.size // per_position.size
+        return np.bincount(
+            self.cluster_of,
+            weights=np.tile(per_position, reps) * self.weight_of,
+            minlength=self.cluster_positions.size,
+        )
+
+
+def _cluster_rollup(
+    axis: _ClusterAxis,
+    cluster_cycles: np.ndarray,
+    occupied: np.ndarray,
+    useful: np.ndarray,
+    units: int,
+) -> tuple[np.ndarray, list[Breakdown], np.ndarray]:
+    """Layer cycles and breakdown of every machine on *axis*.
+
+    Identical cluster reduction to the cycle simulators: layer cycles =
+    slowest cluster, inter loss = the other clusters' idle slots, intra
+    loss = wall slots the occupied ones leave idle, zero MACs =
+    occupied-but-useless slots. Inputs are per-cluster sums; returns the
+    per-machine layer cycles, breakdowns and the per-cluster idle slots.
+    """
+    starts = axis.starts
+    layer_cycles = np.maximum.reduceat(cluster_cycles, starts)
+    machine_of = np.repeat(
+        np.arange(starts.size), np.diff(starts, append=cluster_cycles.size)
+    )
+    idle = (layer_cycles[machine_of] - cluster_cycles) * units
+    nonzero = np.add.reduceat(useful, starts)
+    occupied_slots = np.add.reduceat(occupied, starts)
+    zero = occupied_slots - nonzero
+    intra = np.add.reduceat(cluster_cycles, starts) * units - occupied_slots
+    inter = np.add.reduceat(idle, starts)
+    breakdowns = [
+        Breakdown(nonzero_macs=n, zero_macs=z, intra_loss=a, inter_loss=e)
+        for n, z, a, e in zip(
+            nonzero.tolist(), zero.tolist(), intra.tolist(), inter.tolist()
+        )
+    ]
+    return layer_cycles, breakdowns, idle
+
+
+def _dense_cluster_sums(
+    spec: ConvLayerSpec, cluster_positions: np.ndarray, units: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense per-cluster (wall cycles, issued MAC slots): exact closed form."""
+    dot_length = spec.kernel * spec.kernel * spec.in_channels
+    n_groups = -(-spec.n_filters // units)
+    positions = cluster_positions.astype(np.float64)
+    return (
+        positions * (n_groups * dot_length),
+        positions * (spec.n_filters * dot_length),
+    )
 
 
 def _positional_result(
@@ -383,10 +468,8 @@ def _positional_result(
 ) -> LayerResult:
     """Assemble a cluster-machine LayerResult from per-position arrays.
 
-    Identical cluster reduction to the cycle simulators: weighted
-    bincount per cluster, layer cycles = slowest cluster, inter loss =
-    the other clusters' idle slots, zero MACs = occupied-but-useless
-    slots. Counters (and timelines) come from the same arrays, so the
+    Weighted bincount per cluster, then :func:`_cluster_rollup`.
+    Counters (and timelines) come from the same arrays, so the
     conservation law holds by construction.
     """
     spec = stats.spec
@@ -395,27 +478,21 @@ def _positional_result(
     weights = stats.assignment.weight_of
     cluster_of = stats.assignment.cluster_of
 
-    cluster_cycles = np.bincount(
-        cluster_of, weights=per_pos_barrier * weights, minlength=n_clusters
+    axis = _ClusterAxis.stack([stats.assignment])
+    cluster_cycles = axis.sum(per_pos_barrier)
+    busy_c = axis.sum(per_pos_useful)
+    occupied_c = (
+        busy_c if per_pos_slots is per_pos_useful else axis.sum(per_pos_slots)
     )
-    nonzero = float(np.sum(per_pos_useful * weights))
-    occupied = float(np.sum(per_pos_slots * weights))
-    zero = occupied - nonzero
-    wall_slots = float(np.sum(per_pos_barrier * weights)) * units
-    intra = wall_slots - occupied
-    layer_cycles = float(cluster_cycles.max())
-    inter = float(np.sum((layer_cycles - cluster_cycles) * units))
-    breakdown = Breakdown(
-        nonzero_macs=nonzero, zero_macs=zero, intra_loss=intra, inter_loss=inter
+    (layer_cycles,), (breakdown,), idle = _cluster_rollup(
+        axis, cluster_cycles, occupied_c, busy_c, units
     )
+    layer_cycles = float(layer_cycles)
 
     mode = profiling.profile_mode()
     counters = None
     if mode != profiling.MODE_OFF:
         permute_slots = per_pos_permute * units
-        busy_c = np.bincount(
-            cluster_of, weights=per_pos_useful * weights, minlength=n_clusters
-        )
         zero_c = np.bincount(
             cluster_of,
             weights=(per_pos_slots - per_pos_useful) * weights,
@@ -449,7 +526,7 @@ def _positional_result(
             filter_zero=zero_c,
             barrier_wait=wait_c,
             permute_stall=permute_c,
-            imbalance_idle=(layer_cycles - cluster_cycles) * units,
+            imbalance_idle=idle,
             memory_stall=np.zeros(n_clusters, dtype=np.float64),
             barriers=barriers,
             buffer_hwm=dict(buffer_hwm or {}),
@@ -479,14 +556,18 @@ def _positional_result(
     )
 
 
+#: SparTen balancing variant <-> scheme name.
+_TWO_SIDED_SCHEME = {
+    "no_gb": "sparten_no_gb",
+    "gb_s": "sparten_gb_s",
+    "gb_h": "sparten",
+}
+_TWO_SIDED_VARIANT = {scheme: variant for variant, scheme in _TWO_SIDED_SCHEME.items()}
+
+
 def _predict_two_sided(
     stats: DensityStats, cfg: HardwareConfig, variant: str
 ) -> LayerResult:
-    scheme = {
-        "no_gb": "sparten_no_gb",
-        "gb_s": "sparten_gb_s",
-        "gb_h": "sparten",
-    }[variant]
     barrier, permute, n_groups = _two_sided_barriers(stats, cfg, variant)
     useful = stats.match_sums  # occupied slots == useful (two-sided)
     collocated = variant in ("gb_s", "gb_h")
@@ -500,7 +581,7 @@ def _predict_two_sided(
     return _positional_result(
         stats,
         cfg,
-        scheme,
+        _TWO_SIDED_SCHEME[variant],
         per_pos_barrier=barrier,
         per_pos_slots=useful,
         per_pos_useful=useful,
@@ -551,34 +632,20 @@ def _predict_dense(
     weights = assignment.weight_of
     cluster_of = assignment.cluster_of
 
-    cluster_cycles = (
-        assignment.cluster_positions.astype(np.float64) * n_groups * dot_length
+    axis = _ClusterAxis.stack([assignment])
+    cluster_cycles, issued_c = _dense_cluster_sums(
+        spec, assignment.cluster_positions, units
     )
-    nonzero = float(np.sum(stats.match_sums * weights))
-    total_mult_slots = float(
-        assignment.cluster_positions.sum() * spec.n_filters * dot_length
+    useful_c = axis.sum(stats.match_sums)
+    (layer_cycles,), (breakdown,), idle = _cluster_rollup(
+        axis, cluster_cycles, issued_c, useful_c, units
     )
-    layer_cycles = float(cluster_cycles.max())
-    zero = total_mult_slots - nonzero
-    busy_slots = float(cluster_cycles.sum()) * units
-    intra = busy_slots - total_mult_slots
-    inter = float(np.sum((layer_cycles - cluster_cycles) * units))
-    breakdown = Breakdown(
-        nonzero_macs=nonzero, zero_macs=zero, intra_loss=intra, inter_loss=inter
-    )
+    layer_cycles = float(layer_cycles)
     scheme = "dense_naive" if naive_buffers else "dense"
 
     mode = profiling.profile_mode()
     counters = None
     if mode != profiling.MODE_OFF:
-        issued_c = (
-            assignment.cluster_positions.astype(np.float64)
-            * spec.n_filters
-            * dot_length
-        )
-        useful_c = np.bincount(
-            cluster_of, weights=stats.match_sums * weights, minlength=n_clusters
-        )
         bins = profiling.timeline_bins() if mode == profiling.MODE_TIMELINE else 0
         tl_cycles = tl_busy = None
         if bins:
@@ -600,7 +667,7 @@ def _predict_dense(
             filter_zero=issued_c - useful_c,
             barrier_wait=cluster_cycles * units - issued_c,
             permute_stall=np.zeros(n_clusters, dtype=np.float64),
-            imbalance_idle=(layer_cycles - cluster_cycles) * units,
+            imbalance_idle=idle,
             memory_stall=np.zeros(n_clusters, dtype=np.float64),
             timeline_cycles=tl_cycles,
             timeline_busy=tl_busy,
@@ -805,12 +872,8 @@ def _predict_image(
         return _predict_dense(stats, cfg, naive_buffers=True)
     if scheme == "one_sided":
         return _predict_one_sided(stats, cfg)
-    if scheme == "sparten_no_gb":
-        return _predict_two_sided(stats, cfg, "no_gb")
-    if scheme == "sparten_gb_s":
-        return _predict_two_sided(stats, cfg, "gb_s")
-    if scheme == "sparten":
-        return _predict_two_sided(stats, cfg, "gb_h")
+    if scheme in _TWO_SIDED_VARIANT:
+        return _predict_two_sided(stats, cfg, _TWO_SIDED_VARIANT[scheme])
     if scheme == "scnn":
         return _predict_scnn(stats, cfg, "two")
     if scheme == "scnn_one_sided":
@@ -872,6 +935,80 @@ def predict_layer(
     telemetry.count(f"analytical.{scheme}.cycles", result.cycles)
     profiling.record_layer(result)
     return result
+
+
+class GridPoint(NamedTuple):
+    """One scored machine of :func:`predict_grid`: cycles and breakdown."""
+
+    cycles: float
+    breakdown: Breakdown
+
+
+#: Schemes :func:`predict_grid` scores (the cluster machines a sweep ranks).
+GRID_SCHEMES = ("dense",) + tuple(_TWO_SIDED_VARIANT)
+
+
+def predict_grid(
+    stats: DensityStats,
+    cfgs: Sequence[HardwareConfig],
+    schemes: Sequence[str] = GRID_SCHEMES,
+) -> list[dict[str, GridPoint]]:
+    """Score many machines on one layer's statistics in one batched pass.
+
+    The design-sweep twin of ``predict_layer(..., stats=stats)`` for
+    every cfg: the statistics are regrouped once per distinct cluster
+    count, each SparTen variant's per-position barrier model is
+    evaluated once per distinct (units, bisection width) -- it does not
+    depend on the cluster assignment -- and one offset bincount reduces
+    it onto every cluster count at once. Cycles and breakdowns are
+    bit-identical to the per-machine path (both run
+    :func:`_cluster_rollup`). Returns, per cfg, ``{scheme: GridPoint}``.
+
+    Grid machines are hypothetical, so nothing is folded into the
+    ``profile.*`` stall counters; ``analytical.predict`` counts every
+    (cfg, scheme) point scored.
+    """
+    for scheme in schemes:
+        if scheme not in GRID_SCHEMES:
+            raise ValueError(
+                f"predict_grid scores {GRID_SCHEMES}, got {scheme!r}"
+            )
+    if not cfgs:
+        return []
+    regrouped: dict[int, DensityStats] = {}
+    for cfg in cfgs:
+        if cfg.n_clusters not in regrouped:
+            regrouped[cfg.n_clusters] = regroup_stats(stats, cfg)
+    machine_of = {n: k for k, n in enumerate(regrouped)}
+    axis = _ClusterAxis.stack([r.assignment for r in regrouped.values()])
+    useful_c = axis.sum(stats.match_sums)
+    # Cluster count aside, a machine's barrier depends on its units and
+    # (GB-H floors) bisection width only.
+    by_units: dict[tuple[int, int], list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        key = (cfg.units_per_cluster, cfg.bisection_width)
+        by_units.setdefault(key, []).append(i)
+
+    out: list[dict[str, GridPoint]] = [{} for _ in cfgs]
+    for (units, _), members in by_units.items():
+        for scheme in schemes:
+            if scheme == "dense":
+                cluster_cycles, occupied_c = _dense_cluster_sums(
+                    stats.spec, axis.cluster_positions, units
+                )
+            else:
+                barrier, _, _ = _two_sided_barriers(
+                    stats, cfgs[members[0]], _TWO_SIDED_VARIANT[scheme]
+                )
+                cluster_cycles, occupied_c = axis.sum(barrier), useful_c
+            cycles, breakdowns, _ = _cluster_rollup(
+                axis, cluster_cycles, occupied_c, useful_c, units
+            )
+            for i in members:
+                k = machine_of[cfgs[i].n_clusters]
+                out[i][scheme] = GridPoint(float(cycles[k]), breakdowns[k])
+    telemetry.count("analytical.predict", len(cfgs) * len(schemes))
+    return out
 
 
 def predict_network(

@@ -64,15 +64,7 @@ def _sweep_point(
     sparse = simulate_at_fidelity(
         _SCHEME_OF[variant], spec, cfg, seed, fidelity=fidelity
     )
-    total = sparse.breakdown.total
-    return {
-        "total_macs": float(cfg.total_macs),
-        "speedup_vs_dense": dense.cycles / sparse.cycles,
-        "cycles": sparse.cycles,
-        "utilization": sparse.breakdown.nonzero_macs / total if total else 0.0,
-        "intra_fraction": sparse.breakdown.intra_loss / total if total else 0.0,
-        "inter_fraction": sparse.breakdown.inter_loss / total if total else 0.0,
-    }
+    return _row_from_results(dense, sparse, cfg)
 
 
 def machine_scaling_sweep(
@@ -141,6 +133,7 @@ def machine_scaling_sweep(
 
 
 def _row_from_results(dense, sparse, cfg: HardwareConfig) -> dict[str, float]:
+    """A sweep row from the dense and sparse results' cycles and breakdown."""
     total = sparse.breakdown.total
     return {
         "total_macs": float(cfg.total_macs),
@@ -169,9 +162,10 @@ def prescreened_sweep(
     statistics are extracted once at a canonical single-cluster geometry
     (``stats_sample`` positions, evenly spaced over the output map) and
     re-sliced onto each cluster count with
-    :func:`repro.analytical.density.regroup_stats` -- the group-level
-    barrier terms are memoised per (units, variant), so the cluster axis
-    of the grid costs only a weighted regrouping. Phase 2 re-runs only
+    :func:`repro.analytical.density.regroup_stats`.
+    :func:`repro.analytical.model.predict_grid` scores the grid as
+    arrays: one barrier evaluation per (units, variant), and one offset
+    bincount over every cluster count. Phase 2 re-runs only
     the *top_k* survivors, ranked by predicted speedup over dense, at
     *final_fidelity* on the cycle-level machine (matched
     ``position_sample``). Returns::
@@ -195,8 +189,8 @@ def prescreened_sweep(
             raise ValueError(
                 f"variants must be among {sorted(_SCHEME_OF)}, got {variant!r}"
             )
-    from repro.analytical.density import extract_density_stats, regroup_stats
-    from repro.analytical.model import predict_layer
+    from repro.analytical.density import extract_density_stats
+    from repro.analytical.model import predict_grid
 
     with telemetry.span("prescreened_sweep", layer=spec.name):
         with telemetry.span("prescreen_analytical", layer=spec.name):
@@ -207,17 +201,14 @@ def prescreened_sweep(
                 position_sample=stats_sample,
             )
             stats = extract_density_stats(spec, canonical, seed)
+            cfgs = [_sweep_config(c, u, position_sample) for c, u in geometries]
+            schemes = ("dense",) + tuple(_SCHEME_OF[v] for v in variants)
+            scored = predict_grid(stats, cfgs, schemes)
             analytical: dict[tuple[int, int, str], dict[str, float]] = {}
-            for n_clusters, units in geometries:
-                cfg = _sweep_config(n_clusters, units, position_sample)
-                regrouped = regroup_stats(stats, cfg)
-                dense = predict_layer(spec, cfg, scheme="dense", stats=regrouped)
+            for (n_clusters, units), cfg, point in zip(geometries, cfgs, scored):
                 for variant in variants:
-                    sparse = predict_layer(
-                        spec, cfg, scheme=_SCHEME_OF[variant], stats=regrouped
-                    )
                     analytical[(n_clusters, units, variant)] = _row_from_results(
-                        dense, sparse, cfg
+                        point["dense"], point[_SCHEME_OF[variant]], cfg
                     )
         survivors = sorted(
             analytical, key=lambda g: -analytical[g]["speedup_vs_dense"]

@@ -5,7 +5,9 @@ Covers the contracts the pre-screened sweep leans on:
 - density statistics are pinned against the materialised counts tensor,
 - :func:`regroup_stats` re-slices one canonical extraction onto any
   cluster count (sharing arrays, preserving the sampling estimator),
-- the barrier memo returns the identical result across the cluster axis,
+- the barrier kernel matches the group-slab kernel it replaced (kept
+  here as an oracle), and the batched grid path reproduces the
+  per-machine path bit for bit,
 - the exact schemes (dense / one-sided / SCNN) match the simulators bit
   for bit and the calibrated SparTen models stay inside the validation
   bounds,
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.analytical import model
 from repro.analytical.density import (
@@ -33,6 +37,7 @@ from repro.analytical.fidelity import (
 from repro.analytical.model import ANALYTICAL_SCHEMES, predict_layer
 from repro.core.compare import run_scheme_cached
 from repro.nets.layers import ConvLayerSpec
+from repro.nets.synthesis import synthesize_layer
 from repro.sim.config import HardwareConfig
 from repro.sim.kernels import compute_chunk_work
 from repro.sim.results import LayerResult
@@ -150,46 +155,110 @@ class TestRegroupStats:
             regroup_stats(stats, many)
 
 
-class TestBarrierMemo:
-    def test_hit_returns_identical_arrays(self, tiny_spec, mini_cfg):
-        stats = extract_density_stats(tiny_spec, mini_cfg, 0)
-        model._BARRIER_MEMO.clear()
-        first = model._two_sided_barriers(stats, mini_cfg, "gb_h")
-        assert len(model._BARRIER_MEMO) == 1
-        second = model._two_sided_barriers(stats, mini_cfg, "gb_h")
-        assert second[0] is first[0]
-        assert second[1] is first[1]
-        assert second[2] == first[2]
+def _slab_barriers_oracle(stats, cfg, variant):
+    """The group-slab barrier kernel :func:`model._two_sided_barriers`
+    replaced, verbatim: (chunks, group block, positions) temporaries, the
+    collocated component always evaluated, nothing hoisted."""
+    units = cfg.units_per_cluster
+    chunk = float(stats.chunk_size)
+    loads_a, loads_b, floors = model.two_sided_row_loads(stats, cfg, variant)
+    n_chunks, n_rows = loads_a.shape
+    n_groups = n_rows // units
+    ga = loads_a.reshape(n_chunks, n_groups, units)
+    gb = loads_b.reshape(n_chunks, n_groups, units)
+    combined = ga + gb
+    heaviest = np.argmax(combined, axis=2)[:, :, None]
+    wmax = np.take_along_axis(combined, heaviest, axis=2)[:, :, 0]
+    wa = np.take_along_axis(ga, heaviest, axis=2)[:, :, 0]
+    wb = np.take_along_axis(gb, heaviest, axis=2)[:, :, 0]
+    near = np.maximum(model._NEARMAX_ABS, model._NEARMAX_REL * wmax)
+    contenders = (combined >= (wmax - near)[:, :, None]).sum(axis=2)
+    alpha = model._MAX_COEF_SCALE * model.expected_max_coefficient(contenders)
+    k = stats.input_pop.astype(np.float64)
+    totq = stats.total_filter_chunk_nnz.astype(np.float64) / chunk
+    predicted = k.T @ totq
+    rho = np.divide(
+        stats.match_sums,
+        predicted,
+        out=np.ones_like(stats.match_sums),
+        where=predicted > 0,
+    )
+    n_sel = k.shape[1]
+    barrier = np.zeros(n_sel, dtype=np.float64)
+    permute = np.zeros(n_sel, dtype=np.float64)
+    fpc = np.clip((chunk - k) / max(chunk - 1.0, 1.0), 0.0, 1.0)
+    block = max(1, int(8e6 / max(n_chunks * n_sel, 1)))
+    k3 = k[:, None, :]
+    fpc3 = fpc[:, None, :]
+    for g0 in range(0, n_groups, block):
+        g1 = min(g0 + block, n_groups)
+        wa3 = wa[:, g0:g1, None]
+        wb3 = wb[:, g0:g1, None]
+        qa = np.clip(rho[None, None, :] * wa3 / chunk, 0.0, 1.0)
+        qb = np.clip(rho[None, None, :] * wb3 / chunk, 0.0, 1.0)
+        cap = np.minimum(k3, wa3) + np.minimum(k3, wb3)
+        est = k3 * (qa + qb)
+        sigma = np.sqrt((k3 * qa * (1.0 - qa) + k3 * qb * (1.0 - qb)) * fpc3)
+        est += alpha[:, g0:g1, None] * sigma
+        np.minimum(est, cap, out=est)
+        np.maximum(est, 1.0, out=est)
+        if floors is not None:
+            fl = floors[:, g0:g1, None]
+            permute += np.maximum(0.0, fl - est).sum(axis=(0, 1))
+            np.maximum(est, fl, out=est)
+        barrier += est.sum(axis=(0, 1))
+    return barrier, permute, n_groups
 
-    def test_cluster_count_does_not_key_the_memo(self, tiny_spec, mini_cfg):
-        """The whole cluster axis of a sweep shares one barrier entry."""
-        stats = extract_density_stats(tiny_spec, mini_cfg, 0)
-        model._BARRIER_MEMO.clear()
-        model._two_sided_barriers(stats, mini_cfg, "gb_h")
-        other = HardwareConfig(
-            name="more_clusters",
-            n_clusters=6,
-            units_per_cluster=mini_cfg.units_per_cluster,
-            chunk_size=mini_cfg.chunk_size,
-            bisection_width=mini_cfg.bisection_width,
-        )
-        regrouped = regroup_stats(stats, other)
-        model._two_sided_barriers(regrouped, other, "gb_h")
-        assert len(model._BARRIER_MEMO) == 1
 
-    def test_units_key_the_memo(self, tiny_spec, mini_cfg):
-        stats = extract_density_stats(tiny_spec, mini_cfg, 0)
-        model._BARRIER_MEMO.clear()
-        model._two_sided_barriers(stats, mini_cfg, "gb_h")
-        wider = HardwareConfig(
-            name="wider",
-            n_clusters=mini_cfg.n_clusters,
-            units_per_cluster=2,
-            chunk_size=mini_cfg.chunk_size,
-            bisection_width=2,
+class TestBarrierKernel:
+    @given(
+        seed=st.integers(0, 2**16),
+        n_filters=st.integers(1, 37),
+        in_channels=st.integers(1, 24),
+        kernel=st.sampled_from([1, 3]),
+        size=st.integers(2, 7),
+        densities=st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+        chunk=st.sampled_from([4, 8, 16, 128]),
+        units=st.sampled_from([1, 2, 3, 4, 5, 8, 16]),
+        bisection=st.integers(1, 8),
+        variant=st.sampled_from(["no_gb", "gb_s", "gb_h"]),
+        slab=st.sampled_from([1, 7, 64, model._SLAB]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_slab_oracle(
+        self, seed, n_filters, in_channels, kernel, size, densities, chunk,
+        units, bisection, variant, slab,
+    ):
+        """Within rel 1e-12 of the replaced kernel, for every variant,
+        units that do and do not divide F, and GB-H floors with narrow
+        bisections; *slab* forces partial chunk and group slabs."""
+        # GB-H's permutation network needs a power-of-two port count.
+        assume(variant != "gb_h" or units & (units - 1) == 0)
+        spec = ConvLayerSpec(
+            name="prop", in_height=size, in_width=size,
+            in_channels=in_channels, kernel=kernel, n_filters=n_filters,
+            padding=kernel // 2,
+            input_density=densities[0], filter_density=densities[1],
         )
-        model._two_sided_barriers(stats, wider, "gb_h")
-        assert len(model._BARRIER_MEMO) == 2
+        cfg = HardwareConfig(
+            name="prop", n_clusters=1, units_per_cluster=units,
+            chunk_size=chunk, bisection_width=bisection,
+        )
+        data = synthesize_layer(spec, seed)
+        stats = stats_from_work(
+            data, compute_chunk_work(data, cfg, need_counts=False), chunk
+        )
+        want_b, want_p, want_groups = _slab_barriers_oracle(stats, cfg, variant)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_SLAB", slab)
+            barrier, permute, n_groups = model._two_sided_barriers(
+                stats, cfg, variant
+            )
+        assert n_groups == want_groups
+        np.testing.assert_allclose(barrier, want_b, rtol=1e-12, atol=0)
+        # A permute stall is a difference of nearly equal cycle counts, so
+        # its error is bounded relative to the barrier it is cut from.
+        assert np.all(np.abs(permute - want_p) <= 1e-12 * want_b)
 
 
 class TestAccuracy:
@@ -322,6 +391,82 @@ class TestPrescreenedSweep:
 
         with pytest.raises(ValueError, match="top_k"):
             prescreened_sweep(tiny_spec, self._grid(), top_k=0)
+
+    def test_rows_equal_per_point_predictions(self):
+        """The batched grid reproduces per-machine ``predict_layer`` rows
+        exactly, regrouped cluster counts included."""
+        from repro.sim.sweeps import (
+            _SCHEME_OF,
+            _row_from_results,
+            _sweep_config,
+            prescreened_sweep,
+        )
+
+        spec = ConvLayerSpec(
+            name="grid_rows", in_height=9, in_width=7, in_channels=40,
+            kernel=3, n_filters=21, padding=1,
+            input_density=0.45, filter_density=0.4,
+        )
+        geometries = tuple((c, u) for c in (1, 2, 3, 5, 7) for u in (1, 2, 4, 8))
+        variants = ("no_gb", "gb_s", "gb_h")
+        result = prescreened_sweep(
+            spec, geometries, variants=variants, position_sample=None,
+            top_k=1, stats_sample=40,
+        )
+        canonical = HardwareConfig(
+            name="prescreen_canonical", n_clusters=1, units_per_cluster=1,
+            position_sample=40,
+        )
+        stats = extract_density_stats(spec, canonical, 0)
+        for n_clusters, units in geometries:
+            cfg = _sweep_config(n_clusters, units, None)
+            dense = predict_layer(spec, cfg, scheme="dense", stats=stats)
+            for variant in variants:
+                sparse = predict_layer(
+                    spec, cfg, scheme=_SCHEME_OF[variant], stats=stats
+                )
+                want = _row_from_results(dense, sparse, cfg)
+                assert result["analytical"][(n_clusters, units, variant)] == want
+
+    def test_too_sparse_sample_raises(self, tiny_spec):
+        from repro.sim.sweeps import prescreened_sweep
+
+        with pytest.raises(ValueError, match="no sampled position"):
+            prescreened_sweep(
+                tiny_spec, ((tiny_spec.out_positions, 2),), stats_sample=3
+            )
+
+
+class TestPredictGrid:
+    def test_counts_points_and_skips_profile_counters(
+        self, tiny_spec, monkeypatch
+    ):
+        """Grid machines are hypothetical: ``analytical.predict`` counts
+        the points scored, the ``profile.*`` stall counters stay clean."""
+        from repro import telemetry
+
+        monkeypatch.setenv("REPRO_PROFILE", "counters")
+        stats = extract_density_stats(
+            tiny_spec,
+            HardwareConfig(name="canon", n_clusters=1, units_per_cluster=1),
+            0,
+        )
+        cfgs = [
+            HardwareConfig(name=f"g{c}x{u}", n_clusters=c, units_per_cluster=u)
+            for c in (1, 3) for u in (2, 4)
+        ]
+        telemetry.reset()
+        scored = model.predict_grid(stats, cfgs, ("dense", "sparten"))
+        counters = telemetry.get_recorder().counters()
+        telemetry.reset()
+        assert counters["analytical.predict"] == len(cfgs) * 2
+        assert not any(name.startswith("profile.") for name in counters)
+        assert [set(point) for point in scored] == [{"dense", "sparten"}] * 4
+
+    def test_rejects_unscored_scheme(self, tiny_spec, mini_cfg):
+        stats = extract_density_stats(tiny_spec, mini_cfg, 0)
+        with pytest.raises(ValueError, match="predict_grid"):
+            model.predict_grid(stats, [mini_cfg], ("scnn",))
 
 
 def test_analytical_schemes_cover_comparison_set():

@@ -61,6 +61,15 @@ class TestRun:
         second = capsys.readouterr().out
         assert first != second
 
+    def test_prescreen(self, capsys):
+        """The CLI grid: 6 cluster counts x 5 unit counts, GB-H only."""
+        assert main(["run", "prescreen", "--layer", "Layer3"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == (
+            "Pre-screened sweep on Layer3: "
+            "30 points scored analytically, 3 simulated"
+        )
+
     def test_every_experiment_is_registered_with_description(self):
         for name, (runner, description) in EXPERIMENTS.items():
             assert callable(runner)

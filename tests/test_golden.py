@@ -29,6 +29,37 @@ with::
 
     python benchmarks/check_profile.py
     cp benchmarks/output/BENCH_profile.json tests/golden/profile_alexnet_seed0.json
+
+The analytical pre-screen is pinned on the benchmark's design-sweep grid
+(20 cluster counts x 7 unit counts x 3 balancing variants) for one
+AlexNet layer and one GoogLeNet layer whose 192 filters leave ``-1``
+padding in the wide-unit groups: every analytical row at rel 1e-9, and
+the survivors exactly. Regenerate with::
+
+    python - <<'PY'
+    import json
+    from repro.eval.experiments import network_by_name
+    from repro.sim.sweeps import prescreened_sweep
+    golden = {"seed": 0, "top_k": 3, "variants": ["no_gb", "gb_s", "gb_h"],
+              "clusters": [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 80, 96,
+                           112, 128, 160, 192, 224, 256],
+              "units": [4, 8, 16, 32, 64, 128, 256], "layers": {}}
+    for name in ("AlexNet/Layer2", "GoogLeNet/Inc5a_3x3red"):
+        net, layer = name.split("/")
+        result = prescreened_sweep(
+            network_by_name(net).layer(layer),
+            tuple((c, u) for c in golden["clusters"] for u in golden["units"]),
+            variants=tuple(golden["variants"]), top_k=golden["top_k"],
+            seed=golden["seed"],
+        )
+        golden["layers"][name] = {
+            "analytical": {f"{c}x{u}:{v}": row
+                           for (c, u, v), row in result["analytical"].items()},
+            "survivors": [f"{c}x{u}:{v}" for c, u, v in result["survivors"]],
+        }
+    json.dump(golden, open("tests/golden/prescreen_seed0.json", "w"),
+              indent=1, sort_keys=True)
+    PY
 """
 
 import json
@@ -37,11 +68,13 @@ import pathlib
 import pytest
 
 from repro import profiling
-from repro.eval.experiments import speedup_figure
+from repro.eval.experiments import network_by_name, speedup_figure
 from repro.nets.models import alexnet, googlenet, vggnet
+from repro.sim.sweeps import prescreened_sweep
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "speedups_fast_seed0.json"
 PROFILE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "profile_alexnet_seed0.json"
+PRESCREEN_GOLDEN = pathlib.Path(__file__).parent / "golden" / "prescreen_seed0.json"
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +122,24 @@ def test_profile_totals_match_golden(monkeypatch):
     )
     assert profile["totals"] == want["totals"]
     assert profile["invariants"] == want["invariants"]
+
+
+def test_prescreen_matches_golden():
+    """Every analytical grid row at rel 1e-9; the survivors exactly."""
+    want = json.loads(PRESCREEN_GOLDEN.read_text())
+    geometries = tuple((c, u) for c in want["clusters"] for u in want["units"])
+    for name, layer in want["layers"].items():
+        net, layer_name = name.split("/")
+        result = prescreened_sweep(
+            network_by_name(net).layer(layer_name),
+            geometries,
+            variants=tuple(want["variants"]),
+            top_k=want["top_k"],
+            seed=want["seed"],
+        )
+        got = {f"{c}x{u}:{v}": row for (c, u, v), row in result["analytical"].items()}
+        assert got.keys() == layer["analytical"].keys(), name
+        for key, row in layer["analytical"].items():
+            assert got[key] == pytest.approx(row, rel=1e-9), (name, key)
+        survivors = [f"{c}x{u}:{v}" for c, u, v in result["survivors"]]
+        assert survivors == layer["survivors"], name
