@@ -75,7 +75,7 @@ def _env() -> dict:
 def _entries() -> dict[str, int]:
     """Journal entry name -> st_mtime_ns (the recompute detector)."""
     return {
-        p.name: p.stat().st_mtime_ns for p in STORE.glob("ckpt-*.pkl")
+        p.name: p.stat().st_mtime_ns for p in STORE.glob("ckpt-*.json")
     }
 
 

@@ -1,0 +1,81 @@
+"""CI guard: a warm store answers from its result entries, never re-simulating.
+
+Runs ``python -m repro run fig7 --manifest ...`` twice over one fresh
+``REPRO_CACHE_DIR`` (each run a new process, so nothing survives in
+memory) and fails unless the second run
+
+1. prints exactly the figure rows the first one printed,
+2. reports zero ``sim.*`` counts and zero ``kernel.*dispatch`` counts in
+   its manifest -- no simulator and no match/reduce kernel ran, and
+3. served results from the store (``cache.result.disk_hit`` > 0).
+
+A store whose result tier silently went cold (a key that drifts between
+processes, a codec that refuses a result, a reader that always misses)
+still produces the right figures, just slowly; this makes it a CI
+failure instead. ``REPRO_JOBS`` and the other ``REPRO_*`` variables come
+from the environment, so the job decides whether the warm run fans out.
+The manifests land in ``benchmarks/output/warm-store-{cold,warm}.json``.
+
+Usage::
+
+    python benchmarks/check_warm_store.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+HERE = pathlib.Path(__file__).resolve().parent
+OUTPUT = HERE / "output"
+
+
+def _run(store: str, manifest: pathlib.Path) -> str:
+    env = {**os.environ, "REPRO_CACHE_DIR": store}
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "run", "fig7", "--manifest", str(manifest)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return done.stdout
+
+
+def main() -> int:
+    OUTPUT.mkdir(parents=True, exist_ok=True)
+    cold_manifest = OUTPUT / "warm-store-cold.json"
+    warm_manifest = OUTPUT / "warm-store-warm.json"
+    with tempfile.TemporaryDirectory(prefix="warm-store-") as store:
+        cold = _run(store, cold_manifest)
+        warm = _run(store, warm_manifest)
+    counters = json.loads(warm_manifest.read_text())["counters"]
+    simulated = {k: v for k, v in counters.items() if k.startswith("sim.") and v}
+    dispatched = {
+        k: v for k, v in counters.items()
+        if k.startswith("kernel.") and k.endswith("dispatch") and v
+    }
+    hits = counters.get("cache.result.disk_hit", 0)
+    failures = []
+    if warm != cold:
+        failures.append("the warm run's figure rows differ from the cold run's")
+    if simulated:
+        failures.append(f"the warm run simulated: {simulated}")
+    if dispatched:
+        failures.append(f"the warm run dispatched kernels: {dispatched}")
+    if not hits > 0:
+        failures.append("the warm run served no result from the store")
+    for failure in failures:
+        print(f"check_warm_store: FAIL -- {failure}")
+    if failures:
+        return 1
+    print(
+        f"check_warm_store: OK -- warm fig7 matched the cold rows with "
+        f"{hits:.0f} results from the store, 0 simulations, 0 kernel dispatches"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,27 +18,34 @@ those products *by value* so the redundancy disappears:
 - **Result memo** (:func:`lookup_result` / :func:`store_result`): finished
   per-layer simulation results keyed by (scheme, spec fields, *full*
   config fields, seed), so a warm re-run of a figure skips the
-  simulators entirely. With ``REPRO_CHECKPOINT_DIR`` set, every stored
-  result is also journaled to the run directory
-  (:mod:`repro.resilience.checkpoint`), which is what makes
-  ``repro run --resume`` skip finished work after a crash.
+  simulators entirely. With ``$REPRO_CACHE_DIR`` set, the memo has a
+  disk tier: every stored result is published to the store as a
+  ``result-<sha>.json`` entry (:mod:`repro.resilience.checkpoint`) and a
+  memo miss reads it back, so a fresh process over a populated store
+  answers every result without loading a workload or simulating. With
+  ``REPRO_CHECKPOINT_DIR`` set, every stored result is also journaled to
+  the run directory, which is what makes ``repro run --resume`` skip
+  finished work after a crash.
 
-The disk store is *corruption-safe*: a truncated or garbled ``.npz`` (a
-crash mid-``os.replace`` on exotic filesystems, bit rot, a concurrent
-writer on shared storage) is detected on load, renamed to ``.corrupt``
-(counted as ``cache.disk.quarantine``) and recomputed -- never trusted,
-never a crash. ``repro doctor`` scans and prunes quarantined entries,
-and ``REPRO_FAULT=cache_corrupt:N`` injects the damage deterministically
-so the path stays tested.
+The disk store is *corruption-safe*: a truncated or garbled ``.npz`` or
+result entry (a crash mid-``os.replace`` on exotic filesystems, bit rot,
+a concurrent writer on shared storage) is detected on load, renamed to
+``.corrupt`` (counted as ``cache.disk.quarantine``) and recomputed --
+never trusted, never a crash. ``repro doctor`` scans and prunes
+quarantined entries, and ``REPRO_FAULT=cache_corrupt:N`` injects the
+damage deterministically so the path stays tested.
 
 Keys are tuples of plain values (``dataclasses.astuple`` of frozen
 specs/configs), so two workloads collide only if every field that can
 influence the arrays is equal -- the cache test asserts distinct
-(seed, chunk_size, sampling) keys never collide.
+(seed, chunk_size, sampling) keys never collide. Both key kinds also
+carry :func:`source_fingerprint`, so a store that outlives an edit to
+the simulator serves nothing the new code did not produce.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pathlib
@@ -52,7 +59,6 @@ import numpy as np
 
 from repro import profiling, telemetry
 from repro.core import parallel
-from repro.telemetry import events
 from repro.core.env import env_int
 from repro.resilience import checkpoint, faults
 from repro.nets.layers import ConvLayerSpec
@@ -62,6 +68,7 @@ from repro.sim.kernels import ChunkWork, PositionAssignment, compute_chunk_work
 
 __all__ = [
     "CacheStats",
+    "source_fingerprint",
     "workload_key",
     "result_key",
     "cache_get",
@@ -215,6 +222,22 @@ _RESULTS = _LRU(
 _log = telemetry.get_logger("workload")
 
 
+@functools.cache
+def source_fingerprint() -> str:
+    """SHA-256 over the package's Python source, computed once per process.
+
+    Every store key carries it: entries are a function of the code that
+    produced them (the native kernel's C source is inline in
+    ``sim/native.py``, so it is covered too).
+    """
+    root = pathlib.Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def workload_key(spec: ConvLayerSpec, cfg: HardwareConfig, seed: int) -> tuple:
     """Content key for one (LayerData, ChunkWork) pair.
 
@@ -223,6 +246,7 @@ def workload_key(spec: ConvLayerSpec, cfg: HardwareConfig, seed: int) -> tuple:
     """
     return (
         "workload",
+        source_fingerprint(),
         type(spec).__name__,
         astuple(spec),
         int(seed),
@@ -242,6 +266,7 @@ def result_key(kind: str, spec: ConvLayerSpec, cfg: HardwareConfig, seed: int) -
     """
     return (
         "result",
+        source_fingerprint(),
         kind,
         type(spec).__name__,
         astuple(spec),
@@ -350,19 +375,30 @@ def cache_put(key: tuple, value, arrays=()) -> None:
 
 
 def lookup_result(key: tuple):
-    """The memoised simulation result under *key*, or ``None``."""
-    return _RESULTS.get(key)
+    """The memoised simulation result under *key*, or ``None``.
+
+    A memo miss reads the key's entry from the store (when
+    ``$REPRO_CACHE_DIR`` is set) and memoises what it finds.
+    """
+    result = _RESULTS.get(key)
+    if result is None:
+        result = _disk_load_result(key)
+        if result is not None:
+            _RESULTS.put(key, result)
+    return result
 
 
 def store_result(key: tuple, value) -> None:
     """Memoise one finished simulation result.
 
-    When a run journal is active (``REPRO_CHECKPOINT_DIR``), the result
-    is also persisted there so an interrupted run can resume without
-    redoing it -- workers inherit the directory through the environment,
-    so fanned-out runs checkpoint from every process.
+    The result is also published to the store (``$REPRO_CACHE_DIR``),
+    and, when a run journal is active (``REPRO_CHECKPOINT_DIR``),
+    journaled there so an interrupted run can resume without redoing it
+    -- workers inherit both directories through the environment, so
+    fanned-out runs persist from every process.
     """
     _RESULTS.put(key, value)
+    _disk_store_result(key, value)
     checkpoint.journal_result(key, value)
 
 
@@ -472,11 +508,7 @@ def _disk_store(key: tuple, pair: tuple[LayerData, ChunkWork]) -> None:
             os.replace(tmp, path)
             telemetry.count("cache.disk.store")
             telemetry.count("cache.disk.store_bytes", path.stat().st_size)
-            if faults.fire("cache_corrupt", token=path.name):
-                # Deterministic chaos: truncate the entry we just wrote
-                # so the next load exercises the quarantine path.
-                with open(path, "r+b") as cf:
-                    cf.truncate(max(8, path.stat().st_size // 2))
+            faults.truncate_entry(path, site="workload")
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -537,9 +569,8 @@ def _disk_load(
     except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         # np.load raises BadZipFile/EOFError on a truncated archive and
         # ValueError/KeyError on garbled contents -- all mean the entry
-        # is damaged. Quarantine it (rename, never delete: the bytes may
-        # matter for a post-mortem) and fall through to recompute.
-        _quarantine_entry(path, exc)
+        # is damaged. Quarantine it and fall through to recompute.
+        checkpoint.quarantine(path, exc, "cache.disk.quarantine")
         return None
     except OSError as exc:
         # A read error is the volume's problem, not the entry's; leave
@@ -553,15 +584,36 @@ def _disk_load(
     return (data, work)
 
 
-def _quarantine_entry(path: pathlib.Path, error: Exception) -> None:
-    """Move a corrupt cache entry aside so it is never trusted again."""
-    telemetry.count("cache.disk.quarantine")
-    events.emit("cache.quarantine", path=str(path), error=str(error))
-    _log.warning(
-        "quarantining corrupt cache entry %s",
-        telemetry.kv(path=path, error=error),
-    )
+def _result_path(key: tuple) -> pathlib.Path | None:
+    base = _cache_dir()
+    return None if base is None else checkpoint.entry_path(base, key, "result-")
+
+
+def _disk_store_result(key: tuple, value) -> None:
+    path = _result_path(key)
+    if path is None:
+        return
     try:
-        os.replace(path, path.with_suffix(path.suffix + ".corrupt"))
-    except OSError:
-        pass  # best-effort: recompute happens regardless
+        with telemetry.span("cache_disk"):
+            published = checkpoint.write_entry(path, key, value)
+        if published:
+            telemetry.count("cache.result.disk_store")
+            faults.truncate_entry(path, site="result")
+    except OSError as exc:
+        # Best-effort, like the workload entries.
+        _log.debug(
+            "result store failed %s", telemetry.kv(path=path, error=exc)
+        )
+
+
+def _disk_load_result(key: tuple):
+    path = _result_path(key)
+    if path is None or not path.exists():
+        return None
+    with telemetry.span("cache_disk"):
+        entry = checkpoint.read_entry(path, "cache.disk.quarantine", key)
+    if entry is None:
+        return None
+    _RESULTS.stats.disk_hits += 1
+    telemetry.count("cache.result.disk_hit")
+    return entry[1]

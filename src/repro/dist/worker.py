@@ -6,7 +6,7 @@ the sweep; ``REPRO_SHARD=I/N`` (or the ``shard=`` argument) tells it
 which slice it owns. Execution is three nested guarantees:
 
 1. **The checkpoint journal is the coordination log.** A unit is *done*
-   exactly when its journal entry (``ckpt-<sha>.pkl`` under the store
+   exactly when its journal entry (``ckpt-<sha>.json`` under the store
    directory) exists. Entries are written atomically by
    :func:`repro.resilience.checkpoint.journal_result` and never
    rewritten, so "does the entry exist" is a crash-consistent,

@@ -11,17 +11,19 @@ that proves they work:
   timeout policy (``REPRO_RETRIES``, ``REPRO_RETRY_BACKOFF``,
   ``REPRO_ITEM_TIMEOUT``) that :func:`repro.core.parallel.parallel_map`
   applies per item, so a dead worker costs only its in-flight items.
-- :mod:`repro.resilience.checkpoint` -- the run journal
-  (``REPRO_CHECKPOINT_DIR`` / ``repro run --resume <dir>``): every
-  finished (scheme, layer, seed) result that enters the result memo is
-  also persisted, and a resumed run preloads the journal so only
-  unfinished work re-executes.
+- :mod:`repro.resilience.checkpoint` -- the result entry codec plus the
+  run journal (``REPRO_CHECKPOINT_DIR`` / ``repro run --resume <dir>``):
+  every finished (scheme, layer, seed) result that enters the result
+  memo is also persisted, and a resumed run preloads the journal so only
+  unfinished work re-executes. The store's result tier writes and reads
+  the same checksummed entries.
 - :mod:`repro.resilience.faults` -- deterministic, seeded fault
   injection (``REPRO_FAULT=worker_crash:0.1,cache_corrupt:2``) so every
   degradation path is exercised in tests and CI rather than discovered
   in production.
 - :mod:`repro.resilience.doctor` -- ``repro doctor``: scan, verify and
-  prune the on-disk workload cache and its quarantined entries.
+  prune the on-disk store (workload and result entries), journals and
+  their quarantined entries.
 
 Recovery never changes results: every retried or resumed item recomputes
 from its arguments alone, so a faulted run's figures are byte-identical

@@ -1,60 +1,286 @@
-"""Checkpoint/resume: journal finished results to a run directory.
+"""Result entries: one codec, one atomic writer, one verifying reader.
 
-A crashed multi-hour run should cost only the work that was in flight,
-not the figure. When ``REPRO_CHECKPOINT_DIR`` points at a run directory
-(the CLI's ``repro run --resume <dir>`` sets it), every finished
-(scheme, layer spec, config, seed) result that enters the result memo in
-:mod:`repro.core.workload` is also journaled here as one atomically
-written pickle -- ``ckpt-<sha>.pkl`` holding ``{"key": key, "value":
-result}`` -- and a resumed run preloads the journal back into the memo
-before executing anything, so only unfinished work re-runs.
+A finished per-layer result -- a (scheme, layer spec, config, seed,
+source) key and its :class:`~repro.sim.results.LayerResult` -- is
+persisted in two places, both written and read here:
 
-The journal is append-only and content-keyed: re-finishing an already
-journaled item is a no-op (the file exists), concurrent workers write
-distinct keys through ``tempfile.mkstemp`` + ``os.replace`` so a
-half-written entry is never visible under its final name, and an entry
-that *still* manages to rot on disk is quarantined to ``.corrupt`` on
-load (counted as ``checkpoint.quarantine``) exactly like the workload
-cache -- a damaged journal degrades to recomputation, never to a crash
-or a wrong figure.
+- **The checkpoint journal.** A crashed multi-hour run should cost only
+  the work that was in flight, not the figure. When
+  ``REPRO_CHECKPOINT_DIR`` points at a run directory (the CLI's
+  ``repro run --resume <dir>`` sets it), every result that enters the
+  result memo in :mod:`repro.core.workload` is journaled there as
+  ``ckpt-<sha>.json``, and a resumed run preloads the journal back into
+  the memo before executing anything, so only unfinished work re-runs.
+  Distributed sweeps (:mod:`repro.dist.worker`) coordinate on the same
+  entries: a unit is done when its entry exists.
+- **The result tier of the store.** With ``$REPRO_CACHE_DIR`` set,
+  :mod:`repro.core.workload` publishes every result as
+  ``result-<sha>.json`` beside the workload ``.npz`` entries and reads it
+  back on a memo miss, so a warm process answers without simulating.
 
-Spawned workers inherit ``REPRO_CHECKPOINT_DIR`` through the
-environment, so a fanned-out run journals from every process.
+An entry is one JSON document ``{"sha256": <hex>, "body": {"key": ...,
+"value": ...}}``. The checksum covers the body's bytes exactly as
+written; the body holds the *full* key, which a keyed read compares
+(a mismatch is a digest collision, counted as ``cache.disk.collision``).
+The codec (:func:`encode` / :func:`decode`) covers a closed set of
+types -- the four result records (``LayerResult``, ``Breakdown``,
+``Traffic``, ``CounterSet``), str-keyed dicts, lists, tuples, bool, int,
+float, str, None and numeric ndarrays -- and rejects anything else with
+``TypeError``. Floats travel as their IEEE-754 bit patterns and arrays
+as raw bytes with dtype and shape, so every value round-trips
+bit-exactly; nothing is ever unpickled.
+
+Entries are append-only and content-keyed: publishing an existing entry
+is a no-op, concurrent writers go through ``tempfile.mkstemp`` +
+``os.replace`` so a half-written entry is never visible under its final
+name, and an entry that still rots on disk (truncated, garbled, one bit
+flipped) fails its checksum on load and is quarantined to ``.corrupt``
+and counted -- a damaged entry degrades to recomputation, never to a
+crash or a wrong figure.
+
+Spawned workers inherit ``REPRO_CHECKPOINT_DIR`` and ``REPRO_CACHE_DIR``
+through the environment, so a fanned-out run persists from every
+process.
 """
 
 from __future__ import annotations
 
+import base64
+import dataclasses
+import functools
 import hashlib
+import json
 import os
 import pathlib
-import pickle
+import struct
 import tempfile
 
+import numpy as np
+
 from repro import telemetry
+from repro.telemetry import events
 
 __all__ = [
+    "DAMAGE",
     "checkpoint_dir",
+    "decode",
+    "encode",
     "entry_path",
     "journal_result",
     "load_journal",
+    "parse_entry",
     "preload_journal",
+    "quarantine",
+    "read_entry",
+    "write_entry",
 ]
 
 _PREFIX = "ckpt-"
+_SUFFIX = ".json"
+
+#: ndarray kinds the codec carries: bool, signed, unsigned, float, complex.
+_NUMERIC = "biufc"
 
 _log = telemetry.get_logger("checkpoint")
+
+
+# -- the entry codec ----------------------------------------------------------
+
+
+@functools.cache
+def _records() -> dict[str, type]:
+    """The result dataclasses the codec encodes, by class name."""
+    # Late imports: the simulators import the workload cache, which
+    # imports this module.
+    from repro.arch.memory import Traffic
+    from repro.profiling.counters import CounterSet
+    from repro.sim.results import Breakdown, LayerResult
+
+    return {cls.__name__: cls for cls in (LayerResult, Breakdown, Traffic, CounterSet)}
+
+
+def encode(value):
+    """*value* as JSON data that :func:`decode` turns back into it.
+
+    Raises ``TypeError`` for any type outside the codec's closed set.
+    """
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float):
+        return {"f8": struct.pack(">d", value).hex()}
+    if isinstance(value, list):
+        return [encode(v) for v in value]
+    if isinstance(value, tuple):
+        return {"tuple": [encode(v) for v in value]}
+    if isinstance(value, dict):
+        for k in value:
+            if not isinstance(k, str):
+                raise TypeError(f"cannot encode a dict key of type {type(k).__name__}")
+        return {"dict": {k: encode(v) for k, v in value.items()}}
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in _NUMERIC:
+            raise TypeError(f"cannot encode an ndarray of dtype {value.dtype}")
+        raw = base64.b64encode(value.tobytes()).decode("ascii")
+        return {"ndarray": [value.dtype.str, list(value.shape), raw]}
+    name = type(value).__name__
+    if _records().get(name) is type(value):
+        fields = dataclasses.fields(value)
+        return {name: {f.name: encode(getattr(value, f.name)) for f in fields}}
+    raise TypeError(f"cannot encode {name}")
+
+
+def decode(data):
+    """The value :func:`encode` turned into *data*."""
+    if data is None or isinstance(data, (bool, int, str)):
+        return data
+    if isinstance(data, list):
+        return [decode(v) for v in data]
+    if not isinstance(data, dict) or len(data) != 1:
+        raise ValueError(f"not an encoded value: {type(data).__name__}")
+    ((tag, body),) = data.items()
+    if tag == "f8":
+        return struct.unpack(">d", bytes.fromhex(body))[0]
+    if tag == "tuple":
+        return tuple(decode(v) for v in body)
+    if tag == "dict":
+        return {k: decode(v) for k, v in body.items()}
+    if tag == "ndarray":
+        dtype, shape, raw = body
+        dtype = np.dtype(dtype)
+        if dtype.kind not in _NUMERIC:
+            # Raw bytes must never become object pointers.
+            raise ValueError(f"not a numeric dtype: {dtype}")
+        buf = bytearray(base64.b64decode(raw, validate=True))
+        return np.frombuffer(buf, dtype=dtype).reshape(shape)
+    cls = _records().get(tag)
+    if cls is None:
+        raise ValueError(f"unknown encoded type {tag!r}")
+    return cls(**{k: decode(v) for k, v in body.items()})
+
+
+_HEAD = b'{"sha256":"'
+_BODY = b'","body":'
+_DIGEST_END = len(_HEAD) + 64
+
+
+def _entry_bytes(key: tuple, value) -> bytes:
+    body = json.dumps(
+        {"key": encode(key), "value": encode(value)}, separators=(",", ":")
+    ).encode()
+    return _HEAD + hashlib.sha256(body).hexdigest().encode() + _BODY + body + b"}"
+
+
+#: What parsing a damaged entry raises.
+DAMAGE = (ValueError, KeyError, TypeError, AttributeError, struct.error)
+
+
+def parse_entry(raw: bytes) -> tuple[tuple, object]:
+    """``(key, value)`` of an entry's bytes; one of :data:`DAMAGE` if damaged."""
+    body = raw[_DIGEST_END + len(_BODY):-1]
+    if (
+        not raw.startswith(_HEAD)
+        or raw[_DIGEST_END:_DIGEST_END + len(_BODY)] != _BODY
+        or not raw.endswith(b"}")
+        or hashlib.sha256(body).hexdigest().encode() != raw[len(_HEAD):_DIGEST_END]
+    ):
+        raise ValueError("entry checksum mismatch")
+    record = json.loads(body)
+    key = decode(record["key"])
+    if not isinstance(key, tuple):
+        raise ValueError("entry key is not a tuple")
+    return key, decode(record["value"])
+
+
+# -- entries on disk ------------------------------------------------------------
+
+
+def entry_path(base: pathlib.Path, key: tuple, prefix: str = _PREFIX) -> pathlib.Path:
+    """The entry file for one result key (content-addressed)."""
+    digest = hashlib.sha256(repr(key).encode()).hexdigest()[:24]
+    return base / f"{prefix}{digest}{_SUFFIX}"
+
+
+def write_entry(path: pathlib.Path, key: tuple, value) -> bool:
+    """Atomically publish *key* -> *value* at *path* unless it exists.
+
+    Returns whether this call published it. Raises ``TypeError`` (before
+    touching the disk) when *value* holds a type the codec does not
+    cover, and ``OSError`` when the volume refuses the write.
+    """
+    if path.exists():
+        return False
+    data = _entry_bytes(key, value)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    return True
+
+
+def read_entry(
+    path: pathlib.Path, counter: str, key: tuple | None = None
+) -> tuple[tuple, object] | None:
+    """The verified ``(key, value)`` at *path*, or ``None``.
+
+    ``None`` when the file is absent or unreadable; when it is damaged
+    (quarantined: renamed to ``.corrupt``, *counter* incremented); or
+    when *key* is given and the entry holds a different one (a digest
+    collision, counted as ``cache.disk.collision``).
+    """
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        # A read error is the volume's problem, not the entry's; leave
+        # the file alone and recompute.
+        _log.debug("entry read failed %s", telemetry.kv(path=path, error=exc))
+        return None
+    try:
+        found, value = parse_entry(raw)
+    except DAMAGE as exc:
+        quarantine(path, exc, counter)
+        return None
+    if key is not None and found != key:
+        # The 96-bit file name matched but the full key does not.
+        # Recompute rather than trust -- and count it, because a
+        # collision storm reads as a plain miss otherwise.
+        telemetry.count("cache.disk.collision")
+        _log.warning("entry digest collision %s", telemetry.kv(path=path))
+        return None
+    return found, value
+
+
+def quarantine(path: pathlib.Path, error: Exception, counter: str) -> None:
+    """Move a damaged entry aside so it is never trusted again.
+
+    Renames, never deletes: the bytes may matter for a post-mortem
+    (``repro doctor --prune`` clears them).
+    """
+    telemetry.count(counter)
+    events.emit("cache.quarantine", path=str(path), error=str(error))
+    _log.warning(
+        "quarantining corrupt entry %s", telemetry.kv(path=path, error=error)
+    )
+    try:
+        os.replace(path, path.with_suffix(path.suffix + ".corrupt"))
+    except OSError:
+        pass  # best-effort: recompute happens regardless
+
+
+# -- the checkpoint journal ----------------------------------------------------
 
 
 def checkpoint_dir() -> pathlib.Path | None:
     """The active run directory from ``REPRO_CHECKPOINT_DIR``, if any."""
     path = os.environ.get("REPRO_CHECKPOINT_DIR")
     return pathlib.Path(path) if path else None
-
-
-def entry_path(base: pathlib.Path, key: tuple) -> pathlib.Path:
-    """The journal file for one result key (content-addressed)."""
-    digest = hashlib.sha256(repr(key).encode()).hexdigest()[:24]
-    return base / f"{_PREFIX}{digest}.pkl"
 
 
 def journal_result(key: tuple, value) -> None:
@@ -67,20 +293,9 @@ def journal_result(key: tuple, value) -> None:
     if base is None:
         return
     path = entry_path(base, key)
-    if path.exists():
-        return
     try:
-        base.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=base, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump({"key": key, "value": value}, fh)
-            os.replace(tmp, path)
+        if write_entry(path, key, value):
             telemetry.count("checkpoint.store")
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
     except OSError as exc:
         _log.warning(
             "checkpoint store failed %s", telemetry.kv(path=path, error=exc)
@@ -90,33 +305,14 @@ def journal_result(key: tuple, value) -> None:
 def load_journal(base: pathlib.Path) -> list[tuple[tuple, object]]:
     """Every readable (key, value) pair journaled under *base*.
 
-    Corrupt entries (truncated pickle, wrong shape) are renamed to
-    ``<name>.corrupt`` and counted -- the run they belong to simply
+    Damaged entries are renamed to ``<name>.corrupt`` and counted as
+    ``checkpoint.quarantine`` -- the run they belong to simply
     recomputes them. Entries come back sorted by filename so preloading
     is deterministic.
     """
-    entries: list[tuple[tuple, object]] = []
-    for path in sorted(base.glob(f"{_PREFIX}*.pkl")):
-        try:
-            with open(path, "rb") as fh:
-                record = pickle.load(fh)
-            key, value = record["key"], record["value"]
-            if not isinstance(key, tuple):
-                raise ValueError("journal key is not a tuple")
-        except (OSError, pickle.UnpicklingError, EOFError, KeyError,
-                ValueError, AttributeError, ImportError, IndexError) as exc:
-            telemetry.count("checkpoint.quarantine")
-            _log.warning(
-                "quarantining corrupt checkpoint entry %s",
-                telemetry.kv(path=path, error=exc),
-            )
-            try:
-                os.replace(path, path.with_suffix(path.suffix + ".corrupt"))
-            except OSError:
-                pass
-            continue
-        entries.append((key, value))
-    return entries
+    paths = sorted(base.glob(f"{_PREFIX}*{_SUFFIX}"))
+    entries = (read_entry(path, "checkpoint.quarantine") for path in paths)
+    return [entry for entry in entries if entry is not None]
 
 
 def preload_journal(base: pathlib.Path | None = None) -> int:

@@ -1,16 +1,16 @@
 """``repro doctor``: scan, verify and prune the on-disk stores.
 
-The workload cache (``$REPRO_CACHE_DIR``) and checkpoint journals
-survive crashes by design -- which means they also accumulate the debris
-of crashes: truncated ``.npz`` archives, orphaned ``.tmp`` files from
-interrupted atomic writes, ``.part`` event side files and ``.claim``
-single-flight leases whose writers were killed, and ``.corrupt``
-quarantine markers left by earlier runs. The doctor walks a directory,
-verifies every entry the
-same way the runtime loaders do (every array member is actually
-decompressed, not just the zip directory), quarantines entries that fail
-verification, and -- with ``--prune`` -- deletes quarantined and orphaned
-files.
+The store (``$REPRO_CACHE_DIR``: workload ``.npz`` and result ``.json``
+entries) and checkpoint journals survive crashes by design -- which
+means they also accumulate the debris of crashes: truncated entries,
+orphaned ``.tmp`` files from interrupted atomic writes, ``.part`` event
+side files and ``.claim`` single-flight leases whose writers were
+killed, and ``.corrupt`` quarantine markers left by earlier runs. The
+doctor walks a directory, verifies every entry the same way the runtime
+loaders do (every ``.npz`` array member is actually decompressed, not
+just the zip directory; every result and journal entry is checksummed
+and decoded), quarantines entries that fail verification, and -- with
+``--prune`` -- deletes quarantined and orphaned files.
 
 Verification is read-only apart from quarantine renames; pruning never
 touches healthy entries, so ``repro doctor --prune`` is always safe to
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 import pathlib
-import pickle
 import time
 import zipfile
 from dataclasses import dataclass, field
@@ -29,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
+from repro.resilience import checkpoint
 from repro.telemetry import events
 
 __all__ = ["DoctorReport", "scan_store", "render_report"]
@@ -65,12 +65,9 @@ def _verify_npz(path: pathlib.Path) -> None:
             z[name]  # decompress + CRC-check the member, not just the index
 
 
-def _verify_ckpt(path: pathlib.Path) -> None:
-    """Load one checkpoint journal entry; raises on any corruption."""
-    with open(path, "rb") as fh:
-        record = pickle.load(fh)
-    if not isinstance(record, dict) or "key" not in record or "value" not in record:
-        raise ValueError("not a checkpoint record")
+def _verify_entry(path: pathlib.Path) -> None:
+    """Checksum and decode one result/journal entry; raises on corruption."""
+    checkpoint.parse_entry(path.read_bytes())
 
 
 def _quarantine(path: pathlib.Path, report: DoctorReport, error: Exception) -> None:
@@ -156,12 +153,12 @@ def scan_store(directory: str | os.PathLike, prune: bool = False) -> DoctorRepor
             try:
                 if path.match("workload-*.npz"):
                     _verify_npz(path)
-                elif path.match("ckpt-*.pkl"):
-                    _verify_ckpt(path)
+                elif path.match("ckpt-*.json") or path.match("result-*.json"):
+                    _verify_entry(path)
                 else:
                     continue
-            except (OSError, ValueError, KeyError, EOFError,
-                    zipfile.BadZipFile, pickle.UnpicklingError) as exc:
+            except (OSError, EOFError, zipfile.BadZipFile,
+                    *checkpoint.DAMAGE) as exc:
                 _quarantine(path, report, exc)
                 continue
             report.healthy += 1

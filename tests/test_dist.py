@@ -302,7 +302,7 @@ class TestRunShard:
         dist_shard.publish_plan(tmp_path, plan)
         dist_worker.run_shard(tmp_path, plan, shard=(0, 2), steal=False)
         mtimes = {
-            p.name: p.stat().st_mtime for p in tmp_path.glob("ckpt-*.pkl")
+            p.name: p.stat().st_mtime for p in tmp_path.glob("ckpt-*.json")
         }
         assert mtimes  # shard 0 published something
         clear_caches()
@@ -311,7 +311,7 @@ class TestRunShard:
         summary = dist_worker.run_shard(tmp_path, plan, shard=None, steal=False)
         assert summary["skipped"] == len(mtimes)
         assert summary["computed"] == len(plan.units) - len(mtimes)
-        for path in tmp_path.glob("ckpt-*.pkl"):
+        for path in tmp_path.glob("ckpt-*.json"):
             if path.name in mtimes:
                 assert path.stat().st_mtime == mtimes[path.name]
 

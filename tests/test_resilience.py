@@ -274,7 +274,7 @@ class TestCheckpointResume:
         run_dir = tmp_path / "run"
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(run_dir))
         _tiny_comparison(mini_cfg)
-        entries = list(run_dir.glob("ckpt-*.pkl"))
+        entries = list(run_dir.glob("ckpt-*.json"))
         assert len(entries) == 9  # 3 layers x 3 schemes
         counters = telemetry.get_recorder().counters()
         assert counters["checkpoint.store"] == 9.0
@@ -283,7 +283,7 @@ class TestCheckpointResume:
         run_dir = tmp_path / "run"
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(run_dir))
         baseline = _tiny_comparison(mini_cfg)
-        entries = sorted(run_dir.glob("ckpt-*.pkl"))
+        entries = sorted(run_dir.glob("ckpt-*.json"))
         assert len(entries) == 9
         # Simulate a mid-run kill: two results never made it to the
         # journal. A resumed run must redo exactly those two.
@@ -310,13 +310,13 @@ class TestCheckpointResume:
         run_dir = tmp_path / "run"
         monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(run_dir))
         _tiny_comparison(mini_cfg)
-        victim = sorted(run_dir.glob("ckpt-*.pkl"))[0]
+        victim = sorted(run_dir.glob("ckpt-*.json"))[0]
         victim.write_bytes(b"\x80\x04 truncated garbage")
         clear_caches()
         telemetry.reset()
         loaded = checkpoint.preload_journal(run_dir)
         assert loaded == 8
-        assert victim.with_suffix(".pkl.corrupt").exists()
+        assert victim.with_suffix(".json.corrupt").exists()
         counters = telemetry.get_recorder().counters()
         assert counters["checkpoint.quarantine"] == 1.0
         # The damaged item simply recomputes.
@@ -419,13 +419,12 @@ class TestDoctor:
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_scan_verifies_checkpoint_entries(self, tmp_path):
-        import pickle
-
-        good = tmp_path / "ckpt-aaaa.pkl"
-
-        good.write_bytes(pickle.dumps({"key": ("result", "x"), "value": 1}))
-        bad = tmp_path / "ckpt-bbbb.pkl"
-        bad.write_bytes(b"not a pickle")
+        good = tmp_path / "ckpt-aaaa.json"
+        assert checkpoint.write_entry(good, ("result", "x"), 1)
+        bad = tmp_path / "ckpt-bbbb.json"
+        assert checkpoint.write_entry(bad, ("result", "y"), 2.5)
+        raw = bad.read_bytes()
+        bad.write_bytes(raw.replace(b"result", b"resuIt"))  # garbled body
         report = scan_store(tmp_path)
         assert report.healthy == 1
         assert len(report.quarantined) == 1

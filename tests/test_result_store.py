@@ -1,0 +1,357 @@
+"""Tests for the store's result tier and its entry codec.
+
+The codec (``repro.resilience.checkpoint.encode``/``decode``) must
+round-trip every result bit for bit and refuse anything outside its
+closed set of types; the tier (``lookup_result``/``store_result`` over
+``$REPRO_CACHE_DIR``) must let a fresh process answer from the store
+alone, and must never trust a damaged, foreign or stale entry.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import shutil
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from repro import telemetry
+from repro.arch.memory import Traffic
+from repro.core import compare, workload
+from repro.core.workload import cache_stats, clear_caches
+from repro.profiling.counters import CounterSet
+from repro.resilience import checkpoint
+from repro.resilience.doctor import scan_store
+from repro.sim.results import Breakdown, LayerResult
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches():
+    clear_caches()
+    telemetry.reset()
+    yield
+    clear_caches()
+
+
+def _counter(name: str) -> float:
+    return telemetry.get_recorder().counters().get(name, 0.0)
+
+
+def _same_bits(a, b) -> None:
+    """Assert *a* and *b* are equal down to every float's bit pattern."""
+    assert type(a) is type(b), (type(a), type(b))
+    if isinstance(a, float):
+        assert struct.pack(">d", a) == struct.pack(">d", b), (a, b)
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _same_bits(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, dict):
+        assert list(a) == list(b)
+        for k in a:
+            _same_bits(a[k], b[k])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _same_bits(x, y)
+    else:
+        assert a == b
+
+
+# -- codec ----------------------------------------------------------------------
+
+_SPECIAL = (0.0, -0.0, math.inf, -math.inf, 5e-324, -2.5e-310, 2.2250738585072014e-308)
+#: Comparable floats: subnormals, signed zeros and infinities, no NaN.
+_FLOATS = st.floats(allow_nan=False, allow_subnormal=True) | st.sampled_from(_SPECIAL)
+#: NaNs of both signs, with and without a payload.
+_NANS = tuple(
+    struct.unpack(">d", bytes.fromhex(bits))[0]
+    for bits in ("7ff8000000000000", "fff8000000000000", "7ff0000000000bad", "fff4000000c0ffee")
+)
+#: Every float bit pattern, NaN payloads and signs included.
+_ANY_FLOAT = st.sampled_from(_NANS + _SPECIAL) | st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack(">d", bits.to_bytes(8, "big"))[0]
+)
+_SCALARS = st.none() | st.booleans() | st.integers() | st.text(max_size=6) | _FLOATS
+_EXTRAS = st.dictionaries(
+    st.text(max_size=8),
+    _SCALARS | st.lists(_SCALARS, max_size=3) | st.tuples(_SCALARS, _SCALARS),
+    max_size=6,
+)
+
+
+def _bit_arrays(shape):
+    return hnp.arrays(np.uint64, shape).map(lambda a: a.view(np.float64))
+
+
+@st.composite
+def _counter_sets(draw):
+    n = draw(st.integers(1, 4))
+    bins = draw(st.integers(1, 5))
+    timeline = draw(st.booleans())
+    return CounterSet(
+        scheme=draw(st.text(max_size=6)),
+        n_clusters=n,
+        units_per_cluster=draw(st.integers(1, 64)),
+        total_cycles=draw(_ANY_FLOAT),
+        busy=draw(_bit_arrays(n)),
+        filter_zero=draw(_bit_arrays(n)),
+        barrier_wait=draw(_bit_arrays(n)),
+        permute_stall=draw(_bit_arrays(n)),
+        imbalance_idle=draw(_bit_arrays(n)),
+        memory_stall=draw(_bit_arrays(n)),
+        barriers=draw(_ANY_FLOAT),
+        buffer_hwm=draw(st.dictionaries(st.text(max_size=6), st.integers() | _ANY_FLOAT, max_size=3)),
+        timeline_cycles=draw(_bit_arrays((n, bins))) if timeline else None,
+        timeline_busy=draw(_bit_arrays((n, bins))) if timeline else None,
+    )
+
+
+@st.composite
+def _layer_results(draw):
+    return LayerResult(
+        scheme=draw(st.text(max_size=10)),
+        layer_name=draw(st.text(max_size=10)),
+        cycles=draw(_FLOATS),
+        compute_cycles=draw(_FLOATS),
+        total_macs=draw(st.integers()),
+        breakdown=Breakdown(*(draw(_FLOATS) for _ in range(4))),
+        traffic=Traffic(*(draw(_FLOATS) for _ in range(3))),
+        extras=draw(_EXTRAS),
+        counters=draw(st.none() | _counter_sets()),
+    )
+
+
+class TestCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(result=_layer_results())
+    def test_layer_result_round_trips_bit_exactly(self, result):
+        back = checkpoint.decode(checkpoint.encode(result))
+        assert back == result
+        _same_bits(back, result)  # counters, -0.0 and NaN payloads included
+
+    @settings(max_examples=50, deadline=None)
+    @given(result=_layer_results())
+    def test_entry_bytes_round_trip(self, result):
+        key = ("result", "fingerprint", "sparten", (1, 2.5, None), 0)
+        found, back = checkpoint.parse_entry(checkpoint._entry_bytes(key, result))
+        assert found == key
+        _same_bits(back, result)
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.arange(6, dtype=np.int32).reshape(2, 3),
+            np.array([True, False]),
+            np.array([1 + 2j, -0.0 - 1j]),
+            np.zeros((0, 3), dtype=np.uint8),
+            np.array(7.5),
+            np.arange(8, dtype=">u2"),
+            np.arange(12, dtype=np.float64).reshape(3, 4)[:, ::2],
+        ],
+    )
+    def test_numeric_arrays_keep_dtype_and_shape(self, array):
+        back = checkpoint.decode(checkpoint.encode(array))
+        assert (back.dtype, back.shape) == (array.dtype, array.shape)
+        assert np.array_equal(back, array)
+        back[...] = 0  # decoded arrays own writable memory
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {1, 2},
+            object(),
+            b"bytes",
+            np.int64(3),
+            np.float32(1.5),
+            {1: "int key"},
+            np.array(["a"]),
+            np.array([None], dtype=object),
+            [1, {"nested": {2.0}}],
+        ],
+        ids=lambda v: type(v).__name__,
+    )
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            checkpoint.encode(value)
+
+    def test_decode_refuses_object_arrays(self):
+        forged = {"ndarray": ["|O", [1], "AAAAAAAAAAA="]}
+        with pytest.raises(ValueError):
+            checkpoint.decode(forged)
+
+    def test_unencodable_result_never_touches_the_disk(self, tmp_path):
+        path = tmp_path / "result-x.json"
+        with pytest.raises(TypeError):
+            checkpoint.write_entry(path, ("k",), {"bad": {1, 2}})
+        assert not list(tmp_path.iterdir())
+
+
+# -- the store tier -------------------------------------------------------------
+
+
+def _spans(name: str) -> int:
+    return telemetry.get_recorder().span_totals().get(name, {}).get("calls", 0)
+
+
+def _dispatches() -> float:
+    counters = telemetry.get_recorder().counters()
+    return sum(v for k, v in counters.items() if k.startswith("kernel.") and k.endswith("dispatch"))
+
+
+def _sim_counts() -> float:
+    counters = telemetry.get_recorder().counters()
+    return sum(v for k, v in counters.items() if k.startswith("sim."))
+
+
+def _result_entry(tmp_path):
+    (path,) = tmp_path.glob("result-*.json")
+    return path
+
+
+class TestWarmFromStore:
+    def test_second_process_answers_from_result_entries(self, tmp_path, monkeypatch):
+        from repro.eval.experiments import speedup_figure
+        from repro.nets.models import alexnet
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        cold = speedup_figure(alexnet(), fast=True)
+        assert _sim_counts() > 0 and _dispatches() > 0
+
+        clear_caches()  # a fresh process over the populated store
+        telemetry.reset()
+        loads_before = _counter("cache.disk.load")
+        warm = speedup_figure(alexnet(), fast=True)
+
+        assert warm["layers"] == cold["layers"]
+        assert warm["geomean"] == cold["geomean"]
+        results = [
+            (r_cold, warm["comparison"].results[scheme][layer])
+            for scheme, per_layer in cold["comparison"].results.items()
+            for layer, r_cold in per_layer.items()
+        ]
+        for r_cold, r_warm in results:
+            _same_bits(r_warm, r_cold)
+        assert _counter("cache.disk.load") - loads_before == 0
+        assert _sim_counts() == 0
+        assert _spans("simulate") == 0
+        assert _spans("chunk_work") == 0
+        assert _dispatches() == 0
+        assert cache_stats()["results"]["disk_hits"] == len(results)
+        assert _counter("cache.result.disk_hit") == len(results)
+
+
+class TestDamage:
+    def _populate(self, tmp_path, monkeypatch, spec, cfg):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        result = compare.run_scheme_cached("sparten", spec, cfg, 0)
+        clear_caches()
+        telemetry.reset()
+        return result
+
+    def test_bit_flip_is_quarantined_not_trusted(self, tmp_path, monkeypatch, tiny_spec, mini_cfg):
+        result = self._populate(tmp_path, monkeypatch, tiny_spec, mini_cfg)
+        path = _result_entry(tmp_path)
+        raw = bytearray(path.read_bytes())
+        # Change the last hex digit of the cycles' bits: same length, still
+        # valid JSON, a float one ulp away -- only the checksum can tell.
+        at = raw.index(b'"cycles":{"f8":"') + len(b'"cycles":{"f8":"') + 15
+        raw[at] = ord("1") if raw[at] == ord("0") else ord("0")
+        path.write_bytes(bytes(raw))
+        assert len(raw) == path.stat().st_size
+
+        again = compare.run_scheme_cached("sparten", tiny_spec, mini_cfg, 0)
+        _same_bits(again, result)
+        assert _counter("cache.disk.quarantine") == 1
+        assert _spans("simulate") == 1
+        assert path.with_suffix(".json.corrupt").exists()
+        assert path.exists()  # the recompute republished a healthy entry
+
+    @pytest.mark.parametrize("damage", ["truncate", "garble"])
+    def test_torn_or_garbled_entry_is_quarantined(
+        self, tmp_path, monkeypatch, tiny_spec, mini_cfg, damage
+    ):
+        result = self._populate(tmp_path, monkeypatch, tiny_spec, mini_cfg)
+        path = _result_entry(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2] if damage == "truncate" else b"\x00\xffjunk")
+        again = compare.run_scheme_cached("sparten", tiny_spec, mini_cfg, 0)
+        _same_bits(again, result)
+        assert _counter("cache.disk.quarantine") == 1
+
+    def test_collision_counts_and_recomputes(self, tmp_path, monkeypatch, tiny_spec, mini_cfg):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        seed0 = compare.run_scheme_cached("sparten", tiny_spec, mini_cfg, 0)
+        key0 = workload.result_key("sparten", tiny_spec, mini_cfg, 0)
+        key1 = workload.result_key("sparten", tiny_spec, mini_cfg, 1)
+        # Fake a digest collision: seed 1's file name holds seed 0's entry.
+        shutil.copy(workload._result_path(key0), workload._result_path(key1))
+        clear_caches()
+        telemetry.reset()
+        seed1 = compare.run_scheme_cached("sparten", tiny_spec, mini_cfg, 1)
+        assert _counter("cache.disk.collision") == 1
+        assert _spans("simulate") == 1
+        assert _counter("cache.disk.quarantine") == 0  # healthy, just foreign
+        clear_caches()
+        direct = compare._run_scheme(
+            "sparten", tiny_spec, mini_cfg,
+            *workload.get_workload(tiny_spec, mini_cfg, 1), 1,
+        )
+        assert seed1 == direct
+        assert seed1 != seed0
+
+    def test_source_fingerprint_keys_both_tiers(self, tmp_path, monkeypatch, tiny_spec, mini_cfg):
+        self._populate(tmp_path, monkeypatch, tiny_spec, mini_cfg)
+        compare.run_scheme_cached("sparten", tiny_spec, mini_cfg, 0)
+        assert _counter("cache.result.disk_hit") == 1  # the store is warm
+        clear_caches()
+        telemetry.reset()
+        monkeypatch.setattr(workload, "source_fingerprint", lambda: "edited source")
+        compare.run_scheme_cached("sparten", tiny_spec, mini_cfg, 0)
+        assert _counter("cache.result.disk_hit") == 0
+        assert _counter("cache.disk.load") == 0
+        assert _spans("chunk_work") == 1
+        assert _spans("simulate") == 1
+
+    def test_both_key_kinds_carry_the_fingerprint(self, tiny_spec, mini_cfg):
+        fingerprint = workload.source_fingerprint()
+        assert len(fingerprint) == 64
+        assert workload.result_key("x", tiny_spec, mini_cfg, 0)[1] == fingerprint
+        assert workload.workload_key(tiny_spec, mini_cfg, 0)[1] == fingerprint
+
+    def test_cache_corrupt_damages_one_entry_of_each_kind(
+        self, tmp_path, monkeypatch, tiny_spec, mini_cfg
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_FAULT", "cache_corrupt:1")
+        monkeypatch.setenv("REPRO_FAULT_SEED", "91")  # a fresh plan, fresh budgets
+        for scheme in ("dense", "sparten"):
+            compare.run_scheme_cached(scheme, tiny_spec, mini_cfg, 0)
+        assert _counter("fault.cache_corrupt") == 2
+        monkeypatch.delenv("REPRO_FAULT")
+        report = scan_store(tmp_path)
+        assert len(report.quarantined) == 2
+        assert {p.rsplit(".", 2)[-2] for p in report.quarantined} == {"npz", "json"}
+
+
+class TestDoctor:
+    def test_scan_verifies_result_entries(self, tmp_path, monkeypatch, tiny_spec, mini_cfg):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        for scheme in ("dense", "sparten"):
+            compare.run_scheme_cached(scheme, tiny_spec, mini_cfg, 0)
+        entries = sorted(tmp_path.glob("result-*.json"))
+        assert len(entries) == 2
+        raw = bytearray(entries[0].read_bytes())
+        raw[-10] ^= 0x02
+        entries[0].write_bytes(bytes(raw))
+        report = scan_store(tmp_path)
+        assert report.healthy == 2  # one workload .npz + one result entry
+        assert report.quarantined == [str(entries[0]) + ".corrupt"]
