@@ -137,7 +137,7 @@ def _error_quantiles(network: str = "alexnet", seed: int = 0) -> dict:
 
 def _timed_prescreen() -> tuple[dict, float]:
     workload.clear_caches()
-    workload.get_layer_data(SWEEP_SPEC, 0)  # synthesis shared by both phases
+    workload.get_layer_masks(SWEEP_SPEC, 0)  # synthesis shared by both phases
     geoms = tuple((c, u) for c in SWEEP_CLUSTERS for u in SWEEP_UNITS)
     t0 = time.perf_counter()
     result = prescreened_sweep(
@@ -148,7 +148,7 @@ def _timed_prescreen() -> tuple[dict, float]:
 
 def _timed_full_sweep() -> tuple[dict, float]:
     workload.clear_caches()
-    workload.get_layer_data(SWEEP_SPEC, 0)
+    workload.get_layer_masks(SWEEP_SPEC, 0)
     geoms = tuple((c, u) for c in SWEEP_CLUSTERS for u in SWEEP_UNITS)
     t0 = time.perf_counter()
     rows = {}

@@ -7,12 +7,18 @@ memory) and fails unless the second run
 1. prints exactly the figure rows the first one printed,
 2. reports zero ``sim.*`` counts and zero ``kernel.*dispatch`` counts in
    its manifest -- no simulator and no match/reduce kernel ran, and
-3. served results from the store (``cache.result.disk_hit`` > 0).
+3. served results from the store (``cache.result.disk_hit`` > 0),
+
+and unless the cold run wrote at most ``MAX_STORE_MB`` of store entries
+(``cache.disk.store_bytes`` in its manifest).
 
 A store whose result tier silently went cold (a key that drifts between
 processes, a codec that refuses a result, a reader that always misses)
 still produces the right figures, just slowly; this makes it a CI
-failure instead. ``REPRO_JOBS`` and the other ``REPRO_*`` variables come
+failure instead. The size bound does the same for a store that goes
+back to holding dense float64 tensors instead of packed masks: the
+fig7 store is ~48 MB with packed masks and was ~72 MB with dense ones,
+both deterministic. ``REPRO_JOBS`` and the other ``REPRO_*`` variables come
 from the environment, so the job decides whether the warm run fans out.
 The manifests land in ``benchmarks/output/warm-store-{cold,warm}.json``.
 
@@ -33,6 +39,9 @@ import tempfile
 HERE = pathlib.Path(__file__).resolve().parent
 OUTPUT = HERE / "output"
 
+#: The most store bytes (``cache.disk.store_bytes``) the cold run may write.
+MAX_STORE_MB = 55.0
+
 
 def _run(store: str, manifest: pathlib.Path) -> str:
     env = {**os.environ, "REPRO_CACHE_DIR": store}
@@ -51,6 +60,8 @@ def main() -> int:
         cold = _run(store, cold_manifest)
         warm = _run(store, warm_manifest)
     counters = json.loads(warm_manifest.read_text())["counters"]
+    cold_counters = json.loads(cold_manifest.read_text())["counters"]
+    store_mb = cold_counters.get("cache.disk.store_bytes", 0) / 1e6
     simulated = {k: v for k, v in counters.items() if k.startswith("sim.") and v}
     dispatched = {
         k: v for k, v in counters.items()
@@ -66,13 +77,19 @@ def main() -> int:
         failures.append(f"the warm run dispatched kernels: {dispatched}")
     if not hits > 0:
         failures.append("the warm run served no result from the store")
+    if store_mb > MAX_STORE_MB:
+        failures.append(
+            f"the cold run wrote {store_mb:.1f} MB of store entries "
+            f"(bound {MAX_STORE_MB:.0f} MB)"
+        )
     for failure in failures:
         print(f"check_warm_store: FAIL -- {failure}")
     if failures:
         return 1
     print(
         f"check_warm_store: OK -- warm fig7 matched the cold rows with "
-        f"{hits:.0f} results from the store, 0 simulations, 0 kernel dispatches"
+        f"{hits:.0f} results from the store, 0 simulations, 0 kernel dispatches; "
+        f"the cold run wrote {store_mb:.1f} MB"
     )
     return 0
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.nets.layers import ConvLayerSpec
-from repro.nets.synthesis import LayerData
+from repro.nets.synthesis import LayerMasks
 from repro.sim.config import HardwareConfig
 from repro.sim.kernels import ChunkWork, PositionAssignment, compute_chunk_work
 from repro.tensor.storage import even_slices
@@ -112,7 +112,7 @@ class DensityStats:
 
 
 def stats_from_work(
-    data: LayerData, work: ChunkWork, chunk_size: int
+    data: LayerMasks, work: ChunkWork, chunk_size: int
 ) -> DensityStats:
     """Build :class:`DensityStats` from an already-computed workload.
 
@@ -186,7 +186,7 @@ def extract_density_stats(
     spec: ConvLayerSpec,
     cfg: HardwareConfig,
     seed: int = 0,
-    data: LayerData | None = None,
+    data: LayerMasks | None = None,
 ) -> DensityStats:
     """Extract one image's density statistics, memoised via the workload cache.
 

@@ -53,7 +53,7 @@ import numpy as np
 from repro import profiling, telemetry
 from repro.arch.memory import layer_traffic
 from repro.nets.layers import ConvLayerSpec
-from repro.nets.synthesis import LayerData
+from repro.nets.synthesis import LayerMasks
 from repro.sim import reduce
 from repro.sim.config import HardwareConfig
 from repro.sim.energy import layer_energy
@@ -905,7 +905,7 @@ def predict_layer(
     scheme: str = "sparten",
     seed: int = 0,
     stats: DensityStats | None = None,
-    data: LayerData | None = None,
+    data: LayerMasks | None = None,
 ) -> LayerResult:
     """Predict one layer's cycles/breakdown/traffic analytically.
 

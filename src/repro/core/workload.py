@@ -6,15 +6,20 @@ workloads (``headline_means`` regenerates per-network speedups, then the
 energy and FPGA figures redo the very same mask work). This module keys
 those products *by value* so the redundancy disappears:
 
-- **Workload cache** (:func:`get_workload`): ``(LayerData, ChunkWork)``
+- **Workload cache** (:func:`get_workload`): ``(LayerMasks, ChunkWork)``
   keyed by the layer spec's fields, the image seed, and the config knobs
   the kernel actually reads -- ``chunk_size``, ``n_clusters``,
-  ``position_sample`` (batch enters through per-image seeds). Entries
-  live in a bounded in-memory LRU (``REPRO_CACHE_ENTRIES`` /
-  ``REPRO_CACHE_BYTES``) with an optional on-disk ``.npz`` store under
-  ``$REPRO_CACHE_DIR`` that persists across processes. A cached entry
-  computed with ``need_counts=False`` is upgraded in place when a caller
-  later needs the counts tensor.
+  ``position_sample`` (batch enters through per-image seeds). Every
+  timing model reads occupancy only, so the cache carries the boolean
+  masks (:func:`get_layer_masks`, derived once per (spec, seed)) and
+  never the dense float64 tensors. Entries live in a bounded in-memory
+  LRU (``REPRO_CACHE_ENTRIES`` / ``REPRO_CACHE_BYTES``) with an optional
+  on-disk ``.npz`` store under ``$REPRO_CACHE_DIR`` that persists across
+  processes; each entry holds both masks inline as ``np.packbits``
+  members, one bit per element. A cached entry computed with
+  ``need_counts=False`` is upgraded in place when a caller later needs
+  the counts tensor. The dense :class:`LayerData` stays behind
+  :func:`get_layer_data` for the value-level consumers.
 - **Result memo** (:func:`lookup_result` / :func:`store_result`): finished
   per-layer simulation results keyed by (scheme, spec fields, *full*
   config fields, seed), so a warm re-run of a figure skips the
@@ -29,7 +34,8 @@ those products *by value* so the redundancy disappears:
 
 The disk store is *corruption-safe*: a truncated or garbled ``.npz`` or
 result entry (a crash mid-``os.replace`` on exotic filesystems, bit rot,
-a concurrent writer on shared storage) is detected on load, renamed to
+a concurrent writer on shared storage), or a packed mask whose dtype or
+length disagrees with the spec's shape, is detected on load, renamed to
 ``.corrupt`` (counted as ``cache.disk.quarantine``) and recomputed --
 never trusted, never a crash. ``repro doctor`` scans and prunes
 quarantined entries, and ``REPRO_FAULT=cache_corrupt:N`` injects the
@@ -47,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import os
 import pathlib
 import tempfile
@@ -62,7 +69,7 @@ from repro.core import parallel
 from repro.core.env import env_int
 from repro.resilience import checkpoint, faults
 from repro.nets.layers import ConvLayerSpec
-from repro.nets.synthesis import LayerData, synthesize_layer
+from repro.nets.synthesis import LayerData, LayerMasks, synthesize_layer
 from repro.sim.config import HardwareConfig
 from repro.sim.kernels import ChunkWork, PositionAssignment, compute_chunk_work
 
@@ -74,6 +81,7 @@ __all__ = [
     "cache_get",
     "cache_put",
     "get_layer_data",
+    "get_layer_masks",
     "get_workload",
     "lookup_result",
     "store_result",
@@ -156,7 +164,7 @@ class _LRU:
     def put(self, key, value, nbytes: int = 0, arrays=()) -> None:
         """Insert *value*; it costs *nbytes* plus its *arrays*' buffers.
 
-        A buffer shared by several entries (the ``LayerData`` arrays
+        A buffer shared by several entries (the ``LayerMasks`` arrays
         every config of one layer reuses) is counted once, while any
         entry holding it lives -- so the byte bound tracks the memory
         the cache actually keeps alive.
@@ -239,7 +247,7 @@ def source_fingerprint() -> str:
 
 
 def workload_key(spec: ConvLayerSpec, cfg: HardwareConfig, seed: int) -> tuple:
-    """Content key for one (LayerData, ChunkWork) pair.
+    """Content key for one (LayerMasks, ChunkWork) pair.
 
     Only the config fields the kernel reads participate; sweeps that vary
     other knobs (e.g. ``bisection_width``) share one workload entry.
@@ -277,7 +285,7 @@ def result_key(kind: str, spec: ConvLayerSpec, cfg: HardwareConfig, seed: int) -
 
 
 def get_layer_data(spec: ConvLayerSpec, seed: int = 0) -> LayerData:
-    """Memoised :func:`synthesize_layer`."""
+    """Memoised :func:`synthesize_layer`: the dense values, for value-level use."""
     key = ("data", type(spec).__name__, astuple(spec), int(seed))
     data = _WORKLOADS.get(key)
     if data is None:
@@ -287,12 +295,27 @@ def get_layer_data(spec: ConvLayerSpec, seed: int = 0) -> LayerData:
     return data
 
 
+def get_layer_masks(spec: ConvLayerSpec, seed: int = 0) -> LayerMasks:
+    """Memoised occupancy of :func:`synthesize_layer`, derived once.
+
+    Only the masks enter the LRU; the dense arrays they come from are
+    dropped as soon as the masks exist.
+    """
+    key = ("masks", type(spec).__name__, astuple(spec), int(seed))
+    masks = _WORKLOADS.get(key)
+    if masks is None:
+        with telemetry.span("synthesize", layer=spec.name):
+            masks = LayerMasks.of(synthesize_layer(spec, seed=seed))
+        _WORKLOADS.put(key, masks, arrays=(masks.input_mask, masks.filter_masks))
+    return masks
+
+
 def get_workload(
     spec: ConvLayerSpec,
     cfg: HardwareConfig,
     seed: int = 0,
     need_counts: bool = True,
-) -> tuple[LayerData, ChunkWork]:
+) -> tuple[LayerMasks, ChunkWork]:
     """Memoised (synthesis + chunk work) for one workload.
 
     Checks the in-memory LRU, then the on-disk store (when
@@ -323,10 +346,10 @@ def get_workload(
         # The peer's entry is unusable for us (shallower need_counts,
         # quarantined): compute after all, and republish richer.
     try:
-        data = entry[0] if entry is not None else get_layer_data(spec, seed)
+        masks = entry[0] if entry is not None else get_layer_masks(spec, seed)
         with telemetry.span("chunk_work", layer=spec.name):
-            work = compute_chunk_work(data, cfg, need_counts=need_counts)
-        pair = (data, work)
+            work = compute_chunk_work(masks, cfg, need_counts=need_counts)
+        pair = (masks, work)
         _WORKLOADS.put(key, pair, arrays=_pair_arrays(pair))
         _disk_store(key, pair)
     finally:
@@ -443,12 +466,12 @@ def _satisfies(work: ChunkWork, need_counts: bool) -> bool:
     return not need_counts or work.counts is not None
 
 
-def _pair_arrays(pair: tuple[LayerData, ChunkWork]) -> list:
-    """Every array one (LayerData, ChunkWork) entry keeps alive."""
-    data, work = pair
+def _pair_arrays(pair: tuple[LayerMasks, ChunkWork]) -> list:
+    """Every array one (LayerMasks, ChunkWork) entry keeps alive."""
+    masks, work = pair
     return [
-        data.input_map,
-        data.filters,
+        masks.input_mask,
+        masks.filter_masks,
         work.counts,
         work.input_pop,
         work.match_sums,
@@ -460,7 +483,7 @@ def _pair_arrays(pair: tuple[LayerData, ChunkWork]) -> list:
     ]
 
 
-def _pair_nbytes(pair: tuple[LayerData, ChunkWork]) -> int:
+def _pair_nbytes(pair: tuple[LayerMasks, ChunkWork]) -> int:
     """Bytes of the distinct buffers one entry holds."""
     buffers = {id(b): b for b in map(_buffer_of, _pair_arrays(pair)) if b is not None}
     return sum(b.nbytes for b in buffers.values())
@@ -479,15 +502,32 @@ def _disk_path(key: tuple) -> pathlib.Path | None:
     return base / f"workload-{digest}.npz"
 
 
-def _disk_store(key: tuple, pair: tuple[LayerData, ChunkWork]) -> None:
+def _unpack_mask(z, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Entry member *name* unpacked to a bool mask of *shape*.
+
+    A member of the wrong dtype or length raises ``ValueError``, so the
+    caller quarantines the entry instead of unpacking garbage.
+    """
+    packed = z[name]
+    size = math.prod(shape)
+    want = (size + 7) // 8
+    if packed.dtype != np.uint8 or packed.shape != (want,):
+        raise ValueError(
+            f"packed {name} is {packed.dtype}{list(packed.shape)}, "
+            f"expected uint8[{want}] for shape {shape}"
+        )
+    return np.unpackbits(packed, count=size).view(bool).reshape(shape)
+
+
+def _disk_store(key: tuple, pair: tuple[LayerMasks, ChunkWork]) -> None:
     path = _disk_path(key)
     if path is None:
         return
-    data, work = pair
+    masks, work = pair
     payload = {
         "key": np.array(repr(key)),
-        "input_map": data.input_map,
-        "filters": data.filters,
+        "input_mask": np.packbits(masks.input_mask, axis=None),
+        "filter_masks": np.packbits(masks.filter_masks, axis=None),
         "input_pop": work.input_pop,
         "match_sums": work.match_sums,
         "filter_chunk_nnz": work.filter_chunk_nnz,
@@ -524,7 +564,7 @@ def _disk_store(key: tuple, pair: tuple[LayerData, ChunkWork]) -> None:
 
 def _disk_load(
     key: tuple, spec: ConvLayerSpec, need_counts: bool
-) -> tuple[LayerData, ChunkWork] | None:
+) -> tuple[LayerMasks, ChunkWork] | None:
     path = _disk_path(key)
     if path is None or not path.exists():
         return None
@@ -549,8 +589,16 @@ def _disk_load(
                 return None
             if need_counts and "counts" not in z.files:
                 return None
-            data = LayerData(
-                spec=spec, input_map=z["input_map"], filters=z["filters"]
+            masks = LayerMasks(
+                spec=spec,
+                input_mask=_unpack_mask(
+                    z, "input_mask", (spec.in_height, spec.in_width, spec.in_channels)
+                ),
+                filter_masks=_unpack_mask(
+                    z,
+                    "filter_masks",
+                    (spec.n_filters, spec.kernel, spec.kernel, spec.in_channels),
+                ),
             )
             assignment = PositionAssignment(
                 indices=z["indices"],
@@ -581,7 +629,7 @@ def _disk_load(
         return None
     _WORKLOADS.stats.disk_hits += 1
     telemetry.count("cache.disk.load")
-    return (data, work)
+    return (masks, work)
 
 
 def _result_path(key: tuple) -> pathlib.Path | None:

@@ -24,7 +24,7 @@ from repro.balance.greedy import gb_h_plan
 from repro.balance.metrics import Figure14Data, figure14_distribution
 from repro.core import parallel, workload
 from repro.core.compare import ALL_SCHEMES, compare_architectures, run_scheme_cached
-from repro.core.workload import get_layer_data, get_workload
+from repro.core.workload import get_layer_masks, get_workload
 from repro.nets.models import NetworkSpec, alexnet, all_networks, googlenet, vggnet
 from repro.sim.area import ClusterAreaPower, cluster_area_power
 from repro.sim.config import FPGA_CONFIG, HardwareConfig, config_for
@@ -226,10 +226,10 @@ def gb_impact_figure(
     network = network if network is not None else alexnet()
     spec = network.layer(layer_name)
     cfg = config_for(network)
-    data = get_layer_data(spec, seed=seed)
-    plan = gb_h_plan(data.filter_masks, cfg.units_per_cluster, chunk_size=cfg.chunk_size)
+    masks = get_layer_masks(spec, seed=seed).filter_masks
+    plan = gb_h_plan(masks, cfg.units_per_cluster, chunk_size=cfg.chunk_size)
     return figure14_distribution(
-        data.filter_masks, plan, chunk_index=chunk_index, chunk_size=cfg.chunk_size
+        masks, plan, chunk_index=chunk_index, chunk_size=cfg.chunk_size
     )
 
 

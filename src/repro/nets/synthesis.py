@@ -1,7 +1,6 @@
 """Seeded workload synthesis: tensors at the paper's Table 3 densities.
 
-The simulators consume (a) value positions (masks) and (b) value
-magnitudes; both are produced here from a layer spec and a seed:
+Dense tensors are produced here from a layer spec and a seed:
 
 - Filters: Gaussian weights magnitude-pruned with per-filter density
   spread (:mod:`repro.nets.pruning`), shaped ``(F, k, k, C)``.
@@ -11,8 +10,12 @@ magnitudes; both are produced here from a layer spec and a seed:
   100% (the network's first layer) gets a fully dense map -- the paper's
   special case of the 3-channel input image.
 
-One :class:`LayerData` per (spec, seed) is the unit every simulator and
-the functional accelerator operate on.
+Every timing model -- the simulators, the analytical tier, the balancing
+planners -- reads occupancy only: the masks of a :class:`LayerMasks`,
+derived once per (spec, seed). Only the functional accelerator
+(:mod:`repro.arch`) and the value-level studies read the magnitudes of
+a :class:`LayerData`, which exposes the same ``spec`` / ``input_mask`` /
+``filter_masks`` attributes, so either one drives a simulator.
 """
 
 from __future__ import annotations
@@ -25,12 +28,43 @@ from scipy import ndimage
 from repro.nets.layers import ConvLayerSpec
 from repro.nets.pruning import DEFAULT_FILTER_SPREAD, prune_filters
 
-__all__ = ["LayerData", "synthesize_layer", "synthesize_input", "synthesize_filters"]
+__all__ = [
+    "LayerData",
+    "LayerMasks",
+    "synthesize_layer",
+    "synthesize_input",
+    "synthesize_filters",
+]
+
+
+@dataclass(frozen=True)
+class LayerMasks:
+    """The occupancy of one layer's workload: what every timing model reads.
+
+    Attributes:
+        spec: the layer specification the masks realise.
+        input_mask: boolean ``(H, W, C)`` occupancy of the input map.
+        filter_masks: boolean ``(F, k, k, C)`` occupancy of the filters.
+    """
+
+    spec: ConvLayerSpec
+    input_mask: np.ndarray
+    filter_masks: np.ndarray
+
+    @classmethod
+    def of(cls, data: LayerData) -> LayerMasks:
+        """The masks of *data*, derived once."""
+        return cls(spec=data.spec, input_mask=data.input_mask, filter_masks=data.filter_masks)
 
 
 @dataclass(frozen=True)
 class LayerData:
-    """A concrete workload for one layer: dense arrays plus their masks.
+    """A concrete workload for one layer: dense values, zeros included.
+
+    The functional accelerator and value-level studies (quantisation,
+    the pipeline's measured activations) need the magnitudes; the
+    ``input_mask`` / ``filter_masks`` properties recompute occupancy on
+    every read, so the timing tier carries a :class:`LayerMasks` instead.
 
     Attributes:
         spec: the layer specification this data realises.

@@ -18,7 +18,7 @@ import numpy as np
 from repro import profiling, telemetry
 from repro.arch.memory import layer_traffic
 from repro.nets.layers import ConvLayerSpec
-from repro.nets.synthesis import LayerData
+from repro.nets.synthesis import LayerMasks
 from repro.sim.config import HardwareConfig
 from repro.sim.kernels import ChunkWork, batch_workloads
 from repro.sim.results import Breakdown, LayerResult, observability_extras
@@ -29,7 +29,7 @@ __all__ = ["simulate_dense"]
 def simulate_dense(
     spec: ConvLayerSpec,
     cfg: HardwareConfig,
-    data: LayerData | None = None,
+    data: LayerMasks | None = None,
     work: ChunkWork | None = None,
     seed: int = 0,
     naive_buffers: bool = False,

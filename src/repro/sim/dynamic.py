@@ -29,7 +29,7 @@ import numpy as np
 from repro import profiling, telemetry
 from repro.arch.memory import layer_traffic
 from repro.nets.layers import ConvLayerSpec
-from repro.nets.synthesis import LayerData
+from repro.nets.synthesis import LayerMasks
 from repro.sim import reduce
 from repro.sim.config import HardwareConfig
 from repro.sim.kernels import ChunkWork, batch_workloads
@@ -41,7 +41,7 @@ __all__ = ["simulate_dynamic_dispatch"]
 def simulate_dynamic_dispatch(
     spec: ConvLayerSpec,
     cfg: HardwareConfig,
-    data: LayerData | None = None,
+    data: LayerMasks | None = None,
     work: ChunkWork | None = None,
     seed: int = 0,
 ) -> LayerResult:

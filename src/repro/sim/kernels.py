@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
-from repro.nets.synthesis import LayerData
+from repro.nets.synthesis import LayerMasks
 from repro.sim import native
 from repro.sim.config import HardwareConfig
 from repro.tensor.sparsemap import padded_length
@@ -188,7 +188,7 @@ class ChunkWork:
 
 
 def compute_chunk_work(
-    data: LayerData,
+    data: LayerMasks,
     cfg: HardwareConfig,
     need_counts: bool = True,
 ) -> ChunkWork:
@@ -285,7 +285,7 @@ def batch_workloads(
     spec,
     cfg: HardwareConfig,
     seed: int,
-    data: LayerData | None,
+    data: LayerMasks | None,
     work: ChunkWork | None,
     need_counts: bool,
 ):

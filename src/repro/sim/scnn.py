@@ -29,7 +29,7 @@ import numpy as np
 from repro import profiling, telemetry
 from repro.arch.memory import layer_traffic
 from repro.nets.layers import ConvLayerSpec
-from repro.nets.synthesis import LayerData
+from repro.nets.synthesis import LayerMasks
 from repro.sim.config import HardwareConfig
 from repro.sim.results import Breakdown, LayerResult, observability_extras
 
@@ -57,7 +57,7 @@ def simulate_scnn(
     spec: ConvLayerSpec,
     cfg: HardwareConfig,
     variant: str = "two",
-    data: LayerData | None = None,
+    data: LayerMasks | None = None,
     seed: int = 0,
 ) -> LayerResult:
     """Simulate one layer on SCNN (or its dense/one-sided variants)."""
@@ -84,12 +84,12 @@ def simulate_scnn(
     if data is not None:
         batch_items = [data]
     else:
-        # Route per-image synthesis through the layer-data memo so batched
+        # Route per-image synthesis through the layer-mask memo so batched
         # runs share workloads with the other simulators.
         from repro.core import workload
 
         batch_items = [
-            workload.get_layer_data(spec, seed=seed + image)
+            workload.get_layer_masks(spec, seed=seed + image)
             for image in range(cfg.batch)
         ]
     for img_data in batch_items:
@@ -139,7 +139,7 @@ def simulate_scnn(
 
 
 def _scnn_image_stats(
-    data: LayerData,
+    data: LayerMasks,
     cfg: HardwareConfig,
     variant: str,
     n_pes: int,

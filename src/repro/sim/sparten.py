@@ -38,7 +38,7 @@ from repro.balance.greedy import (
     gb_s_plan,
     no_gb_plan,
 )
-from repro.nets.synthesis import LayerData
+from repro.nets.synthesis import LayerMasks
 from repro.nets.layers import ConvLayerSpec
 from repro.sim import reduce
 from repro.sim.config import HardwareConfig
@@ -62,7 +62,7 @@ SCHEME_NAMES = {
 
 
 def sparten_variant_plan(
-    data: LayerData, cfg: HardwareConfig, variant: str
+    data: LayerMasks, cfg: HardwareConfig, variant: str
 ) -> BalancePlan:
     """Build the greedy-balancing plan for a variant.
 
@@ -87,7 +87,7 @@ def simulate_sparten(
     cfg: HardwareConfig,
     variant: str = "gb_h",
     sided: str = "two",
-    data: LayerData | None = None,
+    data: LayerMasks | None = None,
     work: ChunkWork | None = None,
     seed: int = 0,
     auto_disable_collocation: bool = False,
@@ -277,7 +277,7 @@ def two_sided_reduction_spec(
 
 
 def _two_sided_cluster_cycles(
-    data: LayerData,
+    data: LayerMasks,
     work: ChunkWork,
     cfg: HardwareConfig,
     variant: str,
@@ -328,7 +328,7 @@ def _two_sided_cluster_cycles(
 
 
 def _one_sided_cluster_cycles(
-    data: LayerData, work: ChunkWork, cfg: HardwareConfig
+    data: LayerMasks, work: ChunkWork, cfg: HardwareConfig
 ) -> dict:
     """Cluster cycle totals for the one-sided configuration.
 

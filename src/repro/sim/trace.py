@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nets.synthesis import LayerData
+from repro.nets.synthesis import LayerMasks
 from repro.sim.config import HardwareConfig
 from repro.sim.kernels import ChunkWork, compute_chunk_work
 
@@ -143,7 +143,7 @@ class DoubleBufferedCluster:
 
     def run_layer(
         self,
-        data: LayerData,
+        data: LayerMasks,
         cfg: HardwareConfig,
         work: ChunkWork | None = None,
         value_bytes: int = 1,

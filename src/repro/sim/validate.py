@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nets.layers import ConvLayerSpec
-from repro.nets.synthesis import LayerData, synthesize_layer
+from repro.nets.synthesis import LayerMasks, synthesize_layer
 from repro.sim.config import HardwareConfig
 from repro.sim.dense import simulate_dense
 from repro.sim.kernels import ChunkWork, compute_chunk_work
@@ -51,14 +51,14 @@ class ValidationReport:
 def validate_layer(
     spec: ConvLayerSpec,
     cfg: HardwareConfig,
-    data: LayerData | None = None,
+    data: LayerMasks | None = None,
     work: ChunkWork | None = None,
     seed: int = 0,
     rel_tol: float = 1e-6,
 ) -> ValidationReport:
     """Run every simulator on one workload and check the invariants."""
     if data is None:
-        data = synthesize_layer(spec, seed=seed)
+        data = LayerMasks.of(synthesize_layer(spec, seed=seed))
     if work is None:
         work = compute_chunk_work(data, cfg, need_counts=True)
 

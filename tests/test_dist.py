@@ -388,7 +388,7 @@ class TestWorkloadSingleFlight:
         assert _counter("cache.disk.collision") == before + 1
         # The collision was recomputed, not trusted: seeds differ.
         data0, _ = workload.get_workload(spec, cfg, seed=0)
-        assert (data.input_map != data0.input_map).any()
+        assert (data.input_mask != data0.input_mask).any()
 
     def test_single_flight_off_still_correct(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

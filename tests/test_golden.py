@@ -60,8 +60,15 @@ the survivors exactly. Regenerate with::
     json.dump(golden, open("tests/golden/prescreen_seed0.json", "w"),
               indent=1, sort_keys=True)
     PY
+
+The whole fast evaluation at seed 0 -- Figs 7-17 with per-layer cycles,
+Table 4 and the headline means -- is pinned exactly: every float by its
+IEEE-754 bit pattern, through the result-entry codec. Regenerate with::
+
+    python benchmarks/regen_evaluation_golden.py
 """
 
+import importlib.util
 import json
 import pathlib
 
@@ -75,6 +82,10 @@ from repro.sim.sweeps import prescreened_sweep
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "speedups_fast_seed0.json"
 PROFILE_GOLDEN = pathlib.Path(__file__).parent / "golden" / "profile_alexnet_seed0.json"
 PRESCREEN_GOLDEN = pathlib.Path(__file__).parent / "golden" / "prescreen_seed0.json"
+EVALUATION_GOLDEN = pathlib.Path(__file__).parent / "golden" / "evaluation_seed0.json"
+REGEN_EVALUATION = (
+    pathlib.Path(__file__).parent.parent / "benchmarks" / "regen_evaluation_golden.py"
+)
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +154,34 @@ def test_prescreen_matches_golden():
             assert got[key] == pytest.approx(row, rel=1e-9), (name, key)
         survivors = [f"{c}x{u}:{v}" for c, u, v in result["survivors"]]
         assert survivors == layer["survivors"], name
+
+
+def _first_difference(got, want, path="$"):
+    """The path of the first encoded value that differs, or ``None``."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        if got.keys() != want.keys():
+            return f"{path}: keys {sorted(got.keys() ^ want.keys())}"
+        for k in want:
+            found = _first_difference(got[k], want[k], f"{path}.{k}")
+            if found:
+                return found
+        return None
+    if isinstance(want, list) and isinstance(got, list):
+        if len(got) != len(want):
+            return f"{path}: length {len(got)} != {len(want)}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            found = _first_difference(g, w, f"{path}[{i}]")
+            if found:
+                return found
+        return None
+    return None if got == want else f"{path}: {got!r} != {want!r}"
+
+
+def test_evaluation_matches_golden_bit_for_bit():
+    """Figs 7-17, Table 4 and the headline means, every float by bit pattern."""
+    spec = importlib.util.spec_from_file_location("regen_evaluation", REGEN_EVALUATION)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    want = json.loads(EVALUATION_GOLDEN.read_text())
+    got = json.loads(json.dumps(regen.evaluation(0)))
+    assert _first_difference(got, want) is None

@@ -413,10 +413,10 @@ def test_packed_only_store_entry_is_recomputed(deep_spec, tmp_path, monkeypatch)
 
 
 def _expected_pair_nbytes(pair):
-    data, work = pair
+    masks, work = pair
     arrays = [
-        data.input_map,
-        data.filters,
+        masks.input_mask,
+        masks.filter_masks,
         work.input_pop,
         work.match_sums,
         work.filter_chunk_nnz,

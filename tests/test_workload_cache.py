@@ -135,8 +135,9 @@ class TestDiskStore:
         clear_caches()
         data2, work2 = get_workload(spec, cfg, seed=0)
         assert cache_stats()["workloads"]["disk_hits"] == 1
-        assert np.array_equal(data2.input_map, data.input_map)
-        assert np.array_equal(data2.filters, data.filters)
+        assert np.array_equal(data2.input_mask, data.input_mask)
+        assert np.array_equal(data2.filter_masks, data.filter_masks)
+        assert data2.input_mask.dtype == data2.filter_masks.dtype == bool
         assert np.array_equal(work2.counts, work.counts)
         assert work2.counts.dtype == work.counts.dtype
         assert np.array_equal(work2.input_pop, work.input_pop)
@@ -207,6 +208,43 @@ class TestDiskStore:
         assert [u.exc_value for u in unraisable] == []
         assert path.with_suffix(".npz.corrupt").exists()
 
+    def test_packed_masks_reload_bit_for_bit(self, tmp_path, monkeypatch):
+        # 5*7*3 = 105 input and 3*3*3*3 = 81 filter elements: neither is
+        # a multiple of 8, so the last packed byte of each is partial.
+        from repro.nets.synthesis import synthesize_layer
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        spec = _spec(in_height=5, in_width=7, in_channels=3, n_filters=3)
+        get_workload(spec, _cfg(chunk_size=8), seed=3)
+        clear_caches()
+        masks, _ = get_workload(spec, _cfg(chunk_size=8), seed=3)
+        assert cache_stats()["workloads"]["disk_hits"] == 1
+        dense = synthesize_layer(spec, seed=3)
+        assert masks.input_mask.dtype == masks.filter_masks.dtype == bool
+        assert np.array_equal(masks.input_mask, dense.input_map != 0)
+        assert np.array_equal(masks.filter_masks, dense.filters != 0)
+
+    def test_short_packed_mask_quarantined_and_recomputed(self, tmp_path, monkeypatch):
+        from repro import telemetry
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        spec, cfg = _spec(), _cfg()
+        masks, work = get_workload(spec, cfg, seed=0)
+        (path,) = tmp_path.glob("workload-*.npz")
+        with np.load(path) as z:
+            members = {name: z[name] for name in z.files}
+        members["input_mask"] = members["input_mask"][:-1]  # one byte short
+        with open(path, "wb") as fh:
+            np.savez(fh, **members)
+        clear_caches()
+        telemetry.reset()
+        masks2, work2 = get_workload(spec, cfg, seed=0)  # must not raise
+        assert cache_stats()["workloads"]["disk_hits"] == 0
+        assert telemetry.get_recorder().counters()["cache.disk.quarantine"] == 1.0
+        assert path.with_suffix(".npz.corrupt").exists()
+        assert np.array_equal(masks2.input_mask, masks.input_mask)
+        assert np.array_equal(work2.counts, work.counts)
+
     def test_garbage_bytes_quarantined(self, tmp_path, monkeypatch):
         from repro import telemetry
 
@@ -220,6 +258,21 @@ class TestDiskStore:
         get_workload(spec, cfg, seed=0)  # must not raise
         assert path.with_suffix(".npz.corrupt").exists()
         assert telemetry.get_recorder().counters()["cache.disk.quarantine"] == 1.0
+
+
+class TestMasksOnly:
+    def test_no_dense_float_array_in_the_lru(self):
+        spec, cfg = _spec(), _cfg()
+        get_workload(spec, cfg, seed=0)
+        dense_shapes = {
+            (spec.in_height, spec.in_width, spec.in_channels),
+            (spec.n_filters, spec.kernel, spec.kernel, spec.in_channels),
+        }
+        held = [buf for bufs in workload._WORKLOADS._held.values() for buf in bufs]
+        assert held
+        assert not [
+            a for a in held if a.dtype == np.float64 and a.shape in dense_shapes
+        ]
 
 
 class TestWarmRunAllHits:
@@ -262,9 +315,9 @@ class TestLRUBounds:
         arrays = []
         for data, work in pairs:
             # Every config of one layer reuses the same synthesized arrays.
-            assert data.input_map is pairs[0][0].input_map
+            assert data.input_mask is pairs[0][0].input_mask
             arrays += [
-                data.input_map, data.filters, work.counts, work.input_pop,
+                data.input_mask, data.filter_masks, work.counts, work.input_pop,
                 work.match_sums, work.filter_chunk_nnz,
                 work.assignment.indices, work.assignment.cluster_of,
                 work.assignment.weight_of, work.assignment.cluster_positions,
