@@ -79,7 +79,7 @@ def _env() -> dict:
 
 
 def _entries() -> int:
-    return len(list(STORE.glob("ckpt-*.json")))
+    return len(list(STORE.glob("result-*.json")))
 
 
 def main(argv: list[str] | None = None) -> int:

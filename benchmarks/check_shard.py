@@ -6,10 +6,10 @@ worker death in the middle:
 
 1. **Shard 0** runs to completion (``--no-steal``, so shard 1's units
    stay unpublished).
-2. **Shard 1** starts; as soon as it has published a few journal
+2. **Shard 1** starts; as soon as it has published a few result
    entries the parent SIGKILLs it mid-run -- no atexit, no cleanup,
    a stale claim left behind.
-3. **Shard 1 restarts** with ``--reconcile``. The checkpoint journal is
+3. **Shard 1 restarts** with ``--reconcile``. The store's result tier is
    the coordination log, so the restart must skip every entry published
    before the kill (proved by ``st_mtime_ns`` invariance), steal the
    dead process's stale claim, finish the sweep, and reconcile to
@@ -19,9 +19,11 @@ Gates (all deterministic, tight-band in ``bench_baseline_shard.json``):
 
 - the kill landed mid-run (entries at kill strictly between shard 0's
   count and the full grid),
-- zero pre-kill journal entries were rewritten after the restart,
+- zero pre-kill result entries were rewritten after the restart,
 - the reconcile report is complete with no duplicate computes,
-- the doctor finds a healthy store (no stale claims or temp debris).
+- the doctor finds a healthy store (no stale claims or temp debris),
+- the store holds one copy of each result: no ``ckpt-*.json`` and no
+  ``cache/`` subdirectory beside the ``result-*.json`` entries.
 
 Writes ``benchmarks/output/BENCH_shard.json`` for ``repro bench diff``.
 
@@ -73,9 +75,9 @@ def _env() -> dict:
 
 
 def _entries() -> dict[str, int]:
-    """Journal entry name -> st_mtime_ns (the recompute detector)."""
+    """Result entry name -> st_mtime_ns (the recompute detector)."""
     return {
-        p.name: p.stat().st_mtime_ns for p in STORE.glob("ckpt-*.json")
+        p.name: p.stat().st_mtime_ns for p in STORE.glob("result-*.json")
     }
 
 
@@ -138,9 +140,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     recomputed = len(rewritten)
     if rewritten:
-        print(f"check_shard: FAIL -- {recomputed} pre-kill journal entries "
+        print(f"check_shard: FAIL -- {recomputed} pre-kill result entries "
               f"were rewritten after the restart (first: {rewritten[0]}); "
-              "the journal resume recomputed finished work.")
+              "the resume recomputed finished work.")
+
+    # One copy of each result: a second tier (journal files or a nested
+    # cache directory) would double every write.
+    second_copies = sorted(p.name for p in STORE.glob("ckpt-*.json"))
+    if (STORE / "cache").exists():
+        second_copies.append("cache/")
+    if second_copies:
+        print(f"check_shard: FAIL -- the store holds a second result tier "
+              f"beside result-*.json ({', '.join(second_copies[:3])}).")
 
     # The doctor must agree nothing stale survived (the dead worker's
     # claim was stolen and released, temp files were cleaned up).
@@ -169,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     BENCH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"check_shard: wrote {BENCH}")
 
-    if recomputed or not doctor_ok:
+    if recomputed or not doctor_ok or second_copies:
         return 1
     print(f"check_shard: OK -- {UNITS} units, kill at {k1} entries, "
           f"{len(final)} published, 0 recomputed after restart "

@@ -109,7 +109,7 @@ def fidelity_result_key(
     The key depends on the profile mode the ladder will *escalate to*,
     not the ambient one, so it is computed under the same
     :func:`_profile_env` as the simulation. Distributed workers use this
-    to locate a unit's checkpoint-journal entry without running anything
+    to locate a unit's result entry in the store without running anything
     -- it must stay in lockstep with :func:`simulate_at_fidelity`.
     """
     from repro.core import workload

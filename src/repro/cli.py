@@ -5,7 +5,7 @@ Usage::
     python -m repro list
     python -m repro run fig7 [--exact] [--seed N]
     python -m repro run headline --manifest manifest.json --trace trace.json
-    python -m repro run headline --resume runs/headline  # checkpoint + resume
+    python -m repro run headline --resume runs/headline  # resume from a store
     python -m repro run chunk-sweep --network vggnet --layer Layer7
     python -m repro stats manifest.json [--prometheus]
     python -m repro doctor [DIR] [--prune]
@@ -29,7 +29,7 @@ Distributed sweeps: ``repro sweep --store DIR --shard I/N`` runs one
 shard of a (network x layer x scheme x seed) grid against a shared
 store directory -- any number of shard processes (or hosts mounting the
 same directory) cooperate through single-flight claim leases and the
-checkpoint journal, so every unit is computed exactly once and a
+store's result entries, so every unit is computed exactly once and a
 SIGKILL'd shard's work is resumed or stolen, never redone. ``repro
 worker --store DIR`` is the standing long-poll form of the same loop.
 ``repro top --store DIR`` watches a running fleet live (workers x
@@ -38,12 +38,13 @@ heartbeats); ``repro inspect --store DIR`` reconstructs a finished or
 crashed sweep post-mortem -- merged timeline, cross-worker Chrome
 trace, exactly-once audit, anomaly report.
 
-``--resume DIR`` journals every finished per-layer result to *DIR* and,
-when entries already exist there (a crashed or killed earlier run),
-preloads them so only unfinished work re-executes. ``repro doctor``
-scans the on-disk workload cache (or any run directory), verifies every
-entry, quarantines corruption and -- with ``--prune`` -- deletes
-quarantined and orphaned files.
+``--resume DIR`` uses *DIR* as the store (``REPRO_CACHE_DIR``; the flag
+wins over an inherited value): every finished per-layer result is
+published there, and a rerun after a crash or kill answers the finished
+ones from it, so only unfinished work re-executes. ``repro doctor``
+scans the on-disk store (or any sweep directory), verifies every entry,
+quarantines corruption and -- with ``--prune`` -- deletes quarantined
+and orphaned files.
 
 Observability: ``--events PATH`` (or ``REPRO_EVENTS``) streams every
 lifecycle transition, cache decision, retry and counter increment to a
@@ -296,6 +297,16 @@ def _apply_observability_flags(args: argparse.Namespace) -> None:
         os.environ["REPRO_PROGRESS"] = args.progress
 
 
+def _use_store(directory: str | None) -> None:
+    """Make *directory* (``--resume``/``--store``) this run's store.
+
+    Sets ``REPRO_CACHE_DIR``: the explicit flag wins over an inherited
+    value, and workers inherit the store through the environment.
+    """
+    if directory:
+        os.environ["REPRO_CACHE_DIR"] = directory
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -314,8 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--trace", metavar="PATH", default=None,
                         help="also write a Chrome trace_event JSON to PATH")
     report.add_argument("--resume", metavar="DIR", default=None,
-                        help="checkpoint finished results to DIR and skip "
-                             "work already journaled there")
+                        help="use DIR as the store: publish finished "
+                             "results there and skip work already "
+                             "published (sets REPRO_CACHE_DIR)")
     _add_observability_flags(report)
 
     run = sub.add_parser("run", help="run one experiment and print its rows")
@@ -334,8 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", metavar="PATH", default=None,
                      help="write a Chrome trace_event JSON to PATH")
     run.add_argument("--resume", metavar="DIR", default=None,
-                     help="journal finished results to DIR and skip work "
-                          "already journaled there (checkpoint/resume)")
+                     help="use DIR as the store: publish finished results "
+                          "there and skip work already published "
+                          "(sets REPRO_CACHE_DIR)")
     run.add_argument("--fidelity", default=None,
                      choices=("analytical", "counters", "timeline", "trace"),
                      help="fidelity-ladder rung for fidelity-aware "
@@ -429,13 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "publish it to the shared store directory, and "
                     "execute this process's shard of it. Concurrent "
                     "shards (other processes/hosts on the same store) "
-                    "coordinate through claim leases and the checkpoint "
-                    "journal: every unit is computed exactly once, and "
+                    "coordinate through claim leases and the store's "
+                    "result entries: every unit is computed exactly once, and "
                     "a killed shard's units are stolen or resumed.",
     )
     sweep.add_argument("--store", metavar="DIR", required=True,
-                       help="shared store directory (plan, journal, "
-                            "manifests; cache defaults to DIR/cache)")
+                       help="shared store directory (plan, result and "
+                            "workload entries, manifests; sets "
+                            "REPRO_CACHE_DIR)")
     sweep.add_argument("--shard", metavar="I/N", default=None,
                        help="this process's shard (e.g. 0/2); default: "
                             "$REPRO_SHARD, else the whole grid")
@@ -458,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "finishing this shard's")
     sweep.add_argument("--reconcile", action="store_true",
                        help="after the shard finishes, check per-shard "
-                            "manifests against the journal and exit "
+                            "manifests against the store and exit "
                             "non-zero unless the sweep is complete and "
                             "exactly-once")
     sweep.add_argument("--manifest", metavar="PATH", default=None,
@@ -491,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
         "top",
         help="live dashboard over a distributed sweep's shared store",
         description="Render a refreshing fleet dashboard from the "
-                    "store's health heartbeats, manifests, journal and "
+                    "store's health heartbeats, manifests, result entries and "
                     "event streams: per-shard progress, throughput and "
                     "ETA, cache hit rate, and a workers table with "
                     "suspect/dead workers highlighted. Off a TTY (or "
@@ -508,9 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
         "inspect",
         help="post-mortem reconstruction of a distributed sweep",
         description="Merge every worker's event stream, manifest, "
-                    "heartbeat and the checkpoint journal into one "
+                    "heartbeat and the store's result entries into one "
                     "fleet view: a timestamp-ordered timeline, an "
-                    "exactly-once audit (journal vs manifests vs "
+                    "exactly-once audit (entries vs manifests vs "
                     "event counter totals), and an anomaly report "
                     "(dead workers, stragglers, steals, faults). "
                     "Exits non-zero unless the sweep is complete, "
@@ -593,12 +607,10 @@ def _main_dist(args: argparse.Namespace) -> int:
         os.environ["REPRO_SHARD"] = args.shard
     if getattr(args, "fidelity", None):
         os.environ["REPRO_FIDELITY"] = args.fidelity
-    # The store directory is the one thing workers share; keep the
-    # workload disk cache inside it unless the operator says otherwise,
-    # so co-operating shards also share the expensive mask work.
-    os.environ.setdefault(
-        "REPRO_CACHE_DIR", os.path.join(args.store, "cache")
-    )
+    # The store directory is the one thing workers share: its result
+    # entries are the coordination log, and co-operating shards share the
+    # workload entries (the expensive mask work) beside them.
+    _use_store(args.store)
     # Fleet observability artifacts default into the store too, one
     # file per worker identity, which is what `repro top` / `repro
     # inspect` aggregate. Explicit flags/env (including empty-string
@@ -873,14 +885,13 @@ def main(argv: list[str] | None = None) -> int:
         from repro.telemetry.metrics import MetricsSnapshotter, metrics_path
 
         _apply_observability_flags(args)
+        _use_store(args.resume)
         telemetry.reset()
         events.start_run(command="report", seed=args.seed)
         snapshotter = (
             MetricsSnapshotter(metrics_path()).start() if metrics_path() else None
         )
-        generate_report(
-            path=args.output, seed=args.seed, echo=print, resume=args.resume
-        )
+        generate_report(path=args.output, seed=args.seed, echo=print)
         if args.trace:
             telemetry.write_chrome_trace(args.trace)
         events.emit("run.end", command="report")
@@ -897,6 +908,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.telemetry.metrics import MetricsSnapshotter, metrics_path
 
     _apply_observability_flags(args)
+    _use_store(args.resume)
     telemetry.reset()  # a clean measurement window for this run
     events.start_run(
         command="run", experiment=args.experiment, seed=args.seed
@@ -904,16 +916,6 @@ def main(argv: list[str] | None = None) -> int:
     snapshotter = (
         MetricsSnapshotter(metrics_path()).start() if metrics_path() else None
     )
-    if args.resume:
-        from repro.resilience import checkpoint
-
-        # Workers inherit the journal directory through the environment.
-        os.environ["REPRO_CHECKPOINT_DIR"] = args.resume
-        loaded = checkpoint.preload_journal()
-        telemetry.get_logger("cli").info(
-            "checkpoint journal active %s",
-            telemetry.kv(dir=args.resume, resumed_entries=loaded),
-        )
     try:
         print(runner(args))
     except BrokenPipeError:

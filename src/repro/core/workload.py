@@ -27,10 +27,10 @@ those products *by value* so the redundancy disappears:
   disk tier: every stored result is published to the store as a
   ``result-<sha>.json`` entry (:mod:`repro.resilience.checkpoint`) and a
   memo miss reads it back, so a fresh process over a populated store
-  answers every result without loading a workload or simulating. With
-  ``REPRO_CHECKPOINT_DIR`` set, every stored result is also journaled to
-  the run directory, which is what makes ``repro run --resume`` skip
-  finished work after a crash.
+  answers every result without loading a workload or simulating. That
+  tier is the only copy of a finished result: ``repro run --resume DIR``
+  uses *DIR* as the store to skip finished work after a crash, and
+  distributed sweeps coordinate on the same entries.
 
 The disk store is *corruption-safe*: a truncated or garbled ``.npz`` or
 result entry (a crash mid-``os.replace`` on exotic filesystems, bit rot,
@@ -414,15 +414,13 @@ def lookup_result(key: tuple):
 def store_result(key: tuple, value) -> None:
     """Memoise one finished simulation result.
 
-    The result is also published to the store (``$REPRO_CACHE_DIR``),
-    and, when a run journal is active (``REPRO_CHECKPOINT_DIR``),
-    journaled there so an interrupted run can resume without redoing it
-    -- workers inherit both directories through the environment, so
-    fanned-out runs persist from every process.
+    The result is also published to the store (``$REPRO_CACHE_DIR``), so
+    an interrupted run can resume without redoing it -- workers inherit
+    the directory through the environment, so fanned-out runs persist
+    from every process.
     """
     _RESULTS.put(key, value)
     _disk_store_result(key, value)
-    checkpoint.journal_result(key, value)
 
 
 def cache_stats() -> dict[str, dict[str, float]]:
@@ -634,7 +632,7 @@ def _disk_load(
 
 def _result_path(key: tuple) -> pathlib.Path | None:
     base = _cache_dir()
-    return None if base is None else checkpoint.entry_path(base, key, "result-")
+    return None if base is None else checkpoint.entry_path(base, key)
 
 
 def _disk_store_result(key: tuple, value) -> None:

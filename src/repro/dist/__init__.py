@@ -20,9 +20,9 @@ or hosts that share nothing but a result-store directory:
   exactly-once audit, stragglers and anomalies from every worker's
   artifacts in one store.
 
-Coordination log is the PR 3 checkpoint journal (one file per published
-result, never rewritten), so resume-after-SIGKILL costs zero
-recomputation of anything any worker has published.
+The coordination log is the store's result tier (one ``result-*.json``
+entry per published result, never rewritten), so resume-after-SIGKILL
+costs zero recomputation of anything any worker has published.
 """
 
 from repro.dist.shard import (  # noqa: F401

@@ -1,18 +1,18 @@
 """The fleet view: one merged picture of a distributed sweep's store.
 
 :func:`build_fleet_view` folds every observability artifact a sweep
-leaves in its shared store -- the published plan, the checkpoint
-journal, per-worker manifests, health heartbeats, event streams and
+leaves in its shared store -- the published plan, the result entries,
+per-worker manifests, health heartbeats, event streams and
 metrics snapshots -- into a single :class:`FleetView`:
 
 - per-shard progress (published / total per shard slice),
 - a workers table with liveness verdicts (live / suspect / dead /
   exited, from :mod:`repro.dist.health`),
 - fleet throughput and ETA from the merged event stream,
-- the exactly-once audit: journal completeness, manifest reconciliation
-  (:func:`repro.dist.worker.reconcile`), per-unit computed-event counts,
-  and an exact cross-check of event counter totals against the summed
-  manifests,
+- the exactly-once audit: result-entry completeness, manifest
+  reconciliation (:func:`repro.dist.worker.reconcile`), per-unit
+  computed-event counts, and an exact cross-check of event counter
+  totals against the summed manifests,
 - anomalies: dead workers, stragglers (robust z-score over per-unit
   durations), steals, faults, quarantines, lost attribution.
 
@@ -232,8 +232,9 @@ def build_fleet_view(
             for kind in ("computed", "skipped", "stolen")
         )
     else:
-        # No event streams in the store (library-only run): the journal
-        # and manifests are the only evidence; nothing to cross-check.
+        # No event streams in the store (library-only run): the result
+        # entries and manifests are the only evidence; nothing to
+        # cross-check.
         lost, event_duplicates, counters_consistent = [], [], True
     audit = {
         "units": len(plan.units),
@@ -436,7 +437,7 @@ def render_inspect(view: FleetView, max_timeline: int | None = 40) -> str:
         "",
         "## Exactly-once audit",
         "",
-        f"- complete (every unit journaled): {yes(a['complete'])}",
+        f"- complete (every unit published): {yes(a['complete'])}",
         f"- exactly-once (manifests + events): {yes(a['exactly_once'])}",
         f"- counter totals reconcile (events vs manifests):"
         f" {yes(a['counters_consistent'])}"

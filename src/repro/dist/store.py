@@ -1,7 +1,7 @@
 """Multi-writer safety for the on-disk stores: claims, waiting, reaping.
 
-The workload cache (``$REPRO_CACHE_DIR``) and the checkpoint journals
-already publish atomically -- ``tempfile.mkstemp`` + ``os.replace`` means
+The store's workload and result entries (``$REPRO_CACHE_DIR``) already
+publish atomically -- ``tempfile.mkstemp`` + ``os.replace`` means
 a reader never sees a half-written entry. What atomic publish alone does
 *not* give a fleet of workers sharing one store is single-flight: two
 processes that miss on the same key both pay the compute and race to

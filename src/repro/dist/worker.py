@@ -5,13 +5,13 @@ A worker process is handed a shared store directory. The published
 the sweep; ``REPRO_SHARD=I/N`` (or the ``shard=`` argument) tells it
 which slice it owns. Execution is three nested guarantees:
 
-1. **The checkpoint journal is the coordination log.** A unit is *done*
-   exactly when its journal entry (``ckpt-<sha>.json`` under the store
-   directory) exists. Entries are written atomically by
-   :func:`repro.resilience.checkpoint.journal_result` and never
-   rewritten, so "does the entry exist" is a crash-consistent,
-   cross-host predicate -- and a restarted worker resumes by simply
-   skipping every published unit.
+1. **The store's result tier is the coordination log.** A unit is
+   *done* exactly when its result entry (``result-<sha>.json`` under the
+   store directory) exists. Entries are written atomically by
+   :func:`repro.resilience.checkpoint.write_entry` and never rewritten,
+   so "does the entry exist" is a crash-consistent, cross-host
+   predicate -- and a restarted worker resumes by simply skipping every
+   published unit.
 2. **Claims make compute single-flight.** Before simulating, a worker
    claims the unit's entry path (:func:`repro.dist.store.try_claim`).
    Losing the race defers the unit; a later pass waits the claim out
@@ -23,8 +23,9 @@ which slice it owns. Execution is three nested guarantees:
    units get finished by whoever is alive, with no coordinator.
 
 Every worker writes a per-shard manifest (``manifests/`` in the store)
-whose counters :func:`reconcile` sums against the journal, proving the
-exactly-once accounting that ``benchmarks/check_shard.py`` gates in CI.
+whose counters :func:`reconcile` sums against the published entries,
+proving the exactly-once accounting that ``benchmarks/check_shard.py``
+gates in CI.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def unit_key(unit: WorkUnit, plan: SweepPlan) -> tuple:
 def unit_entry(
     store_dir: str | os.PathLike, unit: WorkUnit, plan: SweepPlan
 ) -> pathlib.Path:
-    """The journal entry whose existence marks *unit* done."""
+    """The result entry whose existence marks *unit* done."""
     return checkpoint.entry_path(pathlib.Path(store_dir), unit_key(unit, plan))
 
 
@@ -117,20 +118,6 @@ def _shard_env(shard: tuple[int, int] | None):
             os.environ["REPRO_SHARD"] = previous
 
 
-@contextmanager
-def _journal_env(store_dir: str | os.PathLike):
-    """Route result journaling into the shared store for the duration."""
-    previous = os.environ.get("REPRO_CHECKPOINT_DIR")
-    os.environ["REPRO_CHECKPOINT_DIR"] = str(store_dir)
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_CHECKPOINT_DIR", None)
-        else:
-            os.environ["REPRO_CHECKPOINT_DIR"] = previous
-
-
 def execute_unit(
     store_dir: str | os.PathLike,
     unit: WorkUnit,
@@ -140,13 +127,14 @@ def execute_unit(
 ) -> str:
     """Bring one unit to the published state (or learn it already is).
 
-    Returns :data:`COMPUTED` (this process simulated and journaled it),
+    Returns :data:`COMPUTED` (this process simulated and published it),
     :data:`SKIPPED` (the entry already exists -- possibly published by a
     peer while we waited) or :data:`DEFERRED` (a peer holds a fresh
     claim and ``wait=False``; revisit later). With ``wait=True`` the
     claim is waited out, so the return is never deferred.
     """
-    entry = unit_entry(store_dir, unit, plan)
+    key = unit_key(unit, plan)
+    entry = checkpoint.entry_path(pathlib.Path(store_dir), key)
     started = time.monotonic()
     status = None
     claim = None
@@ -171,21 +159,16 @@ def execute_unit(
             spec, cfg = _resolve(unit, plan)
             if claim is not None:
                 claim.refresh()
-            with _journal_env(store_dir):
-                with telemetry.span(
-                    "dist.unit", unit=unit.token, stolen=stolen
-                ):
-                    simulate_at_fidelity(
-                        unit.scheme, spec, cfg,
-                        seed=unit.seed, fidelity=plan.fidelity,
-                    )
-                # The memo hit path skips journaling; make sure the
-                # publication the fleet coordinates on actually exists.
-                if not entry.exists():
-                    from repro.core import workload
-
-                    key = unit_key(unit, plan)
-                    checkpoint.journal_result(key, workload.lookup_result(key))
+            with telemetry.span("dist.unit", unit=unit.token, stolen=stolen):
+                result = simulate_at_fidelity(
+                    unit.scheme, spec, cfg,
+                    seed=unit.seed, fidelity=plan.fidelity,
+                )
+            # Publish what this call returned. When the store is also
+            # $REPRO_CACHE_DIR the memo already wrote the entry and this
+            # is a no-op; under any other cache dir, or none, it is the
+            # only publication the fleet coordinates on.
+            checkpoint.write_entry(entry, key, result)
             status = COMPUTED
             if stolen:
                 telemetry.count("dist.unit.stolen")
@@ -330,7 +313,7 @@ def run_worker(
 
     The worker waits for a plan to be published, then repeatedly runs
     :func:`run_shard` (with stealing) until every unit in the plan has a
-    journal entry. *max_idle* bounds how long it lingers with nothing to
+    result entry. *max_idle* bounds how long it lingers with nothing to
     do -- no plan, or nothing left that is not another live worker's
     fresh claim -- so an orphaned worker exits on its own.
     """
@@ -429,10 +412,10 @@ def load_shard_manifests(store_dir: str | os.PathLike) -> list[dict]:
 def reconcile(
     store_dir: str | os.PathLike, plan: SweepPlan | None = None
 ) -> dict:
-    """Check per-shard accounting against the journal's ground truth.
+    """Check per-shard accounting against the store's ground truth.
 
     Sums every worker manifest's counters and compares against the
-    plan: ``complete`` means every unit has a journal entry;
+    plan: ``complete`` means every unit has a result entry;
     ``duplicates`` lists unit tokens more than one manifest claims to
     have computed (the exactly-once violation the claim protocol
     exists to prevent -- always empty in a healthy sweep); ``foreign``

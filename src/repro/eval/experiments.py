@@ -344,8 +344,9 @@ def headline_means(fast: bool = True, seed: int = 0) -> dict:
     The run is fault-tolerant end to end: per-item retries and pool
     fallbacks in :mod:`repro.core.parallel` keep a dying worker from
     discarding completed networks, quarantined cache entries recompute,
-    and with ``REPRO_CHECKPOINT_DIR`` set every finished (network,
-    layer, scheme) result is journaled for ``repro run --resume``.
+    and with ``$REPRO_CACHE_DIR`` set every finished (network, layer,
+    scheme) result is published to the store, which ``repro run
+    --resume`` replays.
     ``extras["resilience"]`` reports what the machinery absorbed.
     """
     import time as _time

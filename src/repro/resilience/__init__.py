@@ -11,31 +11,24 @@ that proves they work:
   timeout policy (``REPRO_RETRIES``, ``REPRO_RETRY_BACKOFF``,
   ``REPRO_ITEM_TIMEOUT``) that :func:`repro.core.parallel.parallel_map`
   applies per item, so a dead worker costs only its in-flight items.
-- :mod:`repro.resilience.checkpoint` -- the result entry codec plus the
-  run journal (``REPRO_CHECKPOINT_DIR`` / ``repro run --resume <dir>``):
-  every finished (scheme, layer, seed) result that enters the result
-  memo is also persisted, and a resumed run preloads the journal so only
-  unfinished work re-executes. The store's result tier writes and reads
-  the same checksummed entries.
+- :mod:`repro.resilience.checkpoint` -- the checksummed entry codec of
+  the store's result tier: every finished (scheme, layer, seed) result
+  that enters the result memo is published as one entry, so a rerun over
+  the same store (``repro run --resume <dir>`` uses *dir* as the store)
+  re-executes only unfinished work.
 - :mod:`repro.resilience.faults` -- deterministic, seeded fault
   injection (``REPRO_FAULT=worker_crash:0.1,cache_corrupt:2``) so every
   degradation path is exercised in tests and CI rather than discovered
   in production.
 - :mod:`repro.resilience.doctor` -- ``repro doctor``: scan, verify and
-  prune the on-disk store (workload and result entries), journals and
-  their quarantined entries.
+  prune the on-disk store (workload and result entries) and its
+  quarantined entries.
 
 Recovery never changes results: every retried or resumed item recomputes
 from its arguments alone, so a faulted run's figures are byte-identical
 to a clean serial run (the chaos tests assert exactly that).
 """
 
-from repro.resilience.checkpoint import (
-    checkpoint_dir,
-    journal_result,
-    load_journal,
-    preload_journal,
-)
 from repro.resilience.faults import FaultPlan, InjectedFault, fault_point, fire, suppressed
 from repro.resilience.retry import RetryPolicy, call_with_retry
 
@@ -47,10 +40,6 @@ __all__ = [
     "suppressed",
     "RetryPolicy",
     "call_with_retry",
-    "checkpoint_dir",
-    "journal_result",
-    "load_journal",
-    "preload_journal",
     "resilience_summary",
 ]
 
@@ -67,8 +56,6 @@ def resilience_summary(counters: dict[str, float]) -> dict[str, float]:
         "timeouts": counters.get("resilience.timeout", 0),
         "pool_fallbacks": counters.get("pool_fallback", 0),
         "quarantines": counters.get("cache.disk.quarantine", 0),
-        "checkpoint_stored": counters.get("checkpoint.store", 0),
-        "checkpoint_loaded": counters.get("checkpoint.loaded", 0),
         "faults_injected": sum(
             v for k, v in counters.items() if k.startswith("fault.")
         ),

@@ -1,22 +1,18 @@
 """Result entries: one codec, one atomic writer, one verifying reader.
 
 A finished per-layer result -- a (scheme, layer spec, config, seed,
-source) key and its :class:`~repro.sim.results.LayerResult` -- is
-persisted in two places, both written and read here:
+source) key and its :class:`~repro.sim.results.LayerResult` -- lives in
+exactly one place: the result tier of the store. With
+``$REPRO_CACHE_DIR`` set, :mod:`repro.core.workload` publishes every
+result as ``result-<sha>.json`` beside the workload ``.npz`` entries and
+reads it back on a memo miss, so a warm process answers without
+simulating. The same entries carry the two recovery paths:
 
-- **The checkpoint journal.** A crashed multi-hour run should cost only
-  the work that was in flight, not the figure. When
-  ``REPRO_CHECKPOINT_DIR`` points at a run directory (the CLI's
-  ``repro run --resume <dir>`` sets it), every result that enters the
-  result memo in :mod:`repro.core.workload` is journaled there as
-  ``ckpt-<sha>.json``, and a resumed run preloads the journal back into
-  the memo before executing anything, so only unfinished work re-runs.
-  Distributed sweeps (:mod:`repro.dist.worker`) coordinate on the same
+- **Resume.** ``repro run --resume DIR`` uses *DIR* as the store, so a
+  rerun after a crash answers every published result from it and
+  re-executes only the work that was in flight.
+- **Distributed sweeps.** :mod:`repro.dist.worker` coordinates on the
   entries: a unit is done when its entry exists.
-- **The result tier of the store.** With ``$REPRO_CACHE_DIR`` set,
-  :mod:`repro.core.workload` publishes every result as
-  ``result-<sha>.json`` beside the workload ``.npz`` entries and reads it
-  back on a memo miss, so a warm process answers without simulating.
 
 An entry is one JSON document ``{"sha256": <hex>, "body": {"key": ...,
 "value": ...}}``. The checksum covers the body's bytes exactly as
@@ -38,9 +34,8 @@ flipped) fails its checksum on load and is quarantined to ``.corrupt``
 and counted -- a damaged entry degrades to recomputation, never to a
 crash or a wrong figure.
 
-Spawned workers inherit ``REPRO_CHECKPOINT_DIR`` and ``REPRO_CACHE_DIR``
-through the environment, so a fanned-out run persists from every
-process.
+Spawned workers inherit ``REPRO_CACHE_DIR`` through the environment, so
+a fanned-out run persists from every process.
 """
 
 from __future__ import annotations
@@ -62,20 +57,16 @@ from repro.telemetry import events
 
 __all__ = [
     "DAMAGE",
-    "checkpoint_dir",
     "decode",
     "encode",
     "entry_path",
-    "journal_result",
-    "load_journal",
     "parse_entry",
-    "preload_journal",
     "quarantine",
     "read_entry",
     "write_entry",
 ]
 
-_PREFIX = "ckpt-"
+_PREFIX = "result-"
 _SUFFIX = ".json"
 
 #: ndarray kinds the codec carries: bool, signed, unsigned, float, complex.
@@ -194,10 +185,10 @@ def parse_entry(raw: bytes) -> tuple[tuple, object]:
 # -- entries on disk ------------------------------------------------------------
 
 
-def entry_path(base: pathlib.Path, key: tuple, prefix: str = _PREFIX) -> pathlib.Path:
+def entry_path(base: pathlib.Path, key: tuple) -> pathlib.Path:
     """The entry file for one result key (content-addressed)."""
     digest = hashlib.sha256(repr(key).encode()).hexdigest()[:24]
-    return base / f"{prefix}{digest}{_SUFFIX}"
+    return base / f"{_PREFIX}{digest}{_SUFFIX}"
 
 
 def write_entry(path: pathlib.Path, key: tuple, value) -> bool:
@@ -224,14 +215,14 @@ def write_entry(path: pathlib.Path, key: tuple, value) -> bool:
 
 
 def read_entry(
-    path: pathlib.Path, counter: str, key: tuple | None = None
+    path: pathlib.Path, counter: str, key: tuple
 ) -> tuple[tuple, object] | None:
     """The verified ``(key, value)`` at *path*, or ``None``.
 
     ``None`` when the file is absent or unreadable; when it is damaged
     (quarantined: renamed to ``.corrupt``, *counter* incremented); or
-    when *key* is given and the entry holds a different one (a digest
-    collision, counted as ``cache.disk.collision``).
+    when the entry holds a key other than *key* (a digest collision,
+    counted as ``cache.disk.collision``).
     """
     try:
         raw = path.read_bytes()
@@ -247,7 +238,7 @@ def read_entry(
     except DAMAGE as exc:
         quarantine(path, exc, counter)
         return None
-    if key is not None and found != key:
+    if found != key:
         # The 96-bit file name matched but the full key does not.
         # Recompute rather than trust -- and count it, because a
         # collision storm reads as a plain miss otherwise.
@@ -272,70 +263,3 @@ def quarantine(path: pathlib.Path, error: Exception, counter: str) -> None:
         os.replace(path, path.with_suffix(path.suffix + ".corrupt"))
     except OSError:
         pass  # best-effort: recompute happens regardless
-
-
-# -- the checkpoint journal ----------------------------------------------------
-
-
-def checkpoint_dir() -> pathlib.Path | None:
-    """The active run directory from ``REPRO_CHECKPOINT_DIR``, if any."""
-    path = os.environ.get("REPRO_CHECKPOINT_DIR")
-    return pathlib.Path(path) if path else None
-
-
-def journal_result(key: tuple, value) -> None:
-    """Persist one finished result to the active journal (best-effort).
-
-    No-op when no journal is active or the entry already exists. A full
-    or read-only volume costs the persistence, not the run.
-    """
-    base = checkpoint_dir()
-    if base is None:
-        return
-    path = entry_path(base, key)
-    try:
-        if write_entry(path, key, value):
-            telemetry.count("checkpoint.store")
-    except OSError as exc:
-        _log.warning(
-            "checkpoint store failed %s", telemetry.kv(path=path, error=exc)
-        )
-
-
-def load_journal(base: pathlib.Path) -> list[tuple[tuple, object]]:
-    """Every readable (key, value) pair journaled under *base*.
-
-    Damaged entries are renamed to ``<name>.corrupt`` and counted as
-    ``checkpoint.quarantine`` -- the run they belong to simply
-    recomputes them. Entries come back sorted by filename so preloading
-    is deterministic.
-    """
-    paths = sorted(base.glob(f"{_PREFIX}*{_SUFFIX}"))
-    entries = (read_entry(path, "checkpoint.quarantine") for path in paths)
-    return [entry for entry in entries if entry is not None]
-
-
-def preload_journal(base: pathlib.Path | None = None) -> int:
-    """Load a run directory's journal into the in-memory result memo.
-
-    Returns the number of entries restored (counted as
-    ``checkpoint.loaded``); subsequent ``lookup_result`` hits skip the
-    simulators for that work. With *base* unset, the active
-    ``REPRO_CHECKPOINT_DIR`` is used; no directory (or an empty one)
-    restores nothing.
-    """
-    from repro.core import workload  # late: workload journals through us
-
-    base = base if base is not None else checkpoint_dir()
-    if base is None or not base.is_dir():
-        return 0
-    loaded = 0
-    for key, value in load_journal(base):
-        workload.store_result(key, value)
-        loaded += 1
-    if loaded:
-        telemetry.count("checkpoint.loaded", loaded)
-        _log.info(
-            "resumed from journal %s", telemetry.kv(dir=base, entries=loaded)
-        )
-    return loaded

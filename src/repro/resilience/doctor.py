@@ -1,16 +1,17 @@
 """``repro doctor``: scan, verify and prune the on-disk stores.
 
-The store (``$REPRO_CACHE_DIR``: workload ``.npz`` and result ``.json``
-entries) and checkpoint journals survive crashes by design -- which
-means they also accumulate the debris of crashes: truncated entries,
-orphaned ``.tmp`` files from interrupted atomic writes, ``.part`` event
-side files and ``.claim`` single-flight leases whose writers were
-killed, and ``.corrupt`` quarantine markers left by earlier runs. The
-doctor walks a directory, verifies every entry the same way the runtime
-loaders do (every ``.npz`` array member is actually decompressed, not
-just the zip directory; every result and journal entry is checksummed
-and decoded), quarantines entries that fail verification, and -- with
-``--prune`` -- deletes quarantined and orphaned files.
+The store (``$REPRO_CACHE_DIR``, a ``--resume`` directory or a sweep's
+``--store``: workload ``.npz`` and result ``.json`` entries) survives
+crashes by design -- which means it also accumulates the debris of
+crashes: truncated entries, orphaned ``.tmp`` files from interrupted
+atomic writes, ``.part`` event side files and ``.claim`` single-flight
+leases whose writers were killed, and ``.corrupt`` quarantine markers
+left by earlier runs. The doctor walks a directory, verifies every
+entry the same way the runtime loaders do (every ``.npz`` array member
+is actually decompressed, not just the zip directory; every result
+entry is checksummed and decoded), quarantines entries that fail
+verification, and -- with ``--prune`` -- deletes quarantined and
+orphaned files.
 
 Verification is read-only apart from quarantine renames; pruning never
 touches healthy entries, so ``repro doctor --prune`` is always safe to
@@ -66,7 +67,7 @@ def _verify_npz(path: pathlib.Path) -> None:
 
 
 def _verify_entry(path: pathlib.Path) -> None:
-    """Checksum and decode one result/journal entry; raises on corruption."""
+    """Checksum and decode one result entry; raises on corruption."""
     checkpoint.parse_entry(path.read_bytes())
 
 
@@ -116,7 +117,7 @@ def _scan_health(
 
 
 def scan_store(directory: str | os.PathLike, prune: bool = False) -> DoctorReport:
-    """Verify every cache/journal entry under *directory*.
+    """Verify every store entry under *directory*.
 
     Corrupt entries are renamed to ``.corrupt`` (counted as
     ``cache.disk.quarantine``); with *prune*, quarantined entries and
@@ -153,7 +154,7 @@ def scan_store(directory: str | os.PathLike, prune: bool = False) -> DoctorRepor
             try:
                 if path.match("workload-*.npz"):
                     _verify_npz(path)
-                elif path.match("ckpt-*.json") or path.match("result-*.json"):
+                elif path.match("result-*.json"):
                     _verify_entry(path)
                 else:
                     continue

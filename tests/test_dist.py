@@ -242,7 +242,7 @@ class TestExecuteUnit:
         unit = plan.units[0]
         assert dist_worker.execute_unit(tmp_path, unit, plan) == "computed"
         assert dist_worker.unit_entry(tmp_path, unit, plan).exists()
-        # The journal entry, not the in-memory memo, is the done marker.
+        # The result entry, not the in-memory memo, is the done marker.
         clear_caches()
         assert dist_worker.execute_unit(tmp_path, unit, plan) == "skipped"
 
@@ -268,7 +268,7 @@ class TestExecuteUnit:
 
     def test_unit_key_matches_the_published_entry(self, tmp_path):
         # The dist coordination predicate (unit_entry exists) must hit
-        # the exact file simulate_at_fidelity journals through the memo.
+        # the exact file simulate_at_fidelity publishes through the memo.
         from repro.analytical.fidelity import fidelity_result_key
 
         plan = _tiny_plan()
@@ -302,16 +302,16 @@ class TestRunShard:
         dist_shard.publish_plan(tmp_path, plan)
         dist_worker.run_shard(tmp_path, plan, shard=(0, 2), steal=False)
         mtimes = {
-            p.name: p.stat().st_mtime for p in tmp_path.glob("ckpt-*.json")
+            p.name: p.stat().st_mtime for p in tmp_path.glob("result-*.json")
         }
         assert mtimes  # shard 0 published something
         clear_caches()
-        # "Restarted" run over the whole grid: journal entries from the
+        # "Restarted" run over the whole grid: result entries from the
         # first life are never rewritten -- mtime is the proof.
         summary = dist_worker.run_shard(tmp_path, plan, shard=None, steal=False)
         assert summary["skipped"] == len(mtimes)
         assert summary["computed"] == len(plan.units) - len(mtimes)
-        for path in tmp_path.glob("ckpt-*.json"):
+        for path in tmp_path.glob("result-*.json"):
             if path.name in mtimes:
                 assert path.stat().st_mtime == mtimes[path.name]
 
@@ -336,6 +336,53 @@ class TestRunShard:
     def test_run_worker_idles_out_without_a_plan(self, tmp_path):
         summary = dist_worker.run_worker(tmp_path, poll=0.01, max_idle=0.05)
         assert summary["computed"] == 0 and summary["passes"] == 0
+
+    def test_sweep_cli_keeps_one_copy_per_unit(self, tmp_path, monkeypatch):
+        # `repro sweep --store S` uses S itself as the store: one result
+        # entry per unit, no second copy under another name or S/cache.
+        from repro.cli import main
+
+        for var in ("REPRO_CACHE_DIR", "REPRO_EVENTS", "REPRO_METRICS"):
+            monkeypatch.setenv(var, "")  # restored on teardown
+        store = tmp_path / "store"
+        assert main([
+            "sweep", "--store", str(store), "--network", "alexnet",
+            "--layers", "Layer1,Layer2", "--schemes", "sparten,dense",
+            "--seeds", "0", "--fidelity", "analytical", "--sample", "50",
+            "--reconcile",
+        ]) == 0
+        plan = dist_shard.load_plan(store)
+        entries = sorted(store.glob("result-*.json"))
+        assert len(entries) == len(plan.units) == 4
+        assert entries == sorted(
+            dist_worker.unit_entry(store, u, plan) for u in plan.units
+        )
+        assert not list(store.glob("ckpt-*.json"))
+        assert not (store / "cache").exists()
+        assert scan_store(store).ok
+
+    def test_published_entries_hold_the_computed_result(self, tmp_path, monkeypatch):
+        # No cache dir and a result memo that keeps nothing: the unit's
+        # entry must still hold the value the simulation returned.
+        from repro.analytical.fidelity import simulate_at_fidelity
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.setattr(workload._RESULTS, "max_entries", 0)
+        plan = _tiny_plan()
+        dist_shard.publish_plan(tmp_path, plan)
+        summary = dist_worker.run_shard(tmp_path, plan, steal=False)
+        assert summary["computed"] == len(plan.units)
+        assert len(list(tmp_path.glob("result-*.json"))) == len(plan.units)
+        for unit in plan.units:
+            key, value = checkpoint.parse_entry(
+                dist_worker.unit_entry(tmp_path, unit, plan).read_bytes()
+            )
+            spec, cfg = dist_worker._resolve(unit, plan)
+            expected = simulate_at_fidelity(
+                unit.scheme, spec, cfg, seed=unit.seed, fidelity=plan.fidelity
+            )
+            assert key == dist_worker.unit_key(unit, plan)
+            assert value is not None and value == expected
 
     def test_reconcile_flags_duplicates(self, tmp_path):
         plan = _tiny_plan()

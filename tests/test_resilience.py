@@ -34,7 +34,7 @@ def fresh_state(monkeypatch):
     # with monkeypatch restores whatever state the test started from,
     # including mutations made by code under test (cli --resume).
     for var in ("REPRO_FAULT", "REPRO_FAULT_SEED", "REPRO_FAULT_SLEEP",
-                "REPRO_CHECKPOINT_DIR", "REPRO_CACHE_DIR", "REPRO_JOBS",
+                "REPRO_CACHE_DIR", "REPRO_JOBS",
                 "REPRO_RETRIES", "REPRO_ITEM_TIMEOUT"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
@@ -271,33 +271,30 @@ def _tiny_comparison(mini_cfg):
 
 class TestCheckpointResume:
     def test_results_journal_as_they_finish(self, tmp_path, monkeypatch, mini_cfg):
+        # Every finished result is published to the store's result tier.
         run_dir = tmp_path / "run"
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(run_dir))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(run_dir))
         _tiny_comparison(mini_cfg)
-        entries = list(run_dir.glob("ckpt-*.json"))
+        entries = list(run_dir.glob("result-*.json"))
         assert len(entries) == 9  # 3 layers x 3 schemes
         counters = telemetry.get_recorder().counters()
-        assert counters["checkpoint.store"] == 9.0
+        assert counters["cache.result.disk_store"] == 9.0
 
     def test_resume_reruns_only_unfinished_work(self, tmp_path, monkeypatch, mini_cfg):
         run_dir = tmp_path / "run"
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(run_dir))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(run_dir))
         baseline = _tiny_comparison(mini_cfg)
-        entries = sorted(run_dir.glob("ckpt-*.json"))
+        entries = sorted(run_dir.glob("result-*.json"))
         assert len(entries) == 9
         # Simulate a mid-run kill: two results never made it to the
-        # journal. A resumed run must redo exactly those two.
+        # store. A resumed run must redo exactly those two.
         for victim in entries[:2]:
             victim.unlink()
         clear_caches()
         telemetry.reset()
-        loaded = checkpoint.preload_journal(run_dir)
-        assert loaded == 7
         resumed = _tiny_comparison(mini_cfg)
         spans = telemetry.get_recorder().span_totals()
         assert spans["simulate"]["calls"] == 2  # only the deleted pair re-ran
-        counters = telemetry.get_recorder().counters()
-        assert counters["checkpoint.loaded"] == 7.0
         for scheme in baseline.results:
             for layer, a in baseline.results[scheme].items():
                 b = resumed.results[scheme][layer]
@@ -305,28 +302,6 @@ class TestCheckpointResume:
                 assert (a.counters is None) == (b.counters is None)
                 if a.counters is not None:
                     assert a.counters.to_dict() == b.counters.to_dict()
-
-    def test_corrupt_journal_entry_quarantined_not_fatal(self, tmp_path, monkeypatch, mini_cfg):
-        run_dir = tmp_path / "run"
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(run_dir))
-        _tiny_comparison(mini_cfg)
-        victim = sorted(run_dir.glob("ckpt-*.json"))[0]
-        victim.write_bytes(b"\x80\x04 truncated garbage")
-        clear_caches()
-        telemetry.reset()
-        loaded = checkpoint.preload_journal(run_dir)
-        assert loaded == 8
-        assert victim.with_suffix(".json.corrupt").exists()
-        counters = telemetry.get_recorder().counters()
-        assert counters["checkpoint.quarantine"] == 1.0
-        # The damaged item simply recomputes.
-        resumed = _tiny_comparison(mini_cfg)
-        assert resumed.results["dense"]  # completed without raising
-
-    def test_no_active_journal_is_free(self, tmp_path):
-        assert checkpoint.checkpoint_dir() is None
-        checkpoint.journal_result(("result", "x"), {"cycles": 1})  # no-op
-        assert checkpoint.preload_journal(tmp_path / "missing") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +394,9 @@ class TestDoctor:
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_scan_verifies_checkpoint_entries(self, tmp_path):
-        good = tmp_path / "ckpt-aaaa.json"
+        good = tmp_path / "result-aaaa.json"
         assert checkpoint.write_entry(good, ("result", "x"), 1)
-        bad = tmp_path / "ckpt-bbbb.json"
+        bad = tmp_path / "result-bbbb.json"
         assert checkpoint.write_entry(bad, ("result", "y"), 2.5)
         raw = bad.read_bytes()
         bad.write_bytes(raw.replace(b"result", b"resuIt"))  # garbled body
@@ -449,12 +424,18 @@ class TestDoctor:
         assert "REPRO_CACHE_DIR" in capsys.readouterr().out
 
     def test_cli_resume_flag_sets_journal(self, tmp_path, monkeypatch, capsys):
+        # --resume DIR makes DIR the store, winning over an inherited
+        # REPRO_CACHE_DIR (restored on teardown).
         from repro.cli import main
 
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", "")  # restored on teardown
+        elsewhere = tmp_path / "elsewhere"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(elsewhere))
         run_dir = tmp_path / "run"
-        assert main(["run", "fig14", "--resume", str(run_dir)]) == 0
-        assert os.environ["REPRO_CHECKPOINT_DIR"] == str(run_dir)
+        clear_caches()
+        assert main(["run", "fig7", "--resume", str(run_dir)]) == 0
+        assert os.environ["REPRO_CACHE_DIR"] == str(run_dir)
+        assert list(run_dir.glob("result-*.json"))
+        assert not list(elsewhere.glob("result-*.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +451,6 @@ class TestManifestResilience:
                 "resilience.timeout": 1,
                 "pool_fallback": 1,
                 "cache.disk.quarantine": 2,
-                "checkpoint.store": 9,
-                "checkpoint.loaded": 7,
                 "fault.worker_crash": 4,
                 "fault.cache_corrupt": 2,
                 "unrelated.counter": 99,
@@ -482,8 +461,6 @@ class TestManifestResilience:
             "timeouts": 1,
             "pool_fallbacks": 1,
             "quarantines": 2,
-            "checkpoint_stored": 9,
-            "checkpoint_loaded": 7,
             "faults_injected": 6,
         }
 
