@@ -1,6 +1,6 @@
 """Cross-experiment workload cache: memoised synthesis, chunk work, results.
 
-Every figure in the evaluation funnels through ``synthesize_layer`` +
+Every figure in the evaluation funnels through ``synthesize_masks`` +
 ``compute_chunk_work`` -- and different runners request content-identical
 workloads (``headline_means`` regenerates per-network speedups, then the
 energy and FPGA figures redo the very same mask work). This module keys
@@ -11,15 +11,20 @@ those products *by value* so the redundancy disappears:
   the kernel actually reads -- ``chunk_size``, ``n_clusters``,
   ``position_sample`` (batch enters through per-image seeds). Every
   timing model reads occupancy only, so the cache carries the boolean
-  masks (:func:`get_layer_masks`, derived once per (spec, seed)) and
-  never the dense float64 tensors. Entries live in a bounded in-memory
-  LRU (``REPRO_CACHE_ENTRIES`` / ``REPRO_CACHE_BYTES``) with an optional
-  on-disk ``.npz`` store under ``$REPRO_CACHE_DIR`` that persists across
-  processes; each entry holds both masks inline as ``np.packbits``
-  members, one bit per element. A cached entry computed with
-  ``need_counts=False`` is upgraded in place when a caller later needs
-  the counts tensor. The dense :class:`LayerData` stays behind
-  :func:`get_layer_data` for the value-level consumers.
+  masks (:func:`get_layer_masks`, synthesized once per (spec, seed)
+  without a dense tensor) and never the dense float64 tensors. Entries
+  live in a bounded in-memory LRU (``REPRO_CACHE_ENTRIES`` /
+  ``REPRO_CACHE_BYTES``) with an optional on-disk ``.npz`` store under
+  ``$REPRO_CACHE_DIR`` that persists across processes. Each store entry
+  holds both masks inline as ``np.packbits`` members, one bit per
+  element, plus the counts-free chunk work (one-sided populations, match
+  sums, filter chunk occupancy, position assignment). The
+  ``(n_chunks, n_sel, F)`` counts tensor is never written: it is by far
+  the largest member and one kernel call rebuilds it from the masks, so
+  a counts request served from the store recomputes it on load. A cached
+  entry computed with ``need_counts=False`` is upgraded in place when a
+  caller later needs the counts tensor. The dense :class:`LayerData`
+  stays behind :func:`get_layer_data` for the value-level consumers.
 - **Result memo** (:func:`lookup_result` / :func:`store_result`): finished
   per-layer simulation results keyed by (scheme, spec fields, *full*
   config fields, seed), so a warm re-run of a figure skips the
@@ -69,7 +74,12 @@ from repro.core import parallel
 from repro.core.env import env_int
 from repro.resilience import checkpoint, faults
 from repro.nets.layers import ConvLayerSpec
-from repro.nets.synthesis import LayerData, LayerMasks, synthesize_layer
+from repro.nets.synthesis import (
+    LayerData,
+    LayerMasks,
+    synthesize_layer,
+    synthesize_masks,
+)
 from repro.sim.config import HardwareConfig
 from repro.sim.kernels import ChunkWork, PositionAssignment, compute_chunk_work
 
@@ -296,16 +306,12 @@ def get_layer_data(spec: ConvLayerSpec, seed: int = 0) -> LayerData:
 
 
 def get_layer_masks(spec: ConvLayerSpec, seed: int = 0) -> LayerMasks:
-    """Memoised occupancy of :func:`synthesize_layer`, derived once.
-
-    Only the masks enter the LRU; the dense arrays they come from are
-    dropped as soon as the masks exist.
-    """
+    """Memoised :func:`synthesize_masks`: the occupancy, never the values."""
     key = ("masks", type(spec).__name__, astuple(spec), int(seed))
     masks = _WORKLOADS.get(key)
     if masks is None:
         with telemetry.span("synthesize", layer=spec.name):
-            masks = LayerMasks.of(synthesize_layer(spec, seed=seed))
+            masks = synthesize_masks(spec, seed=seed)
         _WORKLOADS.put(key, masks, arrays=(masks.input_mask, masks.filter_masks))
     return masks
 
@@ -331,31 +337,40 @@ def get_workload(
     """
     key = workload_key(spec, cfg, seed)
     entry = _WORKLOADS.get(key)
-    if entry is not None and _satisfies(entry[1], need_counts):
-        return entry
-    disk = _disk_load(key, spec, need_counts)
+    if entry is not None:
+        if _satisfies(entry[1], need_counts):
+            return entry
+        # Upgrade in place. The store's entry holds no counts either, so
+        # only the in-memory copy changes.
+        pair = (entry[0], _chunk_work(entry[0], cfg, need_counts=True))
+        _WORKLOADS.put(key, pair, arrays=_pair_arrays(pair))
+        return pair
+    disk = _disk_load(key, spec, cfg, need_counts)
     if disk is not None:
         _WORKLOADS.put(key, disk, arrays=_pair_arrays(disk))
         return disk
     claim, published = _claim_compute(key)
     if published:
-        disk = _disk_load(key, spec, need_counts)
+        disk = _disk_load(key, spec, cfg, need_counts)
         if disk is not None:
             _WORKLOADS.put(key, disk, arrays=_pair_arrays(disk))
             return disk
-        # The peer's entry is unusable for us (shallower need_counts,
-        # quarantined): compute after all, and republish richer.
+        # The peer's entry was quarantined: compute after all.
     try:
-        masks = entry[0] if entry is not None else get_layer_masks(spec, seed)
-        with telemetry.span("chunk_work", layer=spec.name):
-            work = compute_chunk_work(masks, cfg, need_counts=need_counts)
-        pair = (masks, work)
+        masks = get_layer_masks(spec, seed)
+        pair = (masks, _chunk_work(masks, cfg, need_counts))
         _WORKLOADS.put(key, pair, arrays=_pair_arrays(pair))
         _disk_store(key, pair)
     finally:
         if claim is not None:
             claim.release()
     return pair
+
+
+def _chunk_work(masks: LayerMasks, cfg: HardwareConfig, need_counts: bool) -> ChunkWork:
+    """:func:`compute_chunk_work` under the ``chunk_work`` span."""
+    with telemetry.span("chunk_work", layer=masks.spec.name):
+        return compute_chunk_work(masks, cfg, need_counts=need_counts)
 
 
 def _claim_compute(key: tuple):
@@ -535,8 +550,6 @@ def _disk_store(key: tuple, pair: tuple[LayerMasks, ChunkWork]) -> None:
         "weight_of": work.assignment.weight_of,
         "cluster_positions": work.assignment.cluster_positions,
     }
-    if work.counts is not None:
-        payload["counts"] = work.counts
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -561,8 +574,17 @@ def _disk_store(key: tuple, pair: tuple[LayerMasks, ChunkWork]) -> None:
 
 
 def _disk_load(
-    key: tuple, spec: ConvLayerSpec, need_counts: bool
+    key: tuple,
+    spec: ConvLayerSpec,
+    cfg: HardwareConfig | None = None,
+    need_counts: bool = False,
 ) -> tuple[LayerMasks, ChunkWork] | None:
+    """The store's entry under *key*, or ``None`` on a miss or damage.
+
+    Entries hold no counts tensor: a counts request (*need_counts*, with
+    the *cfg* the key was built from) rebuilds it from the loaded masks,
+    which costs a kernel call but no synthesis.
+    """
     path = _disk_path(key)
     if path is None or not path.exists():
         return None
@@ -585,8 +607,6 @@ def _disk_load(
                     telemetry.kv(path=path),
                 )
                 return None
-            if need_counts and "counts" not in z.files:
-                return None
             masks = LayerMasks(
                 spec=spec,
                 input_mask=_unpack_mask(
@@ -605,7 +625,7 @@ def _disk_load(
                 cluster_positions=z["cluster_positions"],
             )
             work = ChunkWork(
-                counts=z["counts"] if "counts" in z.files else None,
+                counts=None,
                 input_pop=z["input_pop"],
                 match_sums=z["match_sums"],
                 assignment=assignment,
@@ -627,6 +647,8 @@ def _disk_load(
         return None
     _WORKLOADS.stats.disk_hits += 1
     telemetry.count("cache.disk.load")
+    if need_counts:
+        work = _chunk_work(masks, cfg, need_counts=True)
     return (masks, work)
 
 

@@ -10,7 +10,7 @@ DESIGN.md, substitutions).
 
 from repro.nets.layers import ConvLayerSpec, FCLayerSpec
 from repro.nets.models import NetworkSpec, alexnet, googlenet, vggnet, all_networks
-from repro.nets.synthesis import LayerData, LayerMasks, synthesize_layer
+from repro.nets.synthesis import LayerData, LayerMasks, synthesize_layer, synthesize_masks
 from repro.nets.reference import conv2d_reference, fc_reference
 from repro.nets.pooling import max_pool2d
 
@@ -26,6 +26,7 @@ __all__ = [
     "LayerData",
     "LayerMasks",
     "synthesize_layer",
+    "synthesize_masks",
     "conv2d_reference",
     "fc_reference",
 ]

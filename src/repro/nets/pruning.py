@@ -23,6 +23,7 @@ import numpy as np
 __all__ = [
     "prune_to_density",
     "per_filter_densities",
+    "prune_masks",
     "prune_filters",
     "DEFAULT_FILTER_SPREAD",
 ]
@@ -85,6 +86,26 @@ def per_filter_densities(
     return np.clip(shifted, 0.01, 1.0)
 
 
+def prune_masks(magnitudes: np.ndarray, densities: np.ndarray) -> np.ndarray:
+    """Per-row magnitude-pruning masks of a ``(F, ...)`` bank of magnitudes.
+
+    Row ``f`` keeps its ``round(densities[f] * row_size)`` largest
+    entries -- exactly the elements :func:`prune_to_density` keeps for
+    that row, ties included (the same ``argpartition`` on the same
+    values).
+    """
+    rows = magnitudes.reshape(magnitudes.shape[0], -1)
+    size = rows.shape[1]
+    mask = np.zeros(rows.shape, dtype=bool)
+    for f, density in enumerate(densities):
+        keep = int(round(float(density) * size))
+        if keep >= size:
+            mask[f] = True
+        elif keep:
+            mask[f, np.argpartition(rows[f], -keep)[-keep:]] = True
+    return mask.reshape(magnitudes.shape)
+
+
 def prune_filters(
     filters: np.ndarray,
     target_density: float,
@@ -102,7 +123,4 @@ def prune_filters(
     densities = per_filter_densities(
         filters.shape[0], target_density, spread=spread, rng=rng
     )
-    pruned = np.empty_like(filters)
-    for f in range(filters.shape[0]):
-        pruned[f] = prune_to_density(filters[f], float(densities[f]))
-    return pruned
+    return np.where(prune_masks(np.abs(filters), densities), filters, 0.0)

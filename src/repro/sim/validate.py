@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nets.layers import ConvLayerSpec
-from repro.nets.synthesis import LayerMasks, synthesize_layer
+from repro.nets.synthesis import LayerMasks, synthesize_masks
 from repro.sim.config import HardwareConfig
 from repro.sim.dense import simulate_dense
 from repro.sim.kernels import ChunkWork, compute_chunk_work
@@ -58,7 +58,7 @@ def validate_layer(
 ) -> ValidationReport:
     """Run every simulator on one workload and check the invariants."""
     if data is None:
-        data = LayerMasks.of(synthesize_layer(spec, seed=seed))
+        data = synthesize_masks(spec, seed=seed)
     if work is None:
         work = compute_chunk_work(data, cfg, need_counts=True)
 

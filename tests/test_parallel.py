@@ -171,8 +171,11 @@ class TestSharedPool:
     def test_consecutive_fanouts_reuse_the_workers(self):
         first = parallel.parallel_map(_worker_pid, range(6), jobs=2)
         second = parallel.parallel_map(_worker_pid, range(6), jobs=2)
-        assert os.getpid() not in first
-        assert set(second) <= set(first)
+        assert os.getpid() not in first + second
+        # One worker may serve every item of a map, so the second map's
+        # pids need not be a subset of the first's; a reused pool of two
+        # never shows more than two pids across both.
+        assert len(set(first) | set(second)) <= 2
         assert self._counter("parallel.pool_start") == 1
 
     def test_changed_repro_env_starts_a_new_pool(self, monkeypatch):

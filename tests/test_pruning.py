@@ -75,6 +75,18 @@ class TestPerFilterDensities:
 
 
 class TestPruneFilters:
+    def test_equals_per_filter_prune_to_density(self):
+        filters = np.random.default_rng(0).standard_normal((40, 3, 3, 7))
+        filters[3, 0, 0, :3] = 0.0  # exact zeros
+        filters[5] = 0.7  # one filter of ties
+        filters[6, 1] = -0.7  # ties of opposite sign
+        densities = per_filter_densities(40, 0.35, 0.8, np.random.default_rng(1))
+        want = np.stack(
+            [prune_to_density(f, float(d)) for f, d in zip(filters, densities)]
+        )
+        got = prune_filters(filters, 0.35, spread=0.8, rng=np.random.default_rng(1))
+        assert got.tobytes() == want.tobytes()
+
     def test_aggregate_density_close_to_target(self, rng):
         filters = rng.standard_normal((128, 3, 3, 64))
         pruned = prune_filters(filters, 0.35, rng=rng)
