@@ -6,7 +6,10 @@ manifest.json`` by default) and fails when it reports zero
 silently fell back to the GEMM path, so the benchmark numbers no longer
 measure what CI thinks they measure. On a native-capable runner the
 same goes for ``kernel.reduce_native_dispatch``: zero means every
-scheme reduction fell back to the blocked NumPy path. The check is
+scheme reduction fell back to the blocked NumPy path. And any
+``kernel.reduce_relayout`` count fails it: the native reduction had to
+copy a position-major counts tensor into its filter-major layout, so the
+fast path the benchmarks time was not the one that ran. The check is
 skipped when ``REPRO_NO_NATIVE`` is set (the fallback is then
 intentional).
 
@@ -42,6 +45,7 @@ def main(argv: list[str] | None = None) -> int:
     gemm_calls = counters.get("kernel.gemm_dispatch", 0)
     reduce_native = counters.get("kernel.reduce_native_dispatch", 0)
     reduce_fallback = counters.get("kernel.reduce_fallback_dispatch", 0)
+    relayouts = counters.get("kernel.reduce_relayout", 0)
     if native_calls <= 0:
         print(
             f"check_manifest: FAIL -- manifest {path} reports zero native-kernel "
@@ -58,6 +62,14 @@ def main(argv: list[str] | None = None) -> int:
             "compiled engine."
         )
         _explain_native()
+        return 1
+    if relayouts > 0:
+        print(
+            f"check_manifest: FAIL -- manifest {path} reports {int(relayouts)} "
+            "native reductions that first copied position-major counts into "
+            "the filter-major layout; some caller bypassed compute_chunk_work's "
+            "counts storage."
+        )
         return 1
     print(
         f"check_manifest: OK -- {int(native_calls)} native dispatches "

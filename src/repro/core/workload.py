@@ -345,17 +345,24 @@ def get_workload(
         pair = (entry[0], _chunk_work(entry[0], cfg, need_counts=True))
         _WORKLOADS.put(key, pair, arrays=_pair_arrays(pair))
         return pair
+    path = _disk_path(key)
+    absent = path is not None and not path.exists()
     disk = _disk_load(key, spec, cfg, need_counts)
     if disk is not None:
         _WORKLOADS.put(key, disk, arrays=_pair_arrays(disk))
         return disk
     claim, published = _claim_compute(key)
-    if published:
+    if published or (claim is not None and absent):
+        # A won claim checks again when there was no entry: a peer may
+        # have computed, published and released between our miss above
+        # and the election.
         disk = _disk_load(key, spec, cfg, need_counts)
         if disk is not None:
+            if claim is not None:
+                claim.release()
             _WORKLOADS.put(key, disk, arrays=_pair_arrays(disk))
             return disk
-        # The peer's entry was quarantined: compute after all.
+        # No entry, or the peer's was quarantined: compute.
     try:
         masks = get_layer_masks(spec, seed)
         pair = (masks, _chunk_work(masks, cfg, need_counts))

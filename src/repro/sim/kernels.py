@@ -19,7 +19,11 @@ then:
   table over the packed masks (no float work at all);
 - match counts come from the compiled AND+popcount kernel in
   :mod:`repro.sim.native` when it is available, else from a blocked
-  float32 batched GEMM over the boolean masks;
+  float32 batched GEMM over the boolean masks. Both paths fill
+  *filter-major* ``(n_chunks, F, n_sel)`` storage (positions innermost,
+  so the native reduction streams them) and hand out the
+  ``(n_chunks, n_sel, F)`` view ``storage.transpose(0, 2, 1)``: the shape
+  every consumer indexes is unchanged, only the strides are;
 - the ``need_counts=False`` branch reduces against the per-chunk filter
   column sums with one batched matvec, never materialising the
   ``(n_chunks, n_sel, F)`` tensor.
@@ -155,7 +159,10 @@ class ChunkWork:
         counts: (n_chunks, n_sel, F) match counts, or ``None`` when only
             one-sided quantities were requested. The dtype is the
             smallest unsigned integer that can hold ``chunk_size`` (uint8
-            up to 255, see :func:`count_dtype`).
+            up to 255, see :func:`count_dtype`). The storage is
+            filter-major ``(n_chunks, F, n_sel)``; this is its
+            ``transpose(0, 2, 1)`` view, so ``counts.transpose(0, 2, 1)``
+            is C-contiguous.
         input_pop: (n_chunks, n_sel) non-zero input-window counts per
             chunk (one-sided work; identical for every compute unit).
         match_sums: (n_sel,) total matches across all chunks and filters
@@ -255,10 +262,10 @@ def compute_chunk_work(
     if need_counts:
         dtype = count_dtype(chunk)
         words = (chunk + 63) // 64
-        # (n_chunks, n_sel, words) window words; (n_chunks, words, F)
-        # word-major filter words -- the native kernel's layout contract.
-        w64 = np.ascontiguousarray(_as_words(win_packed, words).transpose(1, 0, 2))
-        f64 = np.ascontiguousarray(_as_words(filt_packed, words).transpose(1, 2, 0))
+        # (n_chunks, words, n_sel) word-major window words; (n_chunks, F,
+        # words) filter words -- the native kernel's layout contract.
+        w64 = np.ascontiguousarray(_as_words(win_packed, words).transpose(1, 2, 0))
+        f64 = np.ascontiguousarray(_as_words(filt_packed, words).transpose(1, 0, 2))
         got = native.match_counts(w64, f64, n_filters, dtype)
         if got is not None:
             telemetry.count("kernel.native_dispatch")
@@ -325,21 +332,23 @@ def _match_counts_gemm(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fallback match counts: blocked batched float32 GEMM over the masks.
 
-    Exact because every product/sum is an integer below 2**24.
+    Fills the same filter-major storage as the native kernel and returns
+    its ``(n_chunks, n_sel, F)`` view. Exact because every product/sum is
+    an integer below 2**24.
     """
     n_sel, n_chunks, chunk = windows.shape
     n_filters = fmask.shape[0]
-    b = fmask.transpose(1, 2, 0).astype(np.float32)  # (n_chunks, chunk, F)
-    counts = np.empty((n_chunks, n_sel, n_filters), dtype=dtype)
+    f = fmask.transpose(1, 0, 2).astype(np.float32)  # (n_chunks, F, chunk)
+    storage = np.empty((n_chunks, n_filters, n_sel), dtype=dtype)
     match_sums = np.zeros(n_sel, dtype=np.float64)
     block = max(1, _GEMM_BLOCK_ELEMS // max(1, n_chunks * chunk))
     for lo in range(0, n_sel, block):
         hi = min(lo + block, n_sel)
-        a = windows[lo:hi].transpose(1, 0, 2).astype(np.float32)
-        blk = np.matmul(a, b).astype(dtype)
-        counts[:, lo:hi] = blk
-        match_sums[lo:hi] = blk.sum(axis=(0, 2), dtype=np.int64)
-    return counts, match_sums
+        w = windows[lo:hi].transpose(1, 2, 0).astype(np.float32)
+        blk = np.matmul(f, w).astype(dtype)  # (n_chunks, F, hi - lo)
+        storage[:, :, lo:hi] = blk
+        match_sums[lo:hi] = blk.sum(axis=(0, 1), dtype=np.int64)
+    return storage.transpose(0, 2, 1), match_sums
 
 
 def _match_totals_gemm(windows: np.ndarray, fmask: np.ndarray) -> np.ndarray:

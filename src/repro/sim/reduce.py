@@ -24,7 +24,12 @@ engine (:func:`reduce_scheme`) then evaluates any of them over the
 workload's materialized ``(n_chunks, n_sel, F)`` counts tensor through
 two interchangeable, bit-identical paths:
 
-1. native ``reduce_pairs`` (:mod:`repro.sim.native`);
+1. native ``reduce_pairs`` (:mod:`repro.sim.native`), which reads the
+   counts in their filter-major storage (``counts.transpose(0, 2, 1)``
+   is C-contiguous for every :class:`~repro.sim.kernels.ChunkWork`) and
+   streams positions: for uint8 counts on an AVX2 host, 8 positions per
+   vector lane group with each group's sum/max kept in registers, a
+   scalar loop for the remaining positions and the other dtypes;
 2. a blocked NumPy fallback (gather via ``np.take_along_axis``, reshape
    to ``(.., n_groups, rows_per_group)``, max/sum), used when the native
    kernel is unavailable (no C compiler, or ``REPRO_NO_NATIVE``).
@@ -35,7 +40,10 @@ below 2**53, so all arithmetic is exact integer math in int64 or float64
 paths promise byte-identical figures.
 
 Dispatches are observable as ``kernel.reduce_native_dispatch`` /
-``kernel.reduce_fallback_dispatch`` telemetry counters.
+``kernel.reduce_fallback_dispatch`` telemetry counters, and a native
+call that had to copy a position-major input into the filter-major
+layout first counts ``kernel.reduce_relayout`` (zero on every path that
+uses :func:`repro.sim.kernels.compute_chunk_work`).
 """
 
 from __future__ import annotations
@@ -204,6 +212,8 @@ def reduce_scheme(work, rspec: GroupReduction) -> Reduction:
     )
     if got is not None:
         telemetry.count("kernel.reduce_native_dispatch")
+        if not work.counts.transpose(0, 2, 1).flags.c_contiguous:
+            telemetry.count("kernel.reduce_relayout")
         return Reduction(*got)
     telemetry.count("kernel.reduce_fallback_dispatch")
     return _reduce_counts_numpy(work.counts, rspec)

@@ -421,6 +421,32 @@ class TestWorkloadSingleFlight:
         assert _counter("cache.disk.load") == loads_before + 1
         assert _counter("cache.disk.store") == stores_before + 1
 
+    def test_won_claim_rechecks_for_a_peers_entry(self, tmp_path, monkeypatch):
+        # A peer computes, publishes and releases between this process's
+        # disk miss and its claim: the claim is won, but the entry is
+        # already there and must be loaded, not computed a second time.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        spec, cfg = _spec(), _cfg()
+        key = workload.workload_key(spec, cfg, 0)
+        peer = workload.get_workload(spec, cfg, seed=0)
+        published = workload._disk_path(key).read_bytes()
+        clear_caches()
+        workload._disk_path(key).unlink()
+        real_claim = dist_store.try_claim
+
+        def peer_publishes_first(path, ttl=None):
+            workload._disk_path(key).write_bytes(published)
+            return real_claim(path, ttl)
+
+        monkeypatch.setattr(dist_store, "try_claim", peer_publishes_first)
+        stores_before = _counter("cache.disk.store")
+        loads_before = _counter("cache.disk.load")
+        data, work = workload.get_workload(spec, cfg, seed=0)
+        assert _counter("cache.disk.store") == stores_before
+        assert _counter("cache.disk.load") == loads_before + 1
+        assert not list(tmp_path.glob("*.claim"))
+        assert (data.input_mask == peer[0].input_mask).all()
+
     def test_collision_counter(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         spec, cfg = _spec(), _cfg()

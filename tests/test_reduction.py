@@ -9,7 +9,7 @@ test of native against fallback over every :class:`GroupReduction`
 shape; they also cover the batch-path workload-cache routing, exact
 ``_pair_nbytes`` accounting, the store's counts-free entries (and its
 quarantine of entries written in an older format), and the
-reduce-dispatch telemetry counters.
+reduce-dispatch and relayout telemetry counters.
 
 The reference loops below are frozen copies of the pre-engine
 ``_two_sided_cluster_cycles`` / dynamic group-sweep bodies (the same
@@ -17,6 +17,8 @@ copies the benchmarks time in ``benchmarks/_seed_reference.py``).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -288,21 +290,30 @@ def _random_rspec(rng, shape, n_chunks, n_filters, units):
 @given(
     seed=st.integers(0, 2**32 - 1),
     shape=st.sampled_from(("order", "dynamic", "static", "chunk", "chunk_floors")),
-    # u8, u16 and u32 counts respectively.
-    chunk_size=st.sampled_from((64, 256, 1 << 16)),
+    # u8 (64; 255 is the top of the kernel's int32-lane range), u16 and u32.
+    chunk_size=st.sampled_from((64, 255, 256, 1 << 16)),
     block_elems=st.sampled_from((1, reduce._BLOCK_ELEMS)),
+    filter_major=st.booleans(),
 )
-def test_native_reduce_matches_numpy_fallback(seed, shape, chunk_size, block_elems):
+def test_native_reduce_matches_numpy_fallback(
+    seed, shape, chunk_size, block_elems, filter_major
+):
     if not native.available():
         pytest.skip("native kernel unavailable")
     rng = np.random.default_rng(seed)
-    n_chunks, n_sel, n_filters = (int(v) for v in rng.integers(1, 9, 3))
-    units = int(rng.integers(1, 5))
+    n_chunks = int(rng.integers(1, 9))
+    # Positions cross several 8-wide vector blocks and usually leave a tail.
+    n_sel = int(rng.integers(1, 71))
+    n_filters = int(rng.integers(1, 601))
+    units = int(rng.integers(1, 257))
     dtype = count_dtype(chunk_size)
     # Small counts make the one-cycle and routing floors bind; large ones
     # reach the top of the dtype.
     high = chunk_size if rng.random() < 0.5 else 4
     counts = rng.integers(0, high + 1, (n_chunks, n_sel, n_filters)).astype(dtype)
+    if filter_major:
+        # The layout compute_chunk_work hands out: a view of (chunk, F, pos).
+        counts = np.ascontiguousarray(counts.transpose(0, 2, 1)).transpose(0, 2, 1)
     rspec = _random_rspec(rng, shape, n_chunks, n_filters, units)
     got = native.reduce_pairs(
         counts,
@@ -345,6 +356,31 @@ def test_reduce_dispatch_counters(deep_data, monkeypatch):
     counters = telemetry.snapshot(events=False)["counters"]
     assert counters.get("kernel.reduce_fallback_dispatch", 0) == 1
     telemetry.reset()
+
+
+def test_reduce_relayout_counts_position_major_inputs(deep_data):
+    if not native.available():
+        pytest.skip("native kernel unavailable")
+    cfg = _cfg(chunk_size=64)
+    work = _counts(deep_data, cfg)
+    plan = sparten_variant_plan(deep_data, cfg, "gb_s")
+    rspec = two_sided_reduction_spec(plan, cfg, True)
+    position_major = dataclasses.replace(
+        work, counts=np.ascontiguousarray(work.counts)
+    )
+    telemetry.reset()
+    fast = reduce.reduce_scheme(work, rspec)
+    assert telemetry.snapshot(events=False)["counters"].get(
+        "kernel.reduce_relayout", 0
+    ) == 0
+    slow = reduce.reduce_scheme(position_major, rspec)
+    assert telemetry.snapshot(events=False)["counters"][
+        "kernel.reduce_relayout"
+    ] == 1
+    telemetry.reset()
+    assert np.array_equal(fast.barrier, slow.barrier)
+    assert np.array_equal(fast.busy, slow.busy)
+    assert np.array_equal(fast.permute, slow.permute)
 
 
 # ---------------------------------------------------------------------------

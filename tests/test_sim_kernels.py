@@ -272,6 +272,31 @@ class TestKernelEquivalence:
         self._assert_identical(fallback, native_work)
 
 
+class TestCountsLayout:
+    """Counts keep their (n_chunks, n_sel, F) shape over filter-major storage."""
+
+    def test_both_paths_hand_out_the_filter_major_view(self, monkeypatch):
+        spec = ConvLayerSpec(
+            name="layout", in_height=7, in_width=6, in_channels=40, kernel=3,
+            n_filters=11, padding=1, input_density=0.6, filter_density=0.5,
+        )
+        cfg = HardwareConfig(
+            name="layout", n_clusters=2, units_per_cluster=4, chunk_size=16
+        )
+        data = synthesize_layer(spec, seed=5)
+        works = []
+        for no_native in (False, True):
+            if no_native:
+                monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+            work = compute_chunk_work(data, cfg, need_counts=True)
+            n_sel = work.assignment.indices.size
+            assert work.counts.shape == (work.n_chunks, n_sel, spec.n_filters)
+            assert work.counts.transpose(0, 2, 1).flags.c_contiguous
+            works.append(work)
+        assert np.array_equal(works[0].counts, works[1].counts)
+        assert np.array_equal(works[0].match_sums, works[1].match_sums)
+
+
 class TestCountDtype:
     def test_dtype_scales_with_chunk_size(self):
         assert count_dtype(128) == np.uint8
