@@ -34,8 +34,8 @@ flipped) fails its checksum on load and is quarantined to ``.corrupt``
 and counted -- a damaged entry degrades to recomputation, never to a
 crash or a wrong figure.
 
-Spawned workers inherit ``REPRO_CACHE_DIR`` through the environment, so
-a fanned-out run persists from every process.
+Pool workers bind the parent's run configuration, store directory
+included, so a fanned-out run persists from every process.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ __all__ = [
     "parse_entry",
     "quarantine",
     "read_entry",
+    "write_atomic",
     "write_entry",
 ]
 
@@ -191,6 +192,26 @@ def entry_path(base: pathlib.Path, key: tuple) -> pathlib.Path:
     return base / f"{_PREFIX}{digest}{_SUFFIX}"
 
 
+def write_atomic(path: str | os.PathLike, data: bytes | str) -> pathlib.Path:
+    """Publish *data* at *path* in one step: a temp file beside it, renamed.
+
+    Readers see the old file or the new one, never a torn write; on any
+    failure the temp file is removed and the error propagates.
+    """
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    return path
+
+
 def write_entry(path: pathlib.Path, key: tuple, value) -> bool:
     """Atomically publish *key* -> *value* at *path* unless it exists.
 
@@ -200,17 +221,7 @@ def write_entry(path: pathlib.Path, key: tuple, value) -> bool:
     """
     if path.exists():
         return False
-    data = _entry_bytes(key, value)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, _entry_bytes(key, value))
     return True
 
 

@@ -88,7 +88,7 @@ def machine_scaling_sweep(
     dense machine, machine utilisation (useful MACs / MAC-cycles), and
     the loss fractions. Scaling efficiency = utilisation relative to the
     smallest machine's. *fidelity* picks the ladder rung (default: the
-    ``REPRO_FIDELITY`` environment setting); ``"analytical"`` scores the
+    run configuration's, ``REPRO_FIDELITY``); ``"analytical"`` scores the
     whole sweep without running the cycle-level machine.
 
     *shard* (``(index, count)`` or ``"I/N"``) restricts the sweep to

@@ -26,8 +26,9 @@ The module-level functions (:func:`span`, :func:`count`, ...) operate on
 one process-global default recorder, which is what the library
 instrumentation uses. Recording is cheap (a dict update and, within the
 event budget, one small dict append per span) and never influences
-simulation results; ``REPRO_TRACE_EVENTS=0`` drops event records
-entirely while keeping the aggregates.
+simulation results; past :data:`MAX_EVENTS` event records (per
+recorder, unless one is built with its own ``max_events``) further
+records are counted as dropped while the aggregates keep accumulating.
 """
 
 from __future__ import annotations
@@ -57,21 +58,15 @@ __all__ = [
 #: Snapshot schema version (bumped on incompatible shape changes).
 SNAPSHOT_SCHEMA = "repro-telemetry/1"
 
-_DEFAULT_MAX_EVENTS = 100_000
-
-
-def _max_events() -> int:
-    try:
-        return max(0, int(os.environ.get("REPRO_TRACE_EVENTS", _DEFAULT_MAX_EVENTS)))
-    except ValueError:
-        return _DEFAULT_MAX_EVENTS
+#: Default cap on trace event records a recorder keeps.
+MAX_EVENTS = 100_000
 
 
 class Recorder:
     """Thread-safe telemetry sink for one process (or one merged run)."""
 
     def __init__(self, max_events: int | None = None) -> None:
-        self._max_events = max_events
+        self._max_events = MAX_EVENTS if max_events is None else max_events
         self._lock = threading.Lock()
         self._local = threading.local()
         # Cross-process trace context: the parent span id a worker's
@@ -152,10 +147,7 @@ class Recorder:
             with self._lock:
                 self._wall[name] += dur
                 self._calls[name] += 1
-                budget = (
-                    self._max_events if self._max_events is not None else _max_events()
-                )
-                if len(self._events) < budget:
+                if len(self._events) < self._max_events:
                     ts = self._epoch_wall + (t0 - self._epoch_perf)
                     event = {
                         "name": name,
@@ -194,10 +186,7 @@ class Recorder:
         event budget as spans; returns ``False`` when dropped.
         """
         with self._lock:
-            budget = (
-                self._max_events if self._max_events is not None else _max_events()
-            )
-            if len(self._events) >= budget:
+            if len(self._events) >= self._max_events:
                 self._dropped_events += 1
                 return False
             event: dict = {
@@ -291,9 +280,8 @@ class Recorder:
                 self._counters[name] += float(value)
             self._gauges.update(snap.get("gauges", {}))
             self._dropped_events += int(snap.get("dropped_events", 0))
-            budget = self._max_events if self._max_events is not None else _max_events()
             for event in snap.get("events", []):
-                if len(self._events) < budget:
+                if len(self._events) < self._max_events:
                     self._events.append(dict(event))
                 else:
                     self._dropped_events += 1

@@ -103,7 +103,7 @@ class TestRetryPolicy:
         monkeypatch.setenv("REPRO_RETRIES", "5")
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.5")
         monkeypatch.setenv("REPRO_ITEM_TIMEOUT", "-3")
-        policy = RetryPolicy.from_env()
+        policy = RetryPolicy.from_config()
         assert policy.retries == 5
         assert policy.backoff == 0.5
         assert policy.item_timeout == 0.0  # negative clamps to disabled
@@ -425,7 +425,8 @@ class TestDoctor:
 
     def test_cli_resume_flag_sets_journal(self, tmp_path, monkeypatch, capsys):
         # --resume DIR makes DIR the store, winning over an inherited
-        # REPRO_CACHE_DIR (restored on teardown).
+        # REPRO_CACHE_DIR -- for this call only: the environment is
+        # left as it was.
         from repro.cli import main
 
         elsewhere = tmp_path / "elsewhere"
@@ -433,7 +434,7 @@ class TestDoctor:
         run_dir = tmp_path / "run"
         clear_caches()
         assert main(["run", "fig7", "--resume", str(run_dir)]) == 0
-        assert os.environ["REPRO_CACHE_DIR"] == str(run_dir)
+        assert os.environ["REPRO_CACHE_DIR"] == str(elsewhere)
         assert list(run_dir.glob("result-*.json"))
         assert not list(elsewhere.glob("result-*.json"))
 
