@@ -11,9 +11,13 @@ Checks, in order:
    schema version, unique ``(pid, seq)``, merged timestamp order,
    per-pid contiguity),
 2. the stream covers the run lifecycle (a ``run.start`` record exists),
-3. the mirrored counter totals reconcile **exactly** with the
-   manifest's ``counters`` section -- the proof that no event was lost
-   or duplicated across the worker merge,
+3. the stream's record count equals the manifest's ``events.records``
+   counter **exactly**. The two travel apart: every process counts one
+   ``events.records`` per record it writes or buffers, and a pool
+   worker's count reaches the parent in its snapshot's counters while
+   its records arrive in the snapshot's record list. Equality is the
+   proof that no kept record was lost or duplicated across the worker
+   merge, and that no discarded attempt's record slipped in,
 4. the manifest's ``events`` section points back at the stream.
 
 ``--allow-gaps`` relaxes the per-pid sequence contiguity check for
@@ -69,23 +73,12 @@ def main(argv: list[str]) -> int:
         print(f"FAIL: cannot read manifest: {exc}")
         return 1
 
-    stream_totals = events.counter_totals(records)
-    manifest_counters = {
-        k: float(v) for k, v in (manifest.get("counters") or {}).items()
-    }
-    bad = {
-        name: (stream_totals.get(name, 0.0), manifest_counters.get(name, 0.0))
-        for name in set(stream_totals) | set(manifest_counters)
-        if abs(stream_totals.get(name, 0.0) - manifest_counters.get(name, 0.0))
-        > 1e-9
-    }
-    if bad:
-        print(f"FAIL: {len(bad)} counter(s) do not reconcile with the manifest:")
-        for name in sorted(bad):
-            stream, man = bad[name]
-            print(f"  {name}: stream={stream} manifest={man}")
+    counted = (manifest.get("counters") or {}).get(events.RECORDS_COUNTER, 0)
+    if len(records) != counted:
+        print(f"FAIL: the stream holds {len(records)} records but the manifest "
+              f"counted {events.RECORDS_COUNTER} = {counted:g}")
         return 1
-    print(f"OK: {len(manifest_counters)} counters reconcile exactly")
+    print(f"OK: {len(records)} records == manifest {events.RECORDS_COUNTER}")
 
     described = (manifest.get("events") or {}).get("path")
     if not described:

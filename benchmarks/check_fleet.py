@@ -13,8 +13,9 @@ observability layer* says about it:
 3. **Shard 1 restarts** (new pid => new event stream + manifest) and
    finishes the sweep with ``--reconcile``.
 4. After the heartbeat has aged past two claim TTLs, ``repro inspect``
-   must reconstruct a complete, exactly-once fleet timeline whose event
-   counter totals reconcile exactly with the merged manifests, and its
+   must reconstruct a complete, exactly-once fleet timeline whose
+   ``dist.unit`` record tallies reconcile exactly with the merged
+   manifests, and its
    anomaly report must name the killed worker as dead.
 5. ``repro top --store`` must render one non-TTY snapshot frame from
    the same store.
@@ -56,7 +57,6 @@ ENV_DEFAULTS = {
     "REPRO_CLAIM_TTL": str(CLAIM_TTL),
     "REPRO_CLAIM_POLL": "0.02",
     "REPRO_HEALTH_INTERVAL": "0.25",
-    "REPRO_METRICS_INTERVAL": "0.5",
 }
 
 

@@ -47,8 +47,8 @@ quarantines corruption and -- with ``--prune`` -- deletes quarantined
 and orphaned files.
 
 Observability: ``--events PATH`` (or ``REPRO_EVENTS``) streams every
-lifecycle transition, cache decision, retry and counter increment to a
-schema-versioned JSONL log merged across workers; ``--metrics PATH``
+lifecycle transition, cache decision and retry to a schema-versioned
+JSONL log that pool workers' records join; ``--metrics PATH``
 (or ``REPRO_METRICS``) writes Prometheus text-exposition snapshots;
 ``--progress`` controls the live stderr progress line; ``repro stats
 --prometheus`` renders a manifest for a scraper; and ``repro bench
@@ -622,27 +622,28 @@ def _render_reconcile(report: dict) -> str:
 @contextlib.contextmanager
 def _run_window(command: str, **fields):
     """One run's telemetry window: a reset recorder, ``run.start``, and
-    metrics snapshots while it lasts (the final one written on exit)."""
-    from repro.telemetry.metrics import MetricsSnapshotter, metrics_path
+    the final metrics snapshot written on exit (a dist worker's
+    heartbeat refreshes it while the window lasts)."""
+    from repro.telemetry.metrics import metrics_path, write_metrics_snapshot
 
     telemetry.reset()
     events.start_run(command=command, **fields)
-    path = metrics_path()
-    snapshotter = MetricsSnapshotter(path).start() if path else None
     try:
         yield
     finally:
-        if snapshotter is not None:
-            snapshotter.stop()
+        path = metrics_path()
+        if path:
+            write_metrics_snapshot(path)
 
 
 def _main_dist(args: argparse.Namespace) -> int:
     """The ``sweep`` and ``worker`` subcommands.
 
     The store (the bound ``cache_dir``) is what workers share: its result
-    entries are the coordination log, and the per-worker event and
-    metrics files ``_run_config`` defaults into it feed ``repro top`` /
-    ``repro inspect``.
+    entries are the coordination log, and the per-worker event streams
+    ``_run_config`` defaults into it (with the heartbeats) feed ``repro
+    top`` / ``repro inspect``; the per-worker metrics files are for
+    external scrapers.
     """
     from repro.dist import shard as dist_shard
     from repro.dist import worker as dist_worker
@@ -897,8 +898,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         except BrokenPipeError:
             # stdout closed early (e.g. piped to `head`): not an error.
             return 0
-        # run.end lands before the manifest is assembled, so the event
-        # stream's counter totals and the manifest's counters describe the
+        # run.end lands before the manifest is assembled, so the stream's
+        # records and the manifest's events.records count describe the
         # same window and reconcile exactly (benchmarks/check_events.py).
         events.emit("run.end", command="run", experiment=args.experiment)
         if args.manifest:

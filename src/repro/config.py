@@ -70,7 +70,6 @@ class RunConfig:
     fault_sleep: float = _knob("REPRO_FAULT_SLEEP", float, 0.5, minimum=0.0)
     events: str | None = _knob("REPRO_EVENTS", str, None)
     metrics: str | None = _knob("REPRO_METRICS", str, None)
-    metrics_interval: float = _knob("REPRO_METRICS_INTERVAL", float, 0.0, minimum=0.0)
     progress: str = _knob(
         "REPRO_PROGRESS", str, "auto", choices=("auto", "on", "off"), aliases=_ON_OFF
     )
@@ -160,7 +159,7 @@ _BOUND: contextvars.ContextVar[RunConfig | None] = contextvars.ContextVar(
 # The unbound fallback runs on hot paths (every event emit), so its memo
 # key probes the dict os.environ wraps (CPython's ``os._Environ._data``,
 # keyed by ``encodekey``) instead of decoding lookups: ~2 us a call
-# rather than ~30 us for 26 ``os.environ.get`` misses, over ~12k calls
+# rather than ~30 us for 25 ``os.environ.get`` misses, over ~12k calls
 # in one evaluation.
 _RAW_NAMES = tuple(os.environ.encodekey(knob.env) for knob in KNOBS)
 

@@ -64,12 +64,12 @@ Observability rides the same boundary three ways:
   passed to every worker attempt, which adopts it as its trace parent
   -- so the merged Chrome trace nests worker spans under the pool span
   (flow arrows across process lanes) instead of flattening them.
-- **Event stream** (``REPRO_EVENTS``): each worker attempt writes its
-  JSONL events to a private ``.part`` file whose path rides home inside
-  the telemetry snapshot; at pool join the parent merges exactly the
-  kept attempts' parts into the main stream in timestamp order and
-  deletes the rest -- events and counters are kept or discarded
-  together, which is what makes the stream reconcile with the manifest.
+- **Event stream** (``REPRO_EVENTS``): a worker buffers its records in
+  memory and each attempt returns them inside its telemetry snapshot;
+  the parent appends a kept attempt's records to the main stream as it
+  merges the snapshot, and a discarded attempt's records go with its
+  counters -- which is what makes the stream reconcile with the
+  manifest.
 - **Live progress** (``REPRO_PROGRESS``): completed items update an
   in-place TTY line (or heartbeat lines) with items/sec, ETA, cache hit
   rate, retries and worker utilization.
@@ -178,8 +178,8 @@ def _start_worker(cfg: config.RunConfig, init: Callable[[], None]) -> None:
 def _worker_init() -> None:
     global _IN_WORKER
     _IN_WORKER = True
-    # A worker never appends to the main event stream; its events go to
-    # per-attempt part files the parent merges for kept results only.
+    # A worker never touches the main event stream: its records ride
+    # home in the snapshots of the attempts the parent keeps.
     events.set_worker_mode()
 
 
@@ -201,21 +201,16 @@ def _instrumented_call(
     *trace_parent* is the parent process's open span id; adopting it
     re-parents every span this attempt records, so the merged Chrome
     trace nests worker work under the pool span. The attempt's event
-    stream goes to a private part file whose path travels back inside
-    the snapshot (``events_part``) -- flushed and closed before the
-    result returns, so a kept result always names a complete file.
+    records travel back in the snapshot too (``records``); a failed
+    attempt's are dropped when the next attempt starts.
     """
     telemetry.reset()
+    events.take_buffer()
     telemetry.set_trace_parent(trace_parent)
-    events.begin_attempt(token, attempt)
-    try:
-        faults.fault_point(token, attempt)
-        result = fn(item)
-    except BaseException:
-        events.end_attempt()  # the orphaned part file dies at pool join
-        raise
+    faults.fault_point(token, attempt)
+    result = fn(item)
     snap = telemetry.snapshot()
-    snap["events_part"] = events.end_attempt()
+    snap["records"] = events.take_buffer()
     return result, snap
 
 
@@ -243,7 +238,6 @@ def parallel_map(
     broken = False
     abandoned = False  # a timed-out item left a possibly-hung worker behind
     pool_size = min(n, len(items))
-    kept_parts: list[str] = []  # event part files of kept worker attempts
     shard = config.current().shard
     progress = ProgressRenderer(
         total=len(items), label=f"pool[{shard}]" if shard else "pool"
@@ -347,9 +341,7 @@ def parallel_map(
                             )
                             _progress_tick()
                     else:
-                        part = snap.pop("events_part", None)
-                        if part:
-                            kept_parts.append(part)
+                        events.append(snap.pop("records", []))
                         telemetry.merge(snap)
                         results[idx] = result
                         _progress_tick()
@@ -359,9 +351,6 @@ def parallel_map(
         finally:
             if not healthy:
                 _retire(pool, wait=not abandoned)
-        # Pool join: fold the kept attempts' event files into the main
-        # stream (timestamp order) and discard the rest.
-        events.merge_parts(kept_parts)
     if broken:
         missing = [i for i, r in enumerate(results) if r is _PENDING]
         telemetry.count("pool_fallback")

@@ -66,6 +66,7 @@ import threading
 import zipfile
 from collections import OrderedDict
 from dataclasses import astuple, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -140,6 +141,9 @@ def _buffer_of(arr):
 class _LRU:
     """A thread-safe LRU bounded by entry count and (optionally) bytes.
 
+    *max_bytes* may be a callable, read at every insert, so the bound
+    follows the run configuration current at that moment.
+
     Hit/miss/eviction events feed both the local :class:`CacheStats`
     (process-scoped, what :func:`cache_stats` reports) and the telemetry
     counters ``cache.<name>.{hit,miss,evict}`` -- the latter merge across
@@ -147,7 +151,10 @@ class _LRU:
     """
 
     def __init__(
-        self, max_entries: int, max_bytes: int | None = None, name: str = "cache"
+        self,
+        max_entries: int,
+        max_bytes: int | Callable[[], int] | None = None,
+        name: str = "cache",
     ) -> None:
         self.name = name
         self.max_entries = max_entries
@@ -192,10 +199,9 @@ class _LRU:
                 if not ref[1]:
                     self._bytes += buf.nbytes
                 ref[1] += 1
+            max_bytes = self.max_bytes() if callable(self.max_bytes) else self.max_bytes
             while len(self._data) > self.max_entries or (
-                self.max_bytes is not None
-                and self._bytes > self.max_bytes
-                and len(self._data) > 1
+                max_bytes is not None and self._bytes > max_bytes and len(self._data) > 1
             ):
                 self._drop(next(iter(self._data)))
                 self.stats.evictions += 1
@@ -232,7 +238,7 @@ class _LRU:
 WORKLOAD_ENTRIES = 256
 RESULT_ENTRIES = 16384
 
-_WORKLOADS = _LRU(WORKLOAD_ENTRIES, config.current().cache_bytes, name="workload")
+_WORKLOADS = _LRU(WORKLOAD_ENTRIES, lambda: config.current().cache_bytes, name="workload")
 _RESULTS = _LRU(RESULT_ENTRIES, name="result")
 
 _log = telemetry.get_logger("workload")

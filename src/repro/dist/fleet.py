@@ -2,17 +2,20 @@
 
 :func:`build_fleet_view` folds every observability artifact a sweep
 leaves in its shared store -- the published plan, the result entries,
-per-worker manifests, health heartbeats, event streams and
-metrics snapshots -- into a single :class:`FleetView`:
+per-worker manifests, health heartbeats and event streams -- into a
+single :class:`FleetView`. Each figure has one source:
 
-- per-shard progress (published / total per shard slice),
+- per-shard progress (published / total per shard slice) from the
+  result entries,
 - a workers table with liveness verdicts (live / suspect / dead /
   exited, from :mod:`repro.dist.health`),
 - fleet throughput and ETA from the merged event stream,
 - the exactly-once audit: result-entry completeness, manifest
   reconciliation (:func:`repro.dist.worker.reconcile`), per-unit
-  computed-event counts, and an exact cross-check of event counter
-  totals against the summed manifests,
+  computed-event counts, and an exact cross-check of the ``dist.unit``
+  record tallies against the summed manifests,
+- retries, faults and quarantines from their lifecycle records; cache
+  hit rate and claim steals from each worker's latest heartbeat,
 - anomalies: dead workers, stragglers (robust z-score over per-unit
   durations), steals, faults, quarantines, lost attribution.
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 import os
 import pathlib
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.dist import health
@@ -34,16 +38,12 @@ from repro.dist import shard as dist_shard
 from repro.dist import store as dist_store
 from repro.dist import worker as dist_worker
 from repro.telemetry import aggregate
-from repro.telemetry import events as _events
 
 __all__ = ["FleetView", "build_fleet_view", "render_top", "render_inspect"]
 
 #: Store subdirectory where ``repro sweep``/``repro worker`` default
 #: their per-worker event streams (see ``cli._main_dist``).
 EVENTS_DIR = "events"
-
-#: Store subdirectory for per-worker Prometheus snapshots.
-METRICS_DIR = "metrics"
 
 _ANSI_RED = "\x1b[31m"
 _ANSI_YELLOW = "\x1b[33m"
@@ -63,13 +63,11 @@ class FleetView:
     throughput: float | None = None
     eta_seconds: float | None = None
     cache_hit_rate: float | None = None
-    counter_totals: dict = field(default_factory=dict)
     reconcile: dict = field(default_factory=dict)
     audit: dict = field(default_factory=dict)
     stragglers: list = field(default_factory=list)
     anomalies: dict = field(default_factory=dict)
     events_info: dict = field(default_factory=dict)
-    metrics_totals: dict = field(default_factory=dict)
     generated_unix: float = 0.0
     #: The merged event records (kept off :meth:`as_dict`; renderers
     #: and the trace writer read them directly).
@@ -99,13 +97,11 @@ class FleetView:
             "throughput": self.throughput,
             "eta_seconds": self.eta_seconds,
             "cache_hit_rate": self.cache_hit_rate,
-            "counter_totals": self.counter_totals,
             "reconcile": self.reconcile,
             "audit": self.audit,
             "stragglers": self.stragglers,
             "anomalies": self.anomalies,
             "events": self.events_info,
-            "metrics_totals": self.metrics_totals,
             "healthy": self.healthy,
             "generated_unix": self.generated_unix,
         }
@@ -212,8 +208,12 @@ def build_fleet_view(
         sorted((store_dir / EVENTS_DIR).glob("*.jsonl"))
     )
     records = merged.records
-    totals = _events.counter_totals(records)
+    kinds = Counter(r.get("kind") for r in records)
     spans = aggregate.unit_spans(records)
+    # One dist.unit record per dist.unit.* count (execute_unit), so the
+    # record tallies are the counter totals.
+    units = Counter(s["status"] for s in spans)
+    units["stolen"] = sum(1 for s in spans if s["stolen"] and s["status"] == "computed")
 
     # -- exactly-once audit ------------------------------------------------
     computed_events: dict[str, int] = {}
@@ -228,8 +228,7 @@ def build_fleet_view(
             t for t, n in computed_events.items() if n > 1
         )
         counters_consistent = all(
-            totals.get(f"dist.unit.{kind}", 0) == report[kind]
-            for kind in ("computed", "skipped", "stolen")
+            units[kind] == report[kind] for kind in ("computed", "skipped", "stolen")
         )
     else:
         # No event streams in the store (library-only run): the result
@@ -249,7 +248,7 @@ def build_fleet_view(
         "manifest_duplicates": report["duplicates"],
         "foreign": report.get("foreign", []),
         "counters_consistent": counters_consistent,
-        "event_computed_total": totals.get("dist.unit.computed", 0),
+        "event_computed_total": units["computed"],
         "manifest_computed_total": report["computed"],
     }
 
@@ -276,22 +275,21 @@ def build_fleet_view(
         if remaining and throughput > 0:
             eta = remaining / throughput
 
-    hits = totals.get("cache.workload.hit", 0)
-    misses = totals.get("cache.workload.miss", 0)
+    beat = Counter()
+    for h in heartbeats:
+        beat.update(h.get("counters") or {})
+    hits, misses = beat["cache.workload.hit"], beat["cache.workload.miss"]
     cache_hit_rate = hits / (hits + misses) if hits + misses else None
 
-    faults = sum(
-        v for k, v in totals.items() if k.startswith("resilience.fault")
-    )
     tallies = {
         "computed": report["computed"],
         "skipped": report["skipped"],
         "stolen": report["stolen"],
-        "deferred": totals.get("dist.unit.deferred", 0),
-        "retries": totals.get("resilience.retry", 0),
-        "claim_steals": totals.get("store.claim.steal", 0),
-        "faults": faults,
-        "quarantines": totals.get("cache.disk.quarantine", 0),
+        "deferred": units["deferred"],
+        "retries": kinds["resilience.retry"],
+        "claim_steals": beat["store.claim.steal"],
+        "faults": kinds["resilience.fault"],
+        "quarantines": kinds["cache.quarantine"] + kinds["doctor.quarantine"],
     }
 
     workers = _workers_table(manifests, heartbeats, ttl)
@@ -304,7 +302,7 @@ def build_fleet_view(
         "stragglers": stragglers,
         "steals": report["stolen"],
         "claim_steals": tallies["claim_steals"],
-        "faults": faults,
+        "faults": tallies["faults"],
         "quarantines": tallies["quarantines"],
         "lost_attribution": lost,
         "manifest_duplicates": report["duplicates"],
@@ -322,7 +320,6 @@ def build_fleet_view(
         throughput=throughput,
         eta_seconds=eta,
         cache_hit_rate=cache_hit_rate,
-        counter_totals=totals,
         reconcile={k: v for k, v in report.items() if k != "missing"},
         audit=audit,
         stragglers=stragglers,
@@ -332,9 +329,6 @@ def build_fleet_view(
             "records": len(records),
             "truncated_lines": merged.truncated_lines,
         },
-        metrics_totals=aggregate.merge_metrics_snapshots(
-            sorted((store_dir / METRICS_DIR).glob("*.prom"))
-        ),
         generated_unix=time.time(),
         records=records,
     )
@@ -439,7 +433,7 @@ def render_inspect(view: FleetView, max_timeline: int | None = 40) -> str:
         "",
         f"- complete (every unit published): {yes(a['complete'])}",
         f"- exactly-once (manifests + events): {yes(a['exactly_once'])}",
-        f"- counter totals reconcile (events vs manifests):"
+        f"- unit tallies reconcile (events vs manifests):"
         f" {yes(a['counters_consistent'])}"
         f"  (events {a['event_computed_total']:.0f} == manifests"
         f" {a['manifest_computed_total']})",

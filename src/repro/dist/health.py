@@ -1,12 +1,13 @@
 """Store-resident worker health heartbeats (``health/<worker>.json``).
 
 A fleet has no coordinator, so liveness must be inferable from the
-store alone. Every worker runs a :class:`HealthBeacon` -- the same
-daemon-thread pattern as :class:`repro.telemetry.metrics.MetricsSnapshotter`
--- that periodically rewrites an atomic snapshot of what it is doing:
-pid, host, shard, the unit currently executing, units finished, cache
-hits, retries, the last event sequence number it emitted, and its
-monotonic uptime.
+store alone. Every worker runs a :class:`HealthBeacon` -- a daemon
+thread that periodically rewrites an atomic snapshot of what it is
+doing: pid, host, shard, the unit currently executing, units finished,
+the recorder's counters, the last event sequence number it emitted, and
+its monotonic uptime. The same tick rewrites the worker's
+``REPRO_METRICS`` exposition, so a scraper of a long sweep sees it
+refresh at the heartbeat rate.
 
 Liveness is then a pure function of snapshot age against the claim TTL
 (the same staleness clock the claim-stealing protocol already trusts):
@@ -38,7 +39,7 @@ from repro import telemetry
 from repro import config
 from repro.dist import store as dist_store
 from repro.resilience import checkpoint
-from repro.telemetry import events
+from repro.telemetry import events, metrics
 
 __all__ = [
     "HEALTH_SCHEMA",
@@ -190,9 +191,7 @@ class HealthBeacon:
             "shard": state.get("shard", self._shard),
             "current_unit": state.get("current_unit"),
             "units_done": state.get("units_done", 0),
-            "cache_hits": counters.get("cache.workload.hit", 0),
-            "cache_misses": counters.get("cache.workload.miss", 0),
-            "retries": counters.get("resilience.retry", 0),
+            "counters": counters,
             "last_event_seq": events.current_seq(),
             "uptime_seconds": round(
                 time.monotonic() - self._started_monotonic, 3
@@ -207,6 +206,9 @@ class HealthBeacon:
         try:
             write_health_snapshot(self.store_dir, self._snapshot(final=final))
             self._last_write = time.monotonic()
+            path = metrics.metrics_path()
+            if path:
+                metrics.write_metrics_snapshot(path)
         except OSError:
             pass  # heartbeats are best-effort; never cost the run
 

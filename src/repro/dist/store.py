@@ -21,8 +21,8 @@ publish. This module adds the missing coordination with **claim files**:
   released without a publish (the owner failed; compute it yourself),
   or the claim goes stale and is stolen.
 - :func:`reap_orphans` deletes debris no live writer can still own:
-  ``.tmp`` files from interrupted atomic publishes, ``.part`` event
-  side files and ``.claim`` leases older than an age threshold.
+  ``.tmp`` files from interrupted atomic publishes and ``.claim``
+  leases older than an age threshold.
 
 Correctness never depends on claims: publish stays atomic and
 content-addressed, so the worst outcome of every race here is duplicated
@@ -58,7 +58,7 @@ __all__ = [
 CLAIM_SUFFIX = ".claim"
 
 #: Suffixes :func:`reap_orphans` considers crash debris.
-_ORPHAN_SUFFIXES = (".tmp", ".part", CLAIM_SUFFIX)
+_ORPHAN_SUFFIXES = (".tmp", CLAIM_SUFFIX)
 
 _log = telemetry.get_logger("dist.store")
 
@@ -235,9 +235,8 @@ def reap_orphans(
 ) -> list[str]:
     """Delete crash debris under *directory* older than *age* seconds.
 
-    Removes ``.tmp`` files (interrupted atomic publishes), ``.part``
-    event side files (a worker killed mid-attempt) and ``.claim`` leases
-    (dead owners) whose mtime is at least *age* seconds old -- default
+    Removes ``.tmp`` files (interrupted atomic publishes) and ``.claim``
+    leases (dead owners) whose mtime is at least *age* seconds old -- default
     ``REPRO_CLAIM_TTL``, so a live writer's files are never touched.
     Returns the deleted paths (counted as ``store.reap``).
     """

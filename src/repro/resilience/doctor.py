@@ -4,9 +4,9 @@ The store (``$REPRO_CACHE_DIR``, a ``--resume`` directory or a sweep's
 ``--store``: workload ``.npz`` and result ``.json`` entries) survives
 crashes by design -- which means it also accumulates the debris of
 crashes: truncated entries, orphaned ``.tmp`` files from interrupted
-atomic writes, ``.part`` event side files and ``.claim`` single-flight
-leases whose writers were killed, and ``.corrupt`` quarantine markers
-left by earlier runs. The doctor walks a directory, verifies every
+atomic writes and ``.claim`` single-flight leases whose writers were
+killed, and ``.corrupt`` quarantine markers left by earlier runs. The
+doctor walks a directory, verifies every
 entry the same way the runtime loaders do (every ``.npz`` array member
 is actually decompressed, not just the zip directory; every result
 entry is checksummed and decoded), quarantines entries that fail
@@ -123,10 +123,9 @@ def scan_store(directory: str | os.PathLike, prune: bool = False) -> DoctorRepor
     ``cache.disk.quarantine``); with *prune*, quarantined entries and
     orphaned files are deleted. ``.tmp`` and ``.corrupt`` files are
     orphans at any age (nothing re-opens them once the atomic rename
-    they fed has happened or failed); ``.part`` event files and
-    ``.claim`` leases are orphans only once older than
-    ``REPRO_CLAIM_TTL``, because a *fresh* one belongs to a live worker
-    that the doctor must not sabotage.
+    they fed has happened or failed); ``.claim`` leases are orphans
+    only once older than ``REPRO_CLAIM_TTL``, because a *fresh* one
+    belongs to a live worker that the doctor must not sabotage.
     """
     from repro.dist import store as dist_store
 
@@ -143,7 +142,7 @@ def scan_store(directory: str | os.PathLike, prune: bool = False) -> DoctorRepor
             if path.suffix == ".corrupt":
                 report.orphans.append(str(path))
                 continue
-            if path.suffix in (".part", dist_store.CLAIM_SUFFIX):
+            if path.suffix == dist_store.CLAIM_SUFFIX:
                 try:
                     age = time.time() - path.stat().st_mtime
                 except OSError:

@@ -16,12 +16,12 @@ One dependency-free layer every expensive path reports into:
   structured logger library code uses instead of ``print()``
   (``REPRO_LOG_FORMAT=json`` for machine-readable stderr).
 - :mod:`repro.telemetry.events` -- the schema-versioned JSONL event
-  stream (``REPRO_EVENTS=path``): every counter increment, cache
-  decision, retry, fault and lifecycle transition as one appended line,
-  merged across workers at pool join.
+  stream (``REPRO_EVENTS=path``): every cache decision, retry, fault
+  and lifecycle transition as one appended line; pool workers' records
+  ride home in their telemetry snapshots.
 - :mod:`repro.telemetry.metrics` -- Prometheus text-exposition rendering
   of the counters/gauges/spans (``repro stats --prometheus``) and the
-  ``REPRO_METRICS`` periodic snapshotter.
+  ``REPRO_METRICS`` snapshot file.
 - :mod:`repro.telemetry.progress` -- the ``REPRO_PROGRESS`` live
   progress renderer (in-place on a TTY, heartbeat lines otherwise).
 
@@ -32,7 +32,6 @@ produces byte-identical figures.
 from repro.telemetry import events
 from repro.telemetry.events import (
     EVENTS_SCHEMA,
-    counter_totals,
     emit,
     read_events,
     validate_events,
@@ -47,7 +46,6 @@ from repro.telemetry.manifest import (
     write_manifest,
 )
 from repro.telemetry.metrics import (
-    MetricsSnapshotter,
     parse_prometheus,
     prometheus_from_manifest,
     prometheus_text,
@@ -96,8 +94,6 @@ __all__ = [
     "emit",
     "read_events",
     "validate_events",
-    "counter_totals",
-    "MetricsSnapshotter",
     "prometheus_text",
     "prometheus_from_manifest",
     "parse_prometheus",

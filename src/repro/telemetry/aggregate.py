@@ -1,12 +1,12 @@
 """Fleet-wide aggregation over per-worker observability artifacts.
 
 A distributed sweep (:mod:`repro.dist`) leaves one event stream, one
-metrics snapshot and one manifest per worker in the shared store. This
-module merges those per-worker views back into one fleet-wide picture:
+heartbeat and one manifest per worker in the shared store. This module
+merges the per-worker streams back into one fleet-wide picture:
 
 - :func:`merge_event_streams` concatenates every readable JSONL stream
-  and sorts the records into the same global ``(ts, pid, seq)`` order
-  that :func:`repro.telemetry.events.merge_parts` gives a single run.
+  and sorts the records into one global ``(ts, pid, seq)`` order (a
+  stream file itself is append-only, in per-process order).
   A SIGKILL'd worker can leave a torn final line (killed mid-``write``);
   post-mortem tooling must not choke on the very evidence it exists to
   examine, so unparseable lines are counted, not raised.
@@ -19,8 +19,6 @@ module merges those per-worker views back into one fleet-wide picture:
 - :func:`merged_chrome_trace` folds the merged stream into one Chrome
   ``trace_event`` JSON with one lane (pid) per worker, so a whole
   fleet's schedule is inspectable in a single trace viewer tab.
-- :func:`merge_metrics_snapshots` sums Prometheus snapshot files across
-  workers, stripping the per-worker identity labels.
 """
 
 from __future__ import annotations
@@ -42,12 +40,11 @@ __all__ = [
     "find_stragglers",
     "fleet_timeline",
     "merged_chrome_trace",
-    "merge_metrics_snapshots",
 ]
 
 #: Record kinds excluded from human-facing timelines and trace lanes
-#: (high-volume mirrors; their *totals* are reported instead).
-HIGH_VOLUME_KINDS = ("counter", "gauge", "progress")
+#: (high-volume heartbeats).
+HIGH_VOLUME_KINDS = ("progress",)
 
 #: Robust z-score above which a computed unit is called a straggler.
 STRAGGLER_ZSCORE = 3.5
@@ -186,9 +183,8 @@ def fleet_timeline(
 ) -> list[str]:
     """Render the merged stream as wall-clock ordered timeline lines.
 
-    Counter/gauge mirrors and progress heartbeats are skipped by
-    default -- they dominate the record count but their totals are
-    reported separately. *limit* keeps the **tail** (the interesting
+    Progress heartbeats are skipped by default -- they dominate the
+    record count. *limit* keeps the **tail** (the interesting
     end of a post-mortem) when the timeline is longer.
     """
     lines: list[str] = []
@@ -217,8 +213,7 @@ def merged_chrome_trace(records: list[dict]) -> dict:
 
     ``dist.unit`` records (which carry the unit's wall duration) become
     complete ``"X"`` slices ending at their record timestamp; other
-    lifecycle events become instant ``"i"`` marks. Counter mirrors are
-    folded into ``otherData.counter_totals`` rather than drawn.
+    lifecycle events become instant ``"i"`` marks.
     """
     trace: list[dict] = []
     labelled: set[int] = set()
@@ -276,39 +271,6 @@ def merged_chrome_trace(records: list[dict]) -> dict:
     return {
         "traceEvents": trace,
         "displayTimeUnit": "ms",
-        "otherData": {
-            "source": "repro.telemetry.aggregate",
-            "counter_totals": _events.counter_totals(records),
-        },
+        "otherData": {"source": "repro.telemetry.aggregate"},
     }
 
-
-def merge_metrics_snapshots(
-    paths, strip_labels: tuple[str, ...] = ("pid", "host", "shard", "worker")
-) -> dict[str, float]:
-    """Sum Prometheus snapshot files across workers.
-
-    Per-worker identity labels are stripped before summing, so the
-    result is the fleet total per metric (counters sum exactly; a
-    summed gauge is a fleet aggregate, which is the useful reading for
-    e.g. buffer high-water marks across workers).
-    """
-    from repro.telemetry.metrics import parse_prometheus
-
-    totals: dict[str, float] = {}
-    for path in paths:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                samples = parse_prometheus(fh.read())
-        except (OSError, ValueError):
-            continue
-        for (name, labels), value in samples.items():
-            kept = tuple(
-                (k, v) for k, v in labels if k not in strip_labels
-            )
-            key = name
-            if kept:
-                inner = ",".join(f'{k}="{v}"' for k, v in kept)
-                key = f"{name}{{{inner}}}"
-            totals[key] = totals.get(key, 0.0) + value
-    return totals

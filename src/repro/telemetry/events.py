@@ -9,26 +9,24 @@ a wall-clock timestamp, the emitting pid and a per-process sequence
 number, so merged streams can be validated for lost or duplicated
 events.
 
-Two record families:
+The stream holds **lifecycle records only** (``run.start``,
+``pipeline.layer``, ``sweep.point``, ``resilience.retry``,
+``dist.unit``, ``progress`` ...). Counters, gauges and spans live in
+the in-process recorder alone; the manifest and the Prometheus
+exposition are views of it. The two meet in one counter: every record a
+process writes or buffers counts :data:`RECORDS_COUNTER` on its
+recorder, so a run's manifest says how many records its stream window
+holds (``benchmarks/check_events.py``).
 
-- **counter mirrors** (``kind == "counter"``): every increment that goes
-  through :func:`repro.telemetry.count` is also appended to the stream,
-  which is what makes the stream reconcile *exactly* with the manifest's
-  counter dump -- both see the same increments, kept or discarded
-  together (see below).
-- **lifecycle events** (``run.start``, ``pipeline.layer``,
-  ``sweep.point``, ``resilience.retry``, ``doctor.quarantine``,
-  ``progress`` ...): structured markers with their own attributes.
-
-Cross-process behaviour mirrors the telemetry snapshots: a pool worker
-never appends to the main file. Each item *attempt* writes to its own
-``<path>.<pid>-<token>-a<n>.part`` side file whose path rides back to
-the parent inside the telemetry snapshot; the parent merges exactly the
-part files of the attempts whose results it kept (discarded attempts --
-retried failures, abandoned timeouts -- are deleted unread, just as
-their counter snapshots are discarded). :func:`merge_parts` rewrites
-the main file in ``(ts, pid, seq)`` order, so the merged stream is
-globally timestamp-sorted at every pool join.
+Cross-process behaviour follows the telemetry snapshots: a pool worker
+never touches the main file. Its records go to an in-memory buffer that
+the pool wrapper hands back inside the attempt's telemetry snapshot;
+the parent appends a kept attempt's records to the main file
+(:func:`append`) and drops a discarded attempt's (retried failures,
+abandoned timeouts) together with its counters. The main file is only
+ever appended to, so it keeps each pid's own ``seq`` order but is not
+globally sorted; readers that want ``(ts, pid, seq)`` order sort the
+records themselves (:func:`repro.telemetry.aggregate.merge_event_streams`).
 
 Everything here is inert unless ``REPRO_EVENTS`` is set: the fast path
 of :func:`emit` is a single run-configuration lookup.
@@ -36,7 +34,7 @@ of :func:`emit` is a single run-configuration lookup.
 
 from __future__ import annotations
 
-import glob
+import atexit
 import json
 import os
 import pathlib
@@ -45,10 +43,13 @@ import time
 from typing import Any
 
 from repro import config
+from repro.telemetry.recorder import get_recorder
 
 __all__ = [
     "EVENTS_SCHEMA",
+    "RECORDS_COUNTER",
     "emit",
+    "append",
     "enabled",
     "events_path",
     "current_seq",
@@ -56,26 +57,24 @@ __all__ = [
     "describe",
     "read_events",
     "validate_events",
-    "counter_totals",
-    "merge_parts",
-    "begin_attempt",
-    "end_attempt",
     "set_worker_mode",
+    "take_buffer",
 ]
 
 #: Event-stream schema version (bumped on incompatible record changes).
 EVENTS_SCHEMA = "repro-events/1"
 
+#: Recorder counter of the records a process wrote or buffered.
+RECORDS_COUNTER = "events.records"
+
 #: Record keys every event must carry (validated by :func:`validate_events`).
 REQUIRED_KEYS = ("schema", "ts", "pid", "seq", "kind")
 
 _lock = threading.RLock()
-_seq = 0  # per-process, monotone across sink switches (dedup identity)
+_seq = 0  # per-process, monotone (dedup identity)
 _sink_path: str | None = None  # path the open handle points at
 _sink_file = None
-_part_override: str | None = None  # worker-attempt side file, beats the env
-_worker_mode = False  # in a pool worker: never touch the main file
-_emitted_main = 0  # records in the main file owed to this process (incl. merges)
+_buffer: list[dict] | None = None  # a pool worker's records; None in the parent
 
 
 def events_path() -> str | None:
@@ -84,30 +83,26 @@ def events_path() -> str | None:
 
 
 def enabled() -> bool:
-    """Whether any sink (main file or worker part file) is active."""
-    return _resolve_path() is not None
-
-
-def _resolve_path() -> str | None:
-    if _part_override is not None:
-        return _part_override
-    if _worker_mode:
-        # A pool worker outside an item attempt has no sink: the main
-        # file belongs to the parent process alone.
-        return None
-    return events_path()
+    """Whether the run configuration names a stream."""
+    return events_path() is not None
 
 
 def set_worker_mode() -> None:
-    """Mark this process as a pool worker (called by the pool initializer).
-
-    Workers only ever write through the per-attempt part files that
-    :func:`begin_attempt` opens; between attempts the stream is off.
-    """
-    global _worker_mode
+    """Buffer this process's records instead of writing them (called by
+    the pool initializer); :func:`take_buffer` hands them over."""
+    global _buffer
     with _lock:
-        _worker_mode = True
-        _close_locked()
+        _buffer = []
+
+
+def take_buffer() -> list[dict]:
+    """The records buffered since the last call (empty outside a worker)."""
+    global _buffer
+    with _lock:
+        if _buffer is None:
+            return []
+        records, _buffer = _buffer, []
+        return records
 
 
 def _close_locked() -> None:
@@ -121,14 +116,24 @@ def _close_locked() -> None:
     _sink_path = None
 
 
-def _ensure_open_locked(path: str):
+# The handle stays open across writes; close it at exit, not in the GC.
+atexit.register(_close_locked)
+
+
+def _write_locked(path: str, records: list[dict]) -> bool:
+    """Append *records* to *path*; False if the write failed."""
     global _sink_file, _sink_path
-    if _sink_file is None or _sink_path != path:
-        _close_locked()
-        pathlib.Path(path).parent.mkdir(parents=True, exist_ok=True)
-        _sink_file = open(path, "a", encoding="utf-8")
-        _sink_path = path
-    return _sink_file
+    try:
+        if _sink_file is None or _sink_path != path:
+            _close_locked()
+            pathlib.Path(path).parent.mkdir(parents=True, exist_ok=True)
+            _sink_file = open(path, "a", encoding="utf-8")
+            _sink_path = path
+        _sink_file.write("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        _sink_file.flush()  # line-granular durability: a crash loses nothing
+    except OSError:
+        return False  # the stream is best-effort, never costs a run
+    return True
 
 
 def _jsonable(value: Any):
@@ -142,14 +147,15 @@ def _jsonable(value: Any):
 
 
 def emit(kind: str, name: str | None = None, value: float | None = None, **fields) -> bool:
-    """Append one event record; returns whether anything was written.
+    """Append one event record; returns whether anything was recorded.
 
-    A no-op (one configuration lookup) when no sink is active. *fields* are
-    coerced to JSON-safe values, so span attributes and paths can be
-    passed directly.
+    A no-op (one configuration lookup) when no stream is configured.
+    *fields* are coerced to JSON-safe values, so span attributes and
+    paths can be passed directly. In a pool worker the record is
+    buffered for the attempt's snapshot instead of written.
     """
-    global _seq, _emitted_main
-    path = _resolve_path()
+    global _seq
+    path = events_path()
     if path is None:
         return False
     with _lock:
@@ -173,47 +179,44 @@ def emit(kind: str, name: str | None = None, value: float | None = None, **field
             # Shard identity rides on every record so per-shard slices
             # of a merged multi-worker stream reconcile to sweep totals.
             record["shard"] = shard
-        try:
-            fh = _ensure_open_locked(path)
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()  # line-granular durability: a crash loses nothing
-        except OSError:
-            return False  # the stream is best-effort, never costs a run
-        if _part_override is None:
-            _emitted_main += 1
-        return True
+        if _buffer is not None:
+            _buffer.append(record)
+        elif not _write_locked(path, [record]):
+            return False
+    get_recorder().count(RECORDS_COUNTER)
+    return True
+
+
+def append(records: list[dict]) -> int:
+    """Append a kept pool attempt's *records* to the main file.
+
+    Their :data:`RECORDS_COUNTER` increments arrive separately, in the
+    same snapshot's counters. Returns the number of records written.
+    """
+    path = events_path()
+    if not records or path is None:
+        return 0
+    with _lock:
+        return len(records) if _write_locked(path, records) else 0
 
 
 def current_seq() -> int:
     """This process's next event sequence number.
 
-    Monotone across sink switches, so a health heartbeat recording it
-    tells a post-mortem reader how far the worker's stream had advanced
-    when the heartbeat was written.
+    A health heartbeat recording it tells a post-mortem reader how far
+    the worker's stream had advanced when the heartbeat was written.
     """
     with _lock:
         return _seq
 
 
-def mirror_counter(name: str, value: float) -> None:
-    """Counter-increment mirror hook (called by ``telemetry.count``)."""
-    emit("counter", name=name, value=value)
-
-
-def mirror_gauge(name: str, value: float) -> None:
-    """Gauge-observation mirror hook (called by ``telemetry.gauge``)."""
-    emit("gauge", name=name, value=value)
-
-
 def start_run(**fields) -> None:
     """Open a fresh stream window: truncate the main file, mark the start.
 
-    Called next to ``telemetry.reset()`` so the stream covers exactly
-    the same measurement window as the manifest's counters -- that
-    alignment is what makes the reconciliation check exact. Stale
-    ``.part`` files from an earlier abandoned run are swept too.
+    Called right after ``telemetry.reset()`` so the stream covers exactly
+    the window of the manifest's counters -- that alignment is what lets
+    the manifest's :data:`RECORDS_COUNTER` count the stream exactly.
     """
-    global _emitted_main
     path = events_path()
     if path is None:
         return
@@ -221,110 +224,15 @@ def start_run(**fields) -> None:
         _close_locked()
         pathlib.Path(path).parent.mkdir(parents=True, exist_ok=True)
         open(path, "w", encoding="utf-8").close()
-        _emitted_main = 0
-        for stale in glob.glob(glob.escape(path) + ".*.part"):
-            try:
-                os.unlink(stale)
-            except OSError:
-                pass
     emit("run.start", **fields)
 
 
 def describe() -> dict | None:
-    """The manifest's ``events`` section: path, schema, emitted count."""
+    """The manifest's ``events`` section: path and schema."""
     path = events_path()
     if path is None:
         return None
-    with _lock:
-        return {"path": path, "schema": EVENTS_SCHEMA, "emitted": _emitted_main}
-
-
-# -- worker-attempt part files ----------------------------------------------
-
-
-def begin_attempt(token: str, attempt: int) -> None:
-    """Route this process's events to a fresh per-attempt part file.
-
-    Called by the pool worker wrapper before running an item; the part
-    file's fate is tied to the attempt's: kept attempts are merged by
-    the parent, failed ones deleted unread.
-    """
-    global _part_override
-    base = events_path()
-    with _lock:
-        _close_locked()
-        if base is None:
-            _part_override = None
-            return
-        _part_override = f"{base}.{os.getpid()}-{token}-a{int(attempt)}.part"
-        # Truncate: a re-run attempt number (pool resubmission after a
-        # pid reuse) must not append to a stale file.
-        try:
-            pathlib.Path(_part_override).parent.mkdir(parents=True, exist_ok=True)
-            open(_part_override, "w", encoding="utf-8").close()
-        except OSError:
-            _part_override = None
-
-
-def end_attempt() -> str | None:
-    """Close the per-attempt part file; returns its path (None if off).
-
-    The returned path travels back to the parent inside the telemetry
-    snapshot, flushed and closed before the result is returned, so a
-    kept result always names a complete part file.
-    """
-    global _part_override
-    with _lock:
-        path = _part_override
-        _close_locked()
-        _part_override = None
-    return path
-
-
-def merge_parts(kept_parts: list[str]) -> int:
-    """Fold kept worker part files into the main stream at pool join.
-
-    Reads the main file plus every readable *kept* part, sorts all
-    records by ``(ts, pid, seq)`` and atomically rewrites the main
-    file; then deletes **every** ``<path>.*.part`` side file (kept and
-    discarded alike). Returns the number of merged worker records.
-    """
-    global _emitted_main
-    path = events_path()
-    if path is None:
-        return 0
-    merged = 0
-    with _lock:
-        _close_locked()
-        records: list[dict] = []
-        try:
-            records.extend(read_events(path))
-        except OSError:
-            pass
-        for part in kept_parts:
-            if not part:
-                continue
-            try:
-                part_records = read_events(part)
-            except OSError:
-                continue
-            merged += len(part_records)
-            records.extend(part_records)
-        records.sort(key=lambda r: (r.get("ts", 0.0), r.get("pid", 0), r.get("seq", 0)))
-        from repro.resilience.checkpoint import write_atomic
-
-        try:
-            write_atomic(path, "".join(json.dumps(r, sort_keys=True) + "\n"
-                                       for r in records))
-            _emitted_main += merged
-        except OSError:
-            return 0
-        for stale in glob.glob(glob.escape(path) + ".*.part"):
-            try:
-                os.unlink(stale)
-            except OSError:
-                pass
-    return merged
+    return {"path": path, "schema": EVENTS_SCHEMA}
 
 
 # -- reading / validation ---------------------------------------------------
@@ -360,13 +268,11 @@ def validate_events(records: list[dict], allow_gaps: bool = False) -> dict:
     ``seq`` gap-free per pid over the records that pid contributed (no
     lost events); each pid's ``(ts, seq)`` must be non-decreasing in its
     own emission order. Ordering is deliberately *not* enforced across
-    pids: workers on different hosts (or across an NTP step) have
-    skewed wall clocks, so equal or backward timestamps between
-    processes are normal -- :func:`merge_parts` already gives the
-    merged stream a stable ``(ts, pid, seq)`` order for readers.
-    *allow_gaps* relaxes the per-pid contiguity check for runs with
-    injected faults, where discarded attempts legitimately consume
-    sequence numbers whose part files are deleted unread.
+    pids: the main file appends each kept pool attempt whole, and
+    workers on different hosts (or across an NTP step) have skewed wall
+    clocks. *allow_gaps* relaxes the per-pid contiguity check for runs
+    with injected faults, where discarded attempts legitimately consume
+    sequence numbers whose records are dropped unread.
     Returns a summary ``{"records": n, "pids": [...], "kinds": {...}}``.
     """
     seen: set[tuple[int, int]] = set()
@@ -403,18 +309,3 @@ def validate_events(records: list[dict], allow_gaps: bool = False) -> dict:
                 raise ValueError(f"pid {pid}: lost events (missing seq {missing} ...)")
     return {"records": len(records), "pids": sorted(per_pid), "kinds": kinds}
 
-
-def counter_totals(records: list[dict]) -> dict[str, float]:
-    """Sum the mirrored counter increments: ``{counter name: total}``.
-
-    This is the stream-side of the reconciliation invariant: for a run
-    whose stream window matches its telemetry window, these totals
-    equal the manifest's ``counters`` section exactly.
-    """
-    totals: dict[str, float] = {}
-    for record in records:
-        if record.get("kind") == "counter" and "name" in record:
-            totals[record["name"]] = totals.get(record["name"], 0.0) + float(
-                record.get("value", 1.0)
-            )
-    return totals

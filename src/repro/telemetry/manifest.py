@@ -187,10 +187,7 @@ def render_manifest(manifest: dict) -> str:
         lines.append(f"dropped events: {manifest['dropped_events']}")
     ev = manifest.get("events") or {}
     if ev.get("path"):
-        lines.append(
-            f"event log {ev['path']}  ({ev.get('schema', '?')},"
-            f" {int(ev.get('emitted', 0))} events this process)"
-        )
+        lines.append(f"event log {ev['path']}  ({ev.get('schema', '?')})")
     if manifest.get("metrics_snapshot"):
         lines.append(f"metrics snapshot {manifest['metrics_snapshot']}")
     return "\n".join(lines)

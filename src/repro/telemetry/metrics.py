@@ -16,19 +16,18 @@ families, ``repro_span_seconds_total{span="simulate"}`` and
 ``repro_span_calls_total{span="simulate"}``.
 
 :func:`parse_prometheus` is the scraper stand-in the tests use to prove
-the output round-trips, and :class:`MetricsSnapshotter` writes periodic
-snapshot files (``REPRO_METRICS=path`` + ``REPRO_METRICS_INTERVAL``)
-for file-based scraping of a long run.
+the output round-trips, and :func:`write_metrics_snapshot` writes the
+``REPRO_METRICS=path`` snapshot file for file-based scraping: once when
+a CLI run window closes, and on every heartbeat of a dist worker
+(:class:`repro.dist.health.HealthBeacon`).
 """
 
 from __future__ import annotations
 
-import contextvars
 import os
 import pathlib
 import re
 import socket
-import threading
 from typing import Mapping
 
 from repro import config
@@ -43,7 +42,6 @@ __all__ = [
     "parse_prometheus",
     "write_metrics_snapshot",
     "metrics_path",
-    "MetricsSnapshotter",
 ]
 
 _SANITIZE = re.compile(r"[^a-zA-Z0-9_]")
@@ -235,54 +233,3 @@ def write_metrics_snapshot(
 
     return write_atomic(path, prometheus_text(recorder))
 
-
-class MetricsSnapshotter:
-    """Background thread writing periodic snapshot files for scraping.
-
-    ``start()`` spawns a daemon thread that rewrites *path* every
-    *interval* seconds (``REPRO_METRICS_INTERVAL`` when omitted;
-    ``<= 0`` disables the thread, leaving only the final snapshot that
-    ``stop()`` always writes). Writes are atomic, so a scraper never
-    reads a half-written exposition.
-    """
-
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        interval: float | None = None,
-        recorder: Recorder | None = None,
-    ) -> None:
-        self.path = pathlib.Path(path)
-        self.interval = (
-            config.current().metrics_interval
-            if interval is None
-            else max(0.0, float(interval))
-        )
-        self._recorder = recorder
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> "MetricsSnapshotter":
-        if self.interval > 0.0 and self._thread is None:
-            # Under a copy of this context: the thread sees the bound config.
-            self._thread = threading.Thread(
-                target=contextvars.copy_context().run, args=(self._loop,),
-                name="repro-metrics", daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                write_metrics_snapshot(self.path, self._recorder)
-            except OSError:
-                pass  # scraping is best-effort; never costs the run
-
-    def stop(self) -> pathlib.Path:
-        """Stop the thread (if any) and write one final snapshot."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        return write_metrics_snapshot(self.path, self._recorder)

@@ -40,8 +40,6 @@ from collections import defaultdict
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from repro.telemetry import events as _events
-
 __all__ = [
     "Recorder",
     "get_recorder",
@@ -306,21 +304,13 @@ def span(name: str, **attrs: Any):
 
 
 def count(name: str, value: float = 1.0) -> None:
-    """Add *value* to a counter on the default recorder.
-
-    Increments through this function (all library instrumentation) are
-    also mirrored into the JSONL event stream when ``REPRO_EVENTS`` is
-    active -- that one-to-one mirroring is what lets a merged stream
-    reconcile exactly with the manifest's counter dump.
-    """
+    """Add *value* to a counter on the default recorder."""
     _RECORDER.count(name, value)
-    _events.mirror_counter(name, value)
 
 
 def gauge(name: str, value: float) -> None:
-    """Record a gauge observation on the default recorder (mirrored)."""
+    """Record a gauge observation on the default recorder."""
     _RECORDER.gauge(name, value)
-    _events.mirror_gauge(name, value)
 
 
 def current_span_id() -> str | None:

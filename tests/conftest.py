@@ -12,9 +12,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import config
 from repro.nets.layers import ConvLayerSpec
 from repro.nets.synthesis import LayerData, synthesize_layer
 from repro.sim.config import HardwareConfig
+
+
+@pytest.fixture(autouse=True)
+def fresh_config_warnings():
+    """Each test starts with an empty warn-once registry and parse memo,
+    so a test asserting an invalid-value warning passes whichever tests
+    parsed that value before it."""
+    with config._warned_lock:
+        config._warned.clear()
+    config._environ_config.cache_clear()
+    yield
 
 
 @pytest.fixture

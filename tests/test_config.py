@@ -26,7 +26,7 @@ class TestParseTable:
     def test_one_knob_per_field_with_unique_names(self):
         assert [k.field for k in KNOBS] == [f.name for f in dataclasses.fields(RunConfig)]
         names = [k.env for k in KNOBS]
-        assert len(set(names)) == len(names) == 26
+        assert len(set(names)) == len(names) == 25
         assert all(name.startswith("REPRO_") for name in names)
 
     def test_empty_environment_is_all_defaults(self):
@@ -49,11 +49,17 @@ class TestParseTable:
         assert knob.env in err
 
     def test_below_minimum_clamps(self):
-        # Values no other test uses: each (variable, value) warns once
-        # per process, and other tests assert on that warning.
         cfg = RunConfig.from_env({"REPRO_JOBS": "-17", "REPRO_CLAIM_TTL": "0.0001"})
         assert cfg.jobs == 1
         assert cfg.claim_ttl == 0.1
+
+    @pytest.mark.parametrize("run", ["first", "second"])
+    def test_a_bad_value_warns_again_in_a_later_test(self, run, monkeypatch, capsys):
+        # conftest clears the warn-once registry per test: the same
+        # (variable, value) warns in each of these two runs.
+        monkeypatch.setenv("REPRO_JOBS", "-4")
+        assert config.current().jobs == 1
+        assert "REPRO_JOBS" in capsys.readouterr().err
 
     def test_equal_values_parse_to_equal_configs(self):
         assert RunConfig.from_env({"REPRO_ITEM_TIMEOUT": "0"}) == RunConfig.from_env(

@@ -142,7 +142,8 @@ class TestClaims:
         (tmp_path / "fresh.claim").write_text("live")
         (tmp_path / "workload-abc.npz").write_text("healthy")
         reaped = dist_store.reap_orphans(tmp_path, age=1.0)
-        assert len(reaped) == 3
+        assert len(reaped) == 2
+        assert (tmp_path / "b.part").exists()  # not store debris
         assert (tmp_path / "fresh.claim").exists()
         assert (tmp_path / "workload-abc.npz").exists()
 
@@ -603,7 +604,7 @@ class TestMonotonicProgress:
         assert stats["eta_seconds"] is None or stats["eta_seconds"] >= 0
 
 
-# -- doctor: stale part/claim reaping ---------------------------------------
+# -- doctor: stale claim reaping --------------------------------------------
 
 
 class TestDoctorOrphans:
@@ -615,15 +616,12 @@ class TestDoctorOrphans:
         assert (tmp_path / "events.jsonl.123.0.part").exists()
         assert (tmp_path / "workload-x.npz.claim").exists()
 
-    def test_stale_part_and_claim_are_pruned(self, tmp_path, monkeypatch):
+    def test_stale_claim_is_pruned(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CLAIM_TTL", "1")
-        part = tmp_path / "events.jsonl.123.0.part"
         claim = tmp_path / "workload-x.npz.claim"
-        part.write_text("{}\n")
         claim.write_text("{}")
         old = time.time() - 1000.0
-        os.utime(part, (old, old))
         os.utime(claim, (old, old))
         report = scan_store(tmp_path, prune=True)
-        assert set(report.orphans) == {str(claim), str(part)}
-        assert not part.exists() and not claim.exists()
+        assert report.orphans == [str(claim)]
+        assert not claim.exists()

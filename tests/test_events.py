@@ -3,12 +3,15 @@ log format, bench regression tracking.
 
 The pool tests use spawn workers, so their work functions live at module
 level (picklable) and the event stream is routed to tmp paths through
-``REPRO_EVENTS``. The reconciliation tests assert the tentpole
-invariant: the merged stream's counter totals equal the manifest's
-counter dump *exactly*, including under retries, because events and
-counter snapshots are kept or discarded together per attempt.
+``REPRO_EVENTS``. The reconciliation tests assert the stream's
+invariant: it holds lifecycle records only, each kept worker attempt's
+records exactly once, and its record count equals the manifest's
+``events.records`` counter *exactly*, including under retries, because
+a worker attempt's records and counters travel in one snapshot that is
+kept or discarded whole.
 """
 
+import dataclasses
 import io
 import json
 import os
@@ -16,12 +19,11 @@ import pathlib
 
 import pytest
 
-from repro import cli, telemetry
+from repro import cli, config, telemetry
 from repro.core import parallel
 from repro.eval import benchtrack
 from repro.telemetry import events
 from repro.telemetry.metrics import (
-    MetricsSnapshotter,
     parse_prometheus,
     prometheus_from_manifest,
     prometheus_text,
@@ -53,6 +55,7 @@ def event_log(tmp_path, monkeypatch):
 def _count_and_square(x):
     """Module-level so spawn workers can unpickle it."""
     telemetry.count("test.items")
+    events.emit("test.item", item=x)
     with telemetry.span("test.work", item=x):
         return x * x
 
@@ -62,10 +65,18 @@ def _fail_first_attempt(arg):
     base, x = arg
     telemetry.count("test.attempts")
     marker = pathlib.Path(base) / f"done-{x}"
-    if not marker.exists():
+    failing = not marker.exists()
+    events.emit("test.attempt", item=x, failing=failing)
+    if failing:
         marker.write_text("seen")
         raise RuntimeError(f"first attempt of {x} fails")
     return x
+
+
+def _stream_dir_listing(_):
+    """What a worker sees next to the stream while its attempt runs."""
+    events.emit("test.item")
+    return sorted(os.listdir(os.path.dirname(config.current().events)))
 
 
 class TestStream:
@@ -87,32 +98,36 @@ class TestStream:
         assert layer["density"] == 0.5
         assert {"ts", "pid", "seq"} <= set(layer)
 
-    def test_start_run_truncates_and_sweeps_parts(self, tmp_path, monkeypatch):
+    def test_start_run_truncates(self, tmp_path, monkeypatch):
         path = tmp_path / "ev.jsonl"
         monkeypatch.setenv("REPRO_EVENTS", str(path))
-        stale = tmp_path / "ev.jsonl.999-item0-a0.part"
-        stale.write_text("{}\n")
         events.start_run()
         events.emit("x")
         events.start_run()
         records = events.read_events(path)
         assert [r["kind"] for r in records] == ["run.start"]
-        assert not stale.exists()
 
-    def test_counter_mirroring_reconciles_with_recorder(self, event_log):
+    def test_counters_and_gauges_stay_out_of_the_stream(self, event_log):
         telemetry.count("test.hits")
         telemetry.count("test.hits", 2)
-        telemetry.count("test.other", 5)
-        totals = events.counter_totals(events.read_events(event_log))
-        assert totals == telemetry.get_recorder().counters()
+        telemetry.gauge("test.level", 0.5)
+        records = events.read_events(event_log)
+        assert [r["kind"] for r in records] == ["run.start"]
+        counters = telemetry.get_recorder().counters()
+        assert counters["test.hits"] == 3.0
+        # The recorder counts the records instead of the stream the counts.
+        assert counters[events.RECORDS_COUNTER] == len(records)
 
     def test_describe_feeds_the_manifest(self, event_log):
         telemetry.count("test.hits")
+        events.emit("test.marker")
         manifest = telemetry.build_manifest()
         assert manifest["schema"] == "repro-manifest/2"
         assert manifest["events"]["path"] == str(event_log)
         assert manifest["events"]["schema"] == events.EVENTS_SCHEMA
-        assert manifest["events"]["emitted"] >= 2
+        assert manifest["counters"][events.RECORDS_COUNTER] == len(
+            events.read_events(event_log)
+        ) == 2
         assert manifest["metrics_snapshot"] is None
 
 
@@ -177,23 +192,22 @@ class TestValidation:
 
 
 class TestPoolMerge:
-    def test_two_worker_pool_merges_sorted_without_loss(
-        self, event_log, tmp_path
-    ):
+    def test_two_worker_pool_merges_without_loss(self, event_log, tmp_path):
         results = parallel.parallel_map(_count_and_square, [1, 2, 3, 4], jobs=2)
         assert results == [1, 4, 9, 16]
         records = events.read_events(event_log)
         summary = events.validate_events(records)  # strict: no gaps allowed
         assert len(summary["pids"]) >= 2  # parent + at least one worker
-        ts = [r["ts"] for r in records]
-        assert ts == sorted(ts)
-        # No part files survive the pool join.
+        # Each kept attempt's records appear exactly once, from a worker.
+        items = [r for r in records if r["kind"] == "test.item"]
+        assert sorted(r["item"] for r in items) == [1, 2, 3, 4]
+        assert os.getpid() not in {r["pid"] for r in items}
         assert not list(tmp_path.glob("*.part"))
-        # The stream reconciles exactly with the manifest counters.
-        manifest = telemetry.build_manifest()
-        totals = events.counter_totals(records)
-        assert totals == pytest.approx(manifest["counters"])
-        assert totals["test.items"] == 4.0
+        # The stream holds lifecycle records only, counted exactly.
+        assert not {"counter", "gauge"} & set(summary["kinds"])
+        counters = telemetry.build_manifest()["counters"]
+        assert counters[events.RECORDS_COUNTER] == len(records)
+        assert counters["test.items"] == 4.0
 
     def test_retried_failures_keep_reconciliation_exact(
         self, event_log, tmp_path, monkeypatch
@@ -206,15 +220,32 @@ class TestPoolMerge:
         records = events.read_events(event_log)
         # Discarded attempts consume worker seq numbers: gaps are expected.
         events.validate_events(records, allow_gaps=True)
-        totals = events.counter_totals(records)
-        manifest = telemetry.build_manifest()
-        assert totals == pytest.approx(manifest["counters"])
-        # Only the kept (second) attempts' counters survive...
-        assert totals["test.attempts"] == 3.0
+        # Only the kept (second) attempts' records and counters survive.
+        attempts = [r for r in records if r["kind"] == "test.attempt"]
+        assert sorted(r["item"] for r in attempts) == [1, 2, 3]
+        assert not any(r["failing"] for r in attempts)
+        counters = telemetry.build_manifest()["counters"]
+        assert counters["test.attempts"] == 3.0
+        assert counters[events.RECORDS_COUNTER] == len(records)
         # ...and the parent logged each retry as a lifecycle event.
         retries = [r for r in records if r["kind"] == "resilience.retry"]
         assert len(retries) == 3
-        assert totals["resilience.retry"] == 3.0
+        assert counters["resilience.retry"] == 3.0
+
+    def test_workers_never_create_part_files(self, event_log):
+        listings = parallel.parallel_map(_stream_dir_listing, [0, 1, 2], jobs=2)
+        # Seen from inside each running attempt: the stream is the only file.
+        assert listings == [[event_log.name]] * 3
+        assert len([r for r in events.read_events(event_log)
+                    if r["kind"] == "test.item"]) == 3
+
+    def test_a_later_pool_call_only_appends(self, event_log):
+        parallel.parallel_map(_count_and_square, [1, 2], jobs=2)
+        before = event_log.read_bytes()
+        parallel.parallel_map(_count_and_square, [3, 4], jobs=2)
+        after = event_log.read_bytes()
+        assert len(after) > len(before)
+        assert after.startswith(before)
 
 
 class TestTraceContext:
@@ -277,17 +308,17 @@ class TestPrometheus:
         manifest = telemetry.build_manifest()
         assert prometheus_from_manifest(manifest) == prometheus_text()
 
-    def test_snapshot_file_and_snapshotter(self, tmp_path, monkeypatch):
+    def test_snapshot_file_and_final_window_write(self, tmp_path):
         telemetry.count("test.hits", 4)
         path = tmp_path / "metrics.prom"
         write_metrics_snapshot(path)
         assert parse_prometheus(path.read_text())[("repro_test_hits_total", ())] == 4.0
-        # The snapshotter's stop() always writes a final snapshot, even
-        # with the periodic thread disabled (interval 0).
-        telemetry.count("test.hits")
-        snap = MetricsSnapshotter(path, interval=0.0).start()
-        snap.stop()
-        assert parse_prometheus(path.read_text())[("repro_test_hits_total", ())] == 5.0
+        # A CLI run window (which resets the recorder) always writes a
+        # final snapshot on exit.
+        bound = dataclasses.replace(config.current(), metrics=str(path))
+        with config.use(bound), cli._run_window("test"):
+            telemetry.count("test.hits")
+        assert parse_prometheus(path.read_text())[("repro_test_hits_total", ())] == 1.0
 
 
 class TestProgress:
@@ -369,9 +400,9 @@ class TestDoctorEvents:
         summary = [r for r in records if r["kind"] == "doctor.report"][-1]
         assert summary["quarantined"] == 1
         assert summary["ok"] is False
-        totals = events.counter_totals(records)
-        assert totals["cache.disk.quarantine"] == 1.0
-        assert totals["cache.disk.prune"] == 1.0
+        counters = telemetry.get_recorder().counters()
+        assert counters["cache.disk.quarantine"] == 1.0
+        assert counters["cache.disk.prune"] == 1.0
 
 
 class TestBenchTrack:
@@ -513,11 +544,16 @@ class TestCheckEventsScript:
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
         assert mod.main([str(event_log), str(manifest_path)]) == 0
-        # Tamper: drop one counter event -> reconciliation must fail.
         records = events.read_events(event_log)
-        counters = [r for r in records if r["kind"] == "counter"]
-        records.remove(counters[0])
-        event_log.write_text(
-            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-        )
-        assert mod.main([str(event_log), str(manifest_path), "--allow-gaps"]) == 1
+        worker = next(r for r in records if r["pid"] != os.getpid())
+
+        def gate(tampered):
+            event_log.write_text(
+                "".join(json.dumps(r, sort_keys=True) + "\n" for r in tampered)
+            )
+            return mod.main([str(event_log), str(manifest_path), "--allow-gaps"])
+
+        # Tamper: one worker record dropped, or one duplicated -> must fail.
+        assert gate([r for r in records if r is not worker]) == 1
+        assert gate(records + [worker]) == 1
+        assert gate(records) == 0

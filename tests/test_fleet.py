@@ -20,6 +20,7 @@ from repro.dist import fleet, health
 from repro.dist import shard as dist_shard
 from repro.dist import worker as dist_worker
 from repro.dist.shard import SweepPlan, WorkUnit
+from repro.resilience import faults
 from repro.resilience.doctor import render_report, scan_store
 from repro.telemetry import aggregate, events
 from repro.telemetry import metrics as tmetrics
@@ -139,6 +140,23 @@ class TestHealth:
         assert snap["final"] and snap["units_done"] == 3
         assert health.classify(snap) == health.EXITED
         assert snap["last_event_seq"] == events.current_seq()
+
+    def test_beacon_tick_rewrites_the_metrics_exposition(self, tmp_path, monkeypatch):
+        prom = tmp_path / "metrics" / "hb.prom"
+        monkeypatch.setenv("REPRO_WORKER_ID", "hb-metrics")
+        monkeypatch.setenv("REPRO_METRICS", str(prom))
+        telemetry.reset()
+        telemetry.count("cache.workload.hit", 2)
+        beacon = health.HealthBeacon(tmp_path, interval=60.0).start()
+        hits = ("repro_cache_workload_hit_total", ())
+        assert tmetrics.parse_prometheus(prom.read_text())[hits] == 2.0
+        telemetry.count("cache.workload.hit")
+        beacon.stop()
+        assert tmetrics.parse_prometheus(prom.read_text())[hits] == 3.0
+        # The heartbeat carries the recorder's whole counter dict.
+        (snap,) = health.read_health(tmp_path)
+        assert snap["counters"] == telemetry.get_recorder().counters()
+        telemetry.reset()
 
     def test_run_shard_leaves_exited_heartbeat(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -265,6 +283,34 @@ class TestFleetView:
         assert dead and dead[0]["state"] == health.DEAD
         report = fleet.render_inspect(view)
         assert "w-dead" in report and "dead workers" in report
+
+    def test_injected_fault_is_tallied(self, tmp_path, monkeypatch):
+        plan = _run_two_worker_store(tmp_path, monkeypatch)
+        # One fault fired in w0, its record in w0's stream: the fault
+        # counter is named fault.<kind>, so the tally reads the record.
+        monkeypatch.setenv("REPRO_EVENTS", str(tmp_path / "events" / "w0.jsonl"))
+        monkeypatch.setenv("REPRO_FAULT", "worker_crash:1")
+        assert faults.fire("worker_crash", token="item0")
+        monkeypatch.delenv("REPRO_EVENTS")
+        view = fleet.build_fleet_view(tmp_path, plan)
+        assert view.tallies["faults"] == 1
+        assert view.anomalies["faults"] == 1
+        assert "faults 1 " in fleet.render_inspect(view)
+
+    def test_cache_and_steal_figures_come_from_heartbeats(self, tmp_path, monkeypatch):
+        plan = _run_two_worker_store(tmp_path, monkeypatch)
+        for worker, counters in (
+            ("w0", {"cache.workload.hit": 3, "cache.workload.miss": 1,
+                    "store.claim.steal": 1}),
+            ("w1", {"cache.workload.hit": 1, "cache.workload.miss": 3}),
+        ):
+            health.write_health_snapshot(tmp_path, {
+                "schema": health.HEALTH_SCHEMA, "worker": worker, "pid": 1,
+                "final": True, "counters": counters,
+            })
+        view = fleet.build_fleet_view(tmp_path, plan)
+        assert view.cache_hit_rate == 0.5
+        assert view.tallies["claim_steals"] == 1
 
     def test_view_without_event_streams(self, tmp_path, monkeypatch):
         # A library-level store with no REPRO_EVENTS: journal+manifests

@@ -1,6 +1,7 @@
 """Tests for the process fan-out helper and parallel determinism."""
 
 import dataclasses
+import json
 import os
 import pickle
 import threading
@@ -110,7 +111,7 @@ def _emit_marker(x):
 class TestPoolEventStream:
     def test_worker_events_reach_the_merged_stream(self, tmp_path, monkeypatch):
         from repro import telemetry
-        from repro.telemetry import events
+        from repro.telemetry import aggregate, events
 
         path = tmp_path / "events.jsonl"
         monkeypatch.setenv("REPRO_EVENTS", str(path))
@@ -125,8 +126,11 @@ class TestPoolEventStream:
             markers = [r for r in records if r["kind"] == "test.marker"]
             assert sorted(m["item"] for m in markers) == [0, 1, 2, 3]
             assert {m["pid"] for m in markers} - {os.getpid()}
-            ts = [r["ts"] for r in records]
-            assert ts == sorted(ts)
+            # The file is append-only; a reader that wants one timeline
+            # sorts it.
+            ordered = aggregate.merge_event_streams([path]).records
+            assert sorted(map(json.dumps, ordered)) == sorted(map(json.dumps, records))
+            assert [r["ts"] for r in ordered] == sorted(r["ts"] for r in records)
             assert not list(tmp_path.glob("*.part"))
         finally:
             telemetry.reset()

@@ -1,5 +1,6 @@
 """Tests for the cross-experiment workload cache (core/workload.py)."""
 
+import dataclasses
 import gc
 import sys
 import warnings
@@ -7,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import config
 from repro.core import workload
 from repro.core.workload import (
     cache_stats,
@@ -355,3 +357,18 @@ class TestLRUBounds:
         lru.put("big2", object(), nbytes=50)
         assert lru.get("big") is None
         assert lru.get("big2") is not None
+
+    def test_workload_bound_follows_the_bound_config(self):
+        lru = workload._WORKLOADS
+        lru.clear()
+        try:
+            with config.use(dataclasses.replace(config.current(), cache_bytes=1)):
+                lru.put("a", object(), nbytes=8)
+                lru.put("b", object(), nbytes=8)
+                # Nothing it held survives an insert: only the newest entry.
+                assert lru.get("a") is None
+                assert len(lru) == 1
+            lru.put("c", object(), nbytes=8)
+            assert len(lru) == 2  # the default bound applies again
+        finally:
+            lru.clear()
