@@ -2,7 +2,8 @@
 
 Usage::
 
-    python benchmarks/check_events.py EVENTS.jsonl MANIFEST.json [--allow-gaps]
+    python benchmarks/check_events.py EVENTS.jsonl MANIFEST.json \
+        [--allow-gaps] [--min-pids N]
 
 Checks, in order:
 
@@ -22,11 +23,16 @@ Checks, in order:
 
 ``--allow-gaps`` relaxes the per-pid sequence contiguity check for
 chaos runs, where discarded attempts legitimately consume sequence
-numbers. Exits 0 on success, 1 on any failure.
+numbers. ``--min-pids N`` fails a stream written by fewer than N
+processes: a run whose pool workers are meant to write records (a
+``cache_corrupt`` run over a store) proves nothing about the worker
+merge if only the parent wrote. Exits 0 on success, 1 on any failure,
+2 on bad usage.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import sys
@@ -37,12 +43,18 @@ from repro.telemetry import events  # noqa: E402
 
 
 def main(argv: list[str]) -> int:
-    args = [a for a in argv if not a.startswith("--")]
-    allow_gaps = "--allow-gaps" in argv
-    if len(args) != 2:
-        print("usage: check_events.py EVENTS.jsonl MANIFEST.json [--allow-gaps]")
-        return 2
-    events_path, manifest_path = args
+    parser = argparse.ArgumentParser(
+        description="Validate an event stream against its run manifest."
+    )
+    parser.add_argument("events_path")
+    parser.add_argument("manifest_path")
+    parser.add_argument("--allow-gaps", action="store_true")
+    parser.add_argument("--min-pids", type=int, default=1)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help, or bad usage (argparse exits 2)
+        return int(exc.code or 0)
+    events_path, manifest_path = args.events_path, args.manifest_path
 
     try:
         records = events.read_events(events_path)
@@ -54,7 +66,7 @@ def main(argv: list[str]) -> int:
         return 1
 
     try:
-        summary = events.validate_events(records, allow_gaps=allow_gaps)
+        summary = events.validate_events(records, allow_gaps=args.allow_gaps)
     except ValueError as exc:
         print(f"FAIL: stream invariant violated: {exc}")
         return 1
@@ -62,6 +74,11 @@ def main(argv: list[str]) -> int:
         f"OK: {summary['records']} events from {len(summary['pids'])} process(es), "
         f"kinds: {sorted(summary['kinds'])}"
     )
+
+    if len(summary["pids"]) < args.min_pids:
+        print(f"FAIL: {len(summary['pids'])} process(es) wrote records, "
+              f"--min-pids asks for {args.min_pids}")
+        return 1
 
     if not summary["kinds"].get("run.start"):
         print("FAIL: stream has no run.start record")

@@ -52,13 +52,14 @@ import numpy as np
 
 from repro import profiling, telemetry
 from repro.arch.memory import layer_traffic
+from repro.balance.greedy import gb_h_chunk_pairing, greedy_order, pair_groups
 from repro.nets.layers import ConvLayerSpec
 from repro.nets.synthesis import LayerMasks
 from repro.sim import reduce
 from repro.sim.config import HardwareConfig
 from repro.sim.energy import layer_energy
 from repro.sim.results import Breakdown, LayerResult, observability_extras
-from repro.sim.scnn import scnn_tile_plan
+from repro.sim.scnn import scnn_closed_form, scnn_tile_plan
 
 from repro.analytical.density import (
     DensityStats,
@@ -76,7 +77,6 @@ __all__ = [
     "predict_layer_energy",
     "expected_max_coefficient",
     "gb_order",
-    "gb_h_chunk_pairing",
     "two_sided_row_loads",
 ]
 
@@ -136,57 +136,10 @@ def expected_max_coefficient(m: int | np.ndarray) -> np.ndarray:
 def gb_order(stats: DensityStats) -> np.ndarray:
     """The greedy-balance filter sort (densest first, stable on ties).
 
-    Identical to sorting :func:`repro.balance.greedy.whole_filter_densities`:
-    whole-filter density is total nnz over a constant element count, so a
-    stable argsort of ``-filter_total_nnz`` reproduces the plan's order
-    bit for bit.
+    :func:`repro.balance.greedy.greedy_order` of the whole-filter counts,
+    exactly the order the simulator's plans use.
     """
-    return np.argsort(-stats.filter_total_nnz, kind="stable").astype(np.int64)
-
-
-def gb_h_chunk_pairing(stats: DensityStats, units: int) -> np.ndarray:
-    """GB-H's per-chunk pairing, vectorised over chunks.
-
-    Reproduces :func:`repro.balance.greedy.gb_h_plan` exactly (the tests
-    pin equality) without its per-(group, chunk) Python loops: one
-    stable argsort per group ranks every chunk at once, and the
-    densest-with-sparsest pairing becomes a gather.
-    """
-    order = gb_order(stats)
-    fc = stats.filter_chunk_nnz
-    n_chunks = stats.n_chunks
-    blocks = []
-    for base in range(0, order.size, 2 * units):
-        group = order[base : base + 2 * units]
-        m = group.size
-        rank = np.argsort(-fc[group], axis=0, kind="stable")  # (m, n_chunks)
-        ranked = group[rank]
-        per_chunk = np.full((n_chunks, units, 2), -1, dtype=np.int64)
-        n_pairs = (m + 1) // 2
-        idx = np.arange(n_pairs)
-        per_chunk[:, idx, 0] = ranked[idx].T
-        partner = m - 1 - idx
-        has_partner = partner > idx
-        per_chunk[:, idx[has_partner], 1] = ranked[partner[has_partner]].T
-        blocks.append(per_chunk)
-    return np.concatenate(blocks, axis=1)
-
-
-def _gb_s_pairing(order: np.ndarray, units: int) -> np.ndarray:
-    """GB-S's static pairing from the density sort ((n_pairs, 2), -1 pad)."""
-    blocks = []
-    for base in range(0, order.size, 2 * units):
-        group = order[base : base + 2 * units]
-        m = group.size
-        pairs = np.full((units, 2), -1, dtype=np.int64)
-        n_pairs = (m + 1) // 2
-        idx = np.arange(n_pairs)
-        pairs[idx, 0] = group[idx]
-        partner = m - 1 - idx
-        has_partner = partner > idx
-        pairs[idx[has_partner], 1] = group[partner[has_partner]]
-        blocks.append(pairs)
-    return np.concatenate(blocks, axis=0)
+    return greedy_order(stats.filter_total_nnz)
 
 
 def _gather_loads(fc: np.ndarray, pair: np.ndarray) -> np.ndarray:
@@ -232,7 +185,7 @@ def two_sided_row_loads(
         loads_a = _gather_loads(fc, padded)
         return loads_a, np.zeros_like(loads_a), None
     if variant == "gb_s":
-        pairing = _gb_s_pairing(gb_order(stats), units)
+        pairing = pair_groups(gb_order(stats), units)
         return (
             _gather_loads(fc, pairing[:, 0]),
             _gather_loads(fc, pairing[:, 1]),
@@ -240,7 +193,7 @@ def two_sided_row_loads(
         )
     if variant != "gb_h":
         raise ValueError(f"unknown variant {variant!r}")
-    chunk_pairing = gb_h_chunk_pairing(stats, units)
+    chunk_pairing = gb_h_chunk_pairing(fc, gb_order(stats), units)
     loads_a = _gather_loads(fc, chunk_pairing[:, :, 0])
     loads_b = _gather_loads(fc, chunk_pairing[:, :, 1])
     floors = None
@@ -725,122 +678,34 @@ def _predict_scnn(
     """SCNN prediction from density statistics -- exact.
 
     SCNN's cycle model is closed-form given per-(tile, channel) input
-    histograms and per-(group, channel) weight histograms; both are in
+    histograms and per-(filter, channel) weight histograms; both are in
     the density statistics (the tile histograms via the input integral
-    image), so the prediction reproduces the simulator bit for bit.
+    image), and the simulator's own closed form turns them into the
+    result, so the prediction reproduces the simulator bit for bit.
     """
     spec = stats.spec
     scheme = {"two": "scnn", "one": "scnn_one_sided", "dense": "scnn_dense"}[
         variant
     ]
-    n_pes = cfg.scnn_n_pes
-    mult_in = cfg.scnn_mult_rows
-    mult_w = cfg.scnn_mult_cols
-    macs_per_pe = cfg.scnn_macs_per_pe
-    c = spec.in_channels
-    group = cfg.scnn_output_group
-    n_groups = int(np.ceil(spec.n_filters / group))
-
-    cells, tile_nnz = _scnn_tile_nnz(stats, cfg)
-    n_tiles = cells.size
-    tile_nnz = tile_nnz.astype(np.float64)
-    if variant == "dense":
-        tile_counts = np.broadcast_to(
-            cells[:, None].astype(np.float64), (n_tiles, c)
-        )
-    else:
-        tile_counts = tile_nnz
-
-    pe_of_tile = np.arange(n_tiles) % n_pes
-    ceil_in = np.ceil(tile_counts / mult_in)
-    pe_ceil = np.zeros((n_pes, c), dtype=np.float64)
-    np.add.at(pe_ceil, pe_of_tile, ceil_in)
-    max_pe = pe_ceil.max(axis=0)  # (C,)
-
-    # Weight-side ceilings: exact from the per-channel filter histograms.
-    w_dense_per_filter = spec.kernel * spec.kernel
-    pad = (-spec.n_filters) % group
-    padded = np.pad(stats.filter_channel_nnz, ((0, pad), (0, 0)))
-    group_w_nnz = padded.reshape(n_groups, group, c).sum(axis=1).astype(np.float64)
-    members = np.minimum(
-        group, spec.n_filters - np.arange(n_groups) * group
-    ).astype(np.float64)
-    group_w_all = members[:, None] * float(w_dense_per_filter) * np.ones((1, c))
-    group_weights = group_w_nnz if variant == "two" else group_w_all
-    ceil_w = np.ceil(group_weights / mult_w)
-    sum_ceil_w = ceil_w.sum(axis=0)  # (C,)
-
-    cycles = float(np.dot(max_pe, sum_ceil_w))
-    issued = float(np.dot(pe_ceil.sum(axis=0), sum_ceil_w)) * (mult_in * mult_w)
-    inter = (
-        float(np.dot(n_pes * max_pe - pe_ceil.sum(axis=0), sum_ceil_w))
-        * mult_in
-        * mult_w
-    )
-
-    # Product counts: exact (tiles partition the map, so per-channel
-    # totals are the channel histograms).
-    in_total = tile_counts.sum(axis=0)
-    in_nz_total = stats.channel_input_nnz.astype(np.float64)
-    w_total = group_weights.sum(axis=0)
-    w_nz_total = group_w_nnz.sum(axis=0)
-    products = float(np.dot(in_total, w_total))
-    both_nz = float(np.dot(in_nz_total, w_nz_total))
-    operand_zero = products - both_nz
-    stride_factor = 1.0 / (spec.stride * spec.stride)
-    useful = both_nz * stride_factor
-    stride_waste = both_nz - useful
-    intra = issued - useful - stride_waste - operand_zero
-
-    breakdown = Breakdown(
-        nonzero_macs=useful,
-        zero_macs=stride_waste + operand_zero,
-        intra_loss=intra,
-        inter_loss=inter,
-    )
-
     mode = profiling.profile_mode()
-    counters = None
-    if mode != profiling.MODE_OFF:
-        in_pe = np.zeros((n_pes, c), dtype=np.float64)
-        np.add.at(in_pe, pe_of_tile, tile_counts)
-        in_nz_pe = np.zeros((n_pes, c), dtype=np.float64)
-        np.add.at(in_nz_pe, pe_of_tile, tile_nnz)
-        issued_slots = pe_ceil * sum_ceil_w[None, :]
-        issued_pe = issued_slots.sum(axis=1) * macs_per_pe
-        products_pe = in_pe @ w_total
-        both_nz_pe = in_nz_pe @ w_nz_total
-        useful_pe = both_nz_pe * stride_factor
-        bins = profiling.timeline_bins() if mode == profiling.MODE_TIMELINE else 0
-        timeline_cycles = timeline_busy = None
-        if bins:
-            bin_of = (np.arange(c) * bins) // max(c, 1)
-            onehot = (bin_of[:, None] == np.arange(bins)[None, :]).astype(
-                np.float64
-            )
-            wall_ch = max_pe * sum_ceil_w
-            timeline_cycles = np.tile(wall_ch @ onehot, (n_pes, 1))
-            timeline_busy = (issued_slots * macs_per_pe) @ onehot
-        counters = profiling.CounterSet(
-            scheme=scheme,
-            n_clusters=n_pes,
-            units_per_cluster=macs_per_pe,
-            total_cycles=cycles,
-            busy=useful_pe,
-            filter_zero=products_pe - useful_pe,
-            barrier_wait=issued_pe - products_pe,
-            permute_stall=np.zeros(n_pes, dtype=np.float64),
-            imbalance_idle=cycles * macs_per_pe - issued_pe,
-            memory_stall=np.zeros(n_pes, dtype=np.float64),
-            barriers=float(n_groups * c),
-            buffer_hwm={
-                "input_tile_values": float(tile_nnz.max(initial=0)),
-                "weight_group_values": float(group_weights.max(initial=0)),
-            },
-            timeline_cycles=timeline_cycles,
-            timeline_busy=timeline_busy,
-        )
-
+    cells, tile_nnz = _scnn_tile_nnz(stats, cfg)
+    s = scnn_closed_form(
+        spec,
+        cfg,
+        variant,
+        cells,
+        tile_nnz,
+        stats.filter_channel_nnz,
+        profile=mode != profiling.MODE_OFF,
+        bins=profiling.timeline_bins() if mode == profiling.MODE_TIMELINE else 0,
+        scheme=scheme,
+    )
+    breakdown = Breakdown(
+        nonzero_macs=s["useful"],
+        zero_macs=s["stride_waste"] + s["operand_zero"],
+        intra_loss=s["issued"] - s["useful"] - s["stride_waste"] - s["operand_zero"],
+        inter_loss=s["inter"],
+    )
     traffic_scheme = {"two": "two_sided", "one": "one_sided", "dense": "dense"}[
         variant
     ]
@@ -848,15 +713,15 @@ def _predict_scnn(
     return LayerResult(
         scheme=scheme,
         layer_name=spec.name,
-        cycles=cycles,
-        compute_cycles=cycles,
-        total_macs=n_pes * macs_per_pe,
+        cycles=s["cycles"],
+        compute_cycles=s["cycles"],
+        total_macs=cfg.scnn_n_pes * cfg.scnn_macs_per_pe,
         breakdown=breakdown,
         traffic=layer_traffic(
             spec, scheme=traffic_scheme, chunk_size=cfg.chunk_size
         ),
         extras={**extras, "fidelity": "analytical", "variant": variant},
-        counters=counters,
+        counters=s.get("counters"),
     )
 
 

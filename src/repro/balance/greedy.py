@@ -34,6 +34,9 @@ __all__ = [
     "no_gb_plan",
     "gb_s_plan",
     "gb_h_plan",
+    "gb_h_chunk_pairing",
+    "greedy_order",
+    "pair_groups",
     "filter_chunk_densities",
     "collocation_helps",
 ]
@@ -93,38 +96,57 @@ def filter_chunk_densities(
     if masks.ndim != 4:
         raise ValueError(f"expected (F, k, k, C) masks, got shape {masks.shape}")
     n_filters, k1, k2, c = masks.shape
-    padded_c = padded_length(c, chunk_size)
-    cpc = padded_c // chunk_size
-    counts = np.zeros((n_filters, k1 * k2 * cpc), dtype=np.int64)
-    for ky in range(k1):
-        for kx in range(k2):
-            for cz in range(cpc):
-                lo = cz * chunk_size
-                hi = min(lo + chunk_size, c)
-                if lo >= c:
-                    continue
-                chunk = (ky * k2 + kx) * cpc + cz
-                counts[:, chunk] = masks[:, ky, kx, lo:hi].sum(axis=1)
-    return counts
+    padded = np.zeros((n_filters, k1 * k2, padded_length(c, chunk_size)), dtype=bool)
+    padded[:, :, :c] = masks.reshape(n_filters, k1 * k2, c)
+    return padded.reshape(n_filters, -1, chunk_size).sum(axis=-1, dtype=np.int64)
 
 
-def _pair_group(group: np.ndarray, n_units: int) -> np.ndarray:
-    """Pair a density-sorted group: densest with sparsest, inward.
+def greedy_order(filter_nnz: np.ndarray) -> np.ndarray:
+    """The greedy-balance filter sort: densest first, stable on ties.
 
-    *group* is filter ids sorted densest-first. Returns (n_units, 2)
-    pairs padded with -1 (idle units / unpaired filters).
+    Whole-filter density is a filter's non-zero count over a constant
+    element count, so sorting the counts orders the filters exactly as
+    sorting :func:`whole_filter_densities` does.
     """
-    pairs = np.full((n_units, 2), -1, dtype=np.int64)
-    m = group.size
-    n_pairs = (m + 1) // 2
-    if n_pairs > n_units:
-        raise ValueError(f"group of {m} filters exceeds 2*{n_units} capacity")
-    for i in range(n_pairs):
-        j = m - 1 - i
-        pairs[i, 0] = group[i]
-        if j > i:
-            pairs[i, 1] = group[j]
-    return pairs
+    return np.argsort(-np.asarray(filter_nnz), kind="stable").astype(np.int64)
+
+
+def pair_groups(ranked: np.ndarray, n_units: int) -> np.ndarray:
+    """Pair each ranked group: densest with sparsest, inward.
+
+    *ranked* is ``(..., F)`` filter ids, densest first within each
+    consecutive group of ``2 * n_units``. Returns ``(..., n_groups *
+    n_units, 2)`` unit rows padded with -1 (idle units / unpaired
+    filters).
+    """
+    n_filters = ranked.shape[-1]
+    base = np.arange(0, n_filters, 2 * n_units)[:, None]  # group's first slot
+    m = np.minimum(2 * n_units, n_filters - base)  # group sizes
+    i = np.arange(n_units)[None, :]
+    j = m - 1 - i  # unit i's partner slot within its group
+    slots = np.stack(
+        [np.where(i <= j, base + i, -1), np.where(j > i, base + j, -1)], axis=-1
+    ).reshape(-1, 2)
+    return np.where(slots >= 0, ranked[..., slots], -1)
+
+
+def gb_h_chunk_pairing(
+    chunk_nnz: np.ndarray, order: np.ndarray, n_units: int
+) -> np.ndarray:
+    """GB-H's per-chunk pairs ``(n_chunks, n_pairs, 2)`` within sorted groups.
+
+    One stable argsort ranks every chunk of every group at once: a short
+    last group's empty slots carry a key above every member's, so they
+    sort last, after the members, which keep their stable order.
+    """
+    n_filters, n_chunks = chunk_nnz.shape
+    size = 2 * n_units
+    slots = -(-n_filters // size) * size
+    keys = np.ones((slots, n_chunks), dtype=np.int64)
+    keys[:n_filters] = -chunk_nnz[order]
+    rank = np.argsort(keys.reshape(-1, size, n_chunks), axis=1, kind="stable")
+    ranked = (rank + np.arange(0, slots, size)[:, None, None]).reshape(slots, -1)
+    return pair_groups(order[ranked[:n_filters].T], n_units)
 
 
 def no_gb_plan(filter_masks: np.ndarray, n_units: int) -> BalancePlan:
@@ -139,56 +161,55 @@ def no_gb_plan(filter_masks: np.ndarray, n_units: int) -> BalancePlan:
     )
 
 
-def gb_s_plan(filter_masks: np.ndarray, n_units: int) -> BalancePlan:
-    """GB-S: whole-filter density sort plus whole-filter collocation."""
-    densities = whole_filter_densities(filter_masks)
-    order = np.argsort(-densities, kind="stable").astype(np.int64)
-    group_size = 2 * n_units
-    pair_blocks = []
-    for base in range(0, order.size, group_size):
-        group = order[base : base + group_size]
-        pair_blocks.append(_pair_group(group, n_units))
-    pairing = np.concatenate(pair_blocks, axis=0)
-    # Drop fully idle trailing unit rows so n_pairs reflects actual pairs,
-    # but keep within-group idle rows (they represent idle units).
+def gb_s_plan(
+    filter_masks: np.ndarray,
+    n_units: int,
+    chunk_nnz: np.ndarray | None = None,
+) -> BalancePlan:
+    """GB-S: whole-filter density sort plus whole-filter collocation.
+
+    *chunk_nnz* is the filters' per-chunk non-zero counts
+    (``ChunkWork.filter_chunk_nnz``) when the caller already has them;
+    their row sums are the whole-filter counts.
+    """
+    if chunk_nnz is None:
+        masks = np.asarray(filter_masks)
+        filter_nnz = masks.reshape(masks.shape[0], -1).sum(axis=1, dtype=np.int64)
+    else:
+        filter_nnz = chunk_nnz.sum(axis=1)
+    order = greedy_order(filter_nnz)
     return BalancePlan(
         variant="gb_s",
         order=order,
-        pairing=pairing,
+        pairing=pair_groups(order, n_units),
         chunk_pairing=None,
         n_units=n_units,
     )
 
 
 def gb_h_plan(
-    filter_masks: np.ndarray, n_units: int, chunk_size: int = 128
+    filter_masks: np.ndarray,
+    n_units: int,
+    chunk_size: int = 128,
+    chunk_nnz: np.ndarray | None = None,
 ) -> BalancePlan:
     """GB-H: per-chunk density sort within each 2x group, paired per chunk.
 
     Group membership follows the whole-filter sort (so groups are
     density-homogeneous); within each group and for each chunk, filters
     are re-ranked by that chunk's density and paired densest-with-sparsest
-    (Figure 6(a)'s per-chunk ranks).
+    (Figure 6(a)'s per-chunk ranks). *chunk_nnz* is
+    ``filter_chunk_densities(filter_masks, chunk_size)`` when the caller
+    already has it (``ChunkWork.filter_chunk_nnz``).
     """
-    densities = whole_filter_densities(filter_masks)
-    order = np.argsort(-densities, kind="stable").astype(np.int64)
-    chunk_counts = filter_chunk_densities(filter_masks, chunk_size=chunk_size)
-    n_chunks = chunk_counts.shape[1]
-    group_size = 2 * n_units
-    blocks = []
-    for base in range(0, order.size, group_size):
-        group = order[base : base + group_size]
-        per_chunk = np.full((n_chunks, n_units, 2), -1, dtype=np.int64)
-        for c in range(n_chunks):
-            ranked = group[np.argsort(-chunk_counts[group, c], kind="stable")]
-            per_chunk[c] = _pair_group(ranked, n_units)
-        blocks.append(per_chunk)
-    chunk_pairing = np.concatenate(blocks, axis=1)
+    if chunk_nnz is None:
+        chunk_nnz = filter_chunk_densities(filter_masks, chunk_size=chunk_size)
+    order = greedy_order(chunk_nnz.sum(axis=1))
     return BalancePlan(
         variant="gb_h",
         order=order,
         pairing=None,
-        chunk_pairing=chunk_pairing,
+        chunk_pairing=gb_h_chunk_pairing(chunk_nnz, order, n_units),
         n_units=n_units,
     )
 

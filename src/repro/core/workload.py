@@ -47,7 +47,7 @@ quarantined entries, and ``REPRO_FAULT=cache_corrupt:N`` injects the
 damage deterministically so the path stays tested.
 
 Keys are tuples of plain values (``dataclasses.astuple`` of frozen
-specs/configs), so two workloads collide only if every field that can
+specs/configs, built once per instance by :func:`_fields`), so two workloads collide only if every field that can
 influence the arrays is equal -- the cache test asserts distinct
 (seed, chunk_size, sampling) keys never collide. Both key kinds also
 carry :func:`source_fingerprint`, so a store that outlives an edit to
@@ -260,6 +260,22 @@ def source_fingerprint() -> str:
     return digest.hexdigest()
 
 
+def _fields(obj) -> tuple:
+    """``astuple(obj)`` of a frozen spec or config, memoised on the instance.
+
+    ``astuple`` deep-copies every field, and every key names a spec, so
+    key building would otherwise cost a large share of a warm run. The
+    memo is per instance, never by value: ``1 == 1.0``, so a value-keyed
+    memo would hand one config the other's tuple and move its store
+    entry (``entry_path`` hashes ``repr(key)``).
+    """
+    memo = obj.__dict__
+    fields = memo.get("_astuple")
+    if fields is None:
+        fields = memo["_astuple"] = astuple(obj)
+    return fields
+
+
 def workload_key(spec: ConvLayerSpec, cfg: HardwareConfig, seed: int) -> tuple:
     """Content key for one (LayerMasks, ChunkWork) pair.
 
@@ -270,7 +286,7 @@ def workload_key(spec: ConvLayerSpec, cfg: HardwareConfig, seed: int) -> tuple:
         "workload",
         source_fingerprint(),
         type(spec).__name__,
-        astuple(spec),
+        _fields(spec),
         int(seed),
         int(cfg.chunk_size),
         int(cfg.n_clusters),
@@ -291,8 +307,8 @@ def result_key(kind: str, spec: ConvLayerSpec, cfg: HardwareConfig, seed: int) -
         source_fingerprint(),
         kind,
         type(spec).__name__,
-        astuple(spec),
-        astuple(cfg),
+        _fields(spec),
+        _fields(cfg),
         int(seed),
         profiling.profile_mode(),
     )
@@ -300,7 +316,7 @@ def result_key(kind: str, spec: ConvLayerSpec, cfg: HardwareConfig, seed: int) -
 
 def get_layer_data(spec: ConvLayerSpec, seed: int = 0) -> LayerData:
     """Memoised :func:`synthesize_layer`: the dense values, for value-level use."""
-    key = ("data", type(spec).__name__, astuple(spec), int(seed))
+    key = ("data", type(spec).__name__, _fields(spec), int(seed))
     data = _WORKLOADS.get(key)
     if data is None:
         with telemetry.span("synthesize", layer=spec.name):
@@ -311,7 +327,7 @@ def get_layer_data(spec: ConvLayerSpec, seed: int = 0) -> LayerData:
 
 def get_layer_masks(spec: ConvLayerSpec, seed: int = 0) -> LayerMasks:
     """Memoised :func:`synthesize_masks`: the occupancy, never the values."""
-    key = ("masks", type(spec).__name__, astuple(spec), int(seed))
+    key = ("masks", type(spec).__name__, _fields(spec), int(seed))
     masks = _WORKLOADS.get(key)
     if masks is None:
         with telemetry.span("synthesize", layer=spec.name):

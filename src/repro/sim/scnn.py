@@ -31,9 +31,10 @@ from repro.arch.memory import layer_traffic
 from repro.nets.layers import ConvLayerSpec
 from repro.nets.synthesis import LayerMasks
 from repro.sim.config import HardwareConfig
+from repro.sim.kernels import count_true
 from repro.sim.results import Breakdown, LayerResult, observability_extras
 
-__all__ = ["simulate_scnn", "scnn_tile_plan"]
+__all__ = ["simulate_scnn", "scnn_tile_plan", "scnn_closed_form"]
 
 
 def scnn_tile_plan(
@@ -64,11 +65,6 @@ def simulate_scnn(
     if variant not in ("two", "one", "dense"):
         raise ValueError(f"variant must be 'two', 'one' or 'dense', got {variant!r}")
     scheme = {"two": "scnn", "one": "scnn_one_sided", "dense": "scnn_dense"}[variant]
-    n_pes = cfg.scnn_n_pes
-    mult_in = cfg.scnn_mult_rows
-    mult_w = cfg.scnn_mult_cols
-    macs_per_pe = cfg.scnn_macs_per_pe
-
     mode = profiling.profile_mode()
     profile = mode != profiling.MODE_OFF
     bins = profiling.timeline_bins() if mode == profiling.MODE_TIMELINE else 0
@@ -94,8 +90,7 @@ def simulate_scnn(
         ]
     for img_data in batch_items:
         s = _scnn_image_stats(
-            img_data, cfg, variant, n_pes, mult_in, mult_w,
-            profile=profile, bins=bins, scheme=scheme,
+            img_data, cfg, variant, profile=profile, bins=bins, scheme=scheme
         )
         cycles_total += s["cycles"]
         useful += s["useful"]
@@ -125,7 +120,7 @@ def simulate_scnn(
         layer_name=spec.name,
         cycles=cycles_total,
         compute_cycles=cycles_total,
-        total_macs=n_pes * macs_per_pe,
+        total_macs=cfg.scnn_n_pes * cfg.scnn_macs_per_pe,
         breakdown=breakdown,
         traffic=layer_traffic(spec, scheme=traffic_scheme, chunk_size=cfg.chunk_size),
         extras={
@@ -142,70 +137,107 @@ def _scnn_image_stats(
     data: LayerMasks,
     cfg: HardwareConfig,
     variant: str,
-    n_pes: int,
-    mult_in: int,
-    mult_w: int,
     profile: bool = False,
     bins: int = 0,
     scheme: str = "scnn",
 ) -> dict:
-    """Cycle/work statistics for one image on SCNN."""
+    """Cycle/work statistics for one image on SCNN.
+
+    The per-tile histograms come from one pad-and-reshape sum over the
+    input mask: zero padding to whole tiles adds no non-zeros, and the
+    cell counts clip the edge tiles.
+    """
     spec = data.spec
     tile_h, tile_w, n_ty, n_tx = scnn_tile_plan(spec, cfg)
-    c = spec.in_channels
-    group = cfg.scnn_output_group
-    n_groups = int(np.ceil(spec.n_filters / group))
+    h, w, c = spec.in_height, spec.in_width, spec.in_channels
+    tiled = np.zeros((n_ty * tile_h, n_tx * tile_w, c), dtype=bool)
+    tiled[:h, :w] = data.input_mask
+    tile_nnz = count_true(
+        tiled.reshape(n_ty, tile_h, n_tx, tile_w, c), (1, 3), tile_h * tile_w
+    )
+    heights = np.minimum(tile_h, h - np.arange(n_ty) * tile_h)
+    widths = np.minimum(tile_w, w - np.arange(n_tx) * tile_w)
+    return scnn_closed_form(
+        spec,
+        cfg,
+        variant,
+        np.outer(heights, widths).reshape(-1),
+        tile_nnz.reshape(n_ty * n_tx, c),
+        count_true(data.filter_masks, (1, 2), spec.kernel * spec.kernel),
+        profile=profile,
+        bins=bins,
+        scheme=scheme,
+    )
 
-    # Per-tile, per-channel non-zero input counts (dense variant: cells).
-    in_mask = data.input_mask
-    tile_nnz = np.zeros((n_ty * n_tx, c), dtype=np.int64)
-    tile_cells = np.zeros(n_ty * n_tx, dtype=np.int64)
-    for ty in range(n_ty):
-        for tx in range(n_tx):
-            block = in_mask[
-                ty * tile_h : (ty + 1) * tile_h,
-                tx * tile_w : (tx + 1) * tile_w,
-                :,
-            ]
-            idx = ty * n_tx + tx
-            tile_nnz[idx] = block.sum(axis=(0, 1))
-            tile_cells[idx] = block.shape[0] * block.shape[1]
+
+def scnn_closed_form(
+    spec: ConvLayerSpec,
+    cfg: HardwareConfig,
+    variant: str,
+    cells: np.ndarray,
+    tile_nnz: np.ndarray,
+    filter_channel_nnz: np.ndarray,
+    profile: bool = False,
+    bins: int = 0,
+    scheme: str = "scnn",
+) -> dict:
+    """SCNN's cycle model, closed form in the tile and filter histograms.
+
+    Args:
+        cells: (n_tiles,) cells per input tile (edge tiles are clipped).
+        tile_nnz: (n_tiles, C) non-zero inputs per tile and channel.
+        filter_channel_nnz: (F, C) non-zero weights per filter and channel.
+
+    The simulator and the analytical tier both call this, so the
+    analytical SCNN prediction equals the simulator bit for bit. Every
+    quantity is an exact integer count until the final floats.
+    """
+    cells = np.asarray(cells, dtype=np.int64)
+    tile_nnz = np.asarray(tile_nnz, dtype=np.int64)
+    n_pes = cfg.scnn_n_pes
+    mult_in = cfg.scnn_mult_rows
+    mult_w = cfg.scnn_mult_cols
+    macs_per_pe = mult_in * mult_w
+    n_tiles, c = tile_nnz.shape
+    group = cfg.scnn_output_group
+    n_groups = -(-spec.n_filters // group)
+
     if variant == "dense":
-        tile_counts = np.broadcast_to(tile_cells[:, None], tile_nnz.shape)
+        tile_counts = np.broadcast_to(cells[:, None], tile_nnz.shape)
     else:
         tile_counts = tile_nnz
 
-    # Per-group, per-channel weight counts.
-    filt_mask = data.filter_masks  # (F, k, k, C)
-    w_nnz_per_filter = filt_mask.sum(axis=(1, 2))  # (F, C)
-    w_dense_per_filter = spec.kernel * spec.kernel
-    group_w_nnz = np.zeros((n_groups, c), dtype=np.int64)
-    group_w_all = np.zeros((n_groups, c), dtype=np.int64)
-    for g in range(n_groups):
-        members = range(g * group, min((g + 1) * group, spec.n_filters))
-        group_w_nnz[g] = w_nnz_per_filter[list(members)].sum(axis=0)
-        group_w_all[g] = len(list(members)) * w_dense_per_filter
-    group_weights = group_w_nnz if variant == "two" else group_w_all
+    # Per-group, per-channel weight counts: filters padded to whole
+    # groups with all-zero members.
+    padded = np.zeros((n_groups * group, c), dtype=np.int64)
+    padded[: spec.n_filters] = filter_channel_nnz
+    group_w_nnz = padded.reshape(n_groups, group, c).sum(axis=1)
+    if variant == "two":
+        group_weights = group_w_nnz
+    else:
+        members = np.minimum(group, spec.n_filters - np.arange(n_groups) * group)
+        group_weights = np.broadcast_to(
+            (members * spec.kernel * spec.kernel)[:, None], (n_groups, c)
+        )
 
-    # Round-robin tile -> PE assignment; per-PE ceil'd input work.
-    pe_of_tile = np.arange(n_ty * n_tx) % n_pes
-    ceil_in = np.ceil(tile_counts / mult_in).astype(np.int64)  # (tiles, C)
-    pe_ceil = np.zeros((n_pes, c), dtype=np.int64)
-    np.add.at(pe_ceil, pe_of_tile, ceil_in)
+    # Round-robin tile -> PE assignment: tile t lands on PE t % n_pes, so
+    # padding the tiles to whole rounds of the PE grid and summing the
+    # rounds gives each PE's load.
+    def per_pe(per_tile: np.ndarray) -> np.ndarray:
+        rounds = np.zeros((-(-n_tiles // n_pes) * n_pes, c), dtype=per_tile.dtype)
+        rounds[:n_tiles] = per_tile
+        return rounds.reshape(-1, n_pes, c).sum(axis=0)
 
-    ceil_w = np.ceil(group_weights / mult_w).astype(np.int64)  # (G, C)
-    sum_ceil_w = ceil_w.sum(axis=0)  # (C,)
+    pe_ceil = per_pe(-(-tile_counts // mult_in))  # (PEs, C) ceil'd input work
+    sum_ceil_w = (-(-group_weights // mult_w)).sum(axis=0)  # (C,)
 
     # Barrier per (group, channel): the weight factor is common to all
     # PEs, so the barrier maximum factorises.
     max_pe = pe_ceil.max(axis=0)  # (C,)
+    pe_total = pe_ceil.sum(axis=0)
     cycles = float(np.dot(max_pe, sum_ceil_w))
-    issued = float(np.dot(pe_ceil.sum(axis=0), sum_ceil_w)) * (mult_in * mult_w)
-    inter = (
-        float(np.dot(n_pes * max_pe - pe_ceil.sum(axis=0), sum_ceil_w))
-        * mult_in
-        * mult_w
-    )
+    issued = float(np.dot(pe_total, sum_ceil_w)) * macs_per_pe
+    inter = float(np.dot(n_pes * max_pe - pe_total, sum_ceil_w)) * macs_per_pe
 
     # Product counts (exact, before the multiplier-array ceil).
     in_total = tile_counts.sum(axis=0).astype(np.float64)  # (C,)
@@ -234,11 +266,8 @@ def _scnn_image_stats(
     # cycles of each (group, channel) broadcast and then waits for the
     # slowest PE, so its occupied slots, exact products and barrier math
     # all factorise over channels exactly like the global statistics.
-    macs_per_pe = mult_in * mult_w
-    in_pe = np.zeros((n_pes, c), dtype=np.float64)
-    np.add.at(in_pe, pe_of_tile, tile_counts.astype(np.float64))
-    in_nz_pe = np.zeros((n_pes, c), dtype=np.float64)
-    np.add.at(in_nz_pe, pe_of_tile, tile_nnz.astype(np.float64))
+    in_pe = per_pe(tile_counts).astype(np.float64)
+    in_nz_pe = per_pe(tile_nnz).astype(np.float64)
     issued_slots = (pe_ceil * sum_ceil_w[None, :]).astype(np.float64)  # (PEs, C)
     issued_pe = issued_slots.sum(axis=1) * macs_per_pe
     products_pe = in_pe @ w_total

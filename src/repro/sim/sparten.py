@@ -62,11 +62,15 @@ SCHEME_NAMES = {
 
 
 def sparten_variant_plan(
-    data: LayerMasks, cfg: HardwareConfig, variant: str
+    data: LayerMasks,
+    cfg: HardwareConfig,
+    variant: str,
+    chunk_nnz: np.ndarray | None = None,
 ) -> BalancePlan:
     """Build the greedy-balancing plan for a variant.
 
-    Collocation is part of the GB plans regardless of filter count; the
+    *chunk_nnz* is the workload's ``ChunkWork.filter_chunk_nnz``, which
+    spares the GB plans a pass over the filter masks. Collocation is part of the GB plans regardless of filter count; the
     paper's static too-few-filters check is applied (optionally) by the
     simulator via ``auto_disable_collocation``, not here, so the plan
     always reflects the variant's mechanics.
@@ -78,8 +82,8 @@ def sparten_variant_plan(
     if variant not in ("gb_s", "gb_h"):
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "gb_s":
-        return gb_s_plan(masks, units)
-    return gb_h_plan(masks, units, chunk_size=cfg.chunk_size)
+        return gb_s_plan(masks, units, chunk_nnz=chunk_nnz)
+    return gb_h_plan(masks, units, chunk_size=cfg.chunk_size, chunk_nnz=chunk_nnz)
 
 
 def simulate_sparten(
@@ -289,7 +293,7 @@ def _two_sided_cluster_cycles(
     weights = work.assignment.weight_of  # (n_sel,)
     cluster_of = work.assignment.cluster_of
 
-    plan = sparten_variant_plan(data, cfg, variant)
+    plan = sparten_variant_plan(data, cfg, variant, work.filter_chunk_nnz)
     collocate = plan.collocated
     if auto_disable_collocation and not collocation_helps(n_filters, units):
         collocate = False

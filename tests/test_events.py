@@ -532,7 +532,7 @@ class TestBenchTrack:
 
 
 class TestCheckEventsScript:
-    def test_gate_passes_on_instrumented_pool_run(self, event_log, tmp_path):
+    def test_gate_passes_on_instrumented_pool_run(self, event_log, tmp_path, capsys):
         import importlib.util
 
         parallel.parallel_map(_count_and_square, [1, 2, 3], jobs=2)
@@ -557,3 +557,12 @@ class TestCheckEventsScript:
         assert gate([r for r in records if r is not worker]) == 1
         assert gate(records + [worker]) == 1
         assert gate(records) == 0
+
+        # --min-pids: the pool run's workers wrote records; a stream the
+        # parent wrote alone fails on the process count.
+        args = [str(event_log), str(manifest_path), "--min-pids", "2"]
+        assert mod.main(args) == 0
+        gate([r for r in records if r["pid"] == os.getpid()])
+        capsys.readouterr()
+        assert mod.main(args) == 1
+        assert "--min-pids asks for 2" in capsys.readouterr().out

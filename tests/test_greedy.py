@@ -185,3 +185,71 @@ def test_gb_s_plan_properties(seed, n_filters, n_units):
     assert np.array_equal(np.sort(used), np.arange(n_filters))
     # Every group block has exactly n_units rows.
     assert plan.pairing.shape[0] % n_units == 0
+
+
+def _reference_pair_group(group, n_units):
+    """The original per-group pairing loop, frozen as the oracle."""
+    pairs = np.full((n_units, 2), -1, dtype=np.int64)
+    m = group.size
+    for i in range((m + 1) // 2):
+        j = m - 1 - i
+        pairs[i, 0] = group[i]
+        if j > i:
+            pairs[i, 1] = group[j]
+    return pairs
+
+
+def _reference_plans(masks, n_units, chunk_size):
+    """The original GB-S pairing and GB-H per-(group, chunk) loops."""
+    order = np.argsort(-whole_filter_densities(masks), kind="stable")
+    n_filters, k, _, c = masks.shape
+    cpc = -(-c // chunk_size)
+    counts = np.zeros((n_filters, k * k * cpc), dtype=np.int64)
+    for ky in range(k):
+        for kx in range(k):
+            for cz in range(cpc):
+                lo = cz * chunk_size
+                counts[:, (ky * k + kx) * cpc + cz] = masks[
+                    :, ky, kx, lo : lo + chunk_size
+                ].sum(axis=1)
+    size = 2 * n_units
+    groups = [order[b : b + size] for b in range(0, n_filters, size)]
+    pairing = np.concatenate([_reference_pair_group(g, n_units) for g in groups])
+    blocks = []
+    for group in groups:
+        per_chunk = np.full((counts.shape[1], n_units, 2), -1, dtype=np.int64)
+        for ch in range(counts.shape[1]):
+            ranked = group[np.argsort(-counts[group, ch], kind="stable")]
+            per_chunk[ch] = _reference_pair_group(ranked, n_units)
+        blocks.append(per_chunk)
+    return order, counts, pairing, np.concatenate(blocks, axis=1)
+
+
+@given(
+    seed=st.integers(0, 2**31),
+    n_filters=st.integers(1, 37),
+    n_units=st.integers(1, 9),
+    chunk_size=st.sampled_from([4, 5, 8, 12]),
+    density=st.floats(0.0, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_vectorised_plans_match_reference_loops(
+    seed, n_filters, n_units, chunk_size, density
+):
+    """Odd group sizes, fewer than ``2 * n_units`` filters, heavy ties."""
+    gen = np.random.default_rng(seed)
+    masks = gen.random((n_filters, 2, 2, int(gen.integers(1, 14)))) < density
+    order, counts, pairing, chunk_pairing = _reference_plans(
+        masks, n_units, chunk_size
+    )
+    assert np.array_equal(filter_chunk_densities(masks, chunk_size), counts)
+    s_plan = gb_s_plan(masks, n_units)
+    h_plan = gb_h_plan(masks, n_units, chunk_size=chunk_size)
+    h_from_counts = gb_h_plan(masks, n_units, chunk_size, chunk_nnz=counts)
+    s_from_counts = gb_s_plan(masks, n_units, chunk_nnz=counts)
+    for plan in (s_plan, h_plan, h_from_counts, s_from_counts):
+        assert np.array_equal(plan.order, order)
+    assert np.array_equal(s_plan.pairing, pairing)
+    assert np.array_equal(s_from_counts.pairing, pairing)
+    assert np.array_equal(h_plan.chunk_pairing, chunk_pairing)
+    assert np.array_equal(h_from_counts.chunk_pairing, chunk_pairing)

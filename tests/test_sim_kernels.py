@@ -5,6 +5,7 @@ import pytest
 
 from repro.nets.layers import ConvLayerSpec
 from repro.nets.synthesis import synthesize_layer
+from repro.sim import native
 from repro.sim.config import HardwareConfig
 from repro.sim.kernels import (
     ChunkWork,
@@ -260,6 +261,48 @@ class TestKernelEquivalence:
     def test_randomized_equivalence(self):
         for spec, cfg, seed in self._random_cases():
             data = synthesize_layer(spec, seed=seed)
+            for need_counts in (True, False):
+                got = compute_chunk_work(data, cfg, need_counts=need_counts)
+                want = _reference_chunk_work(data, cfg, need_counts=need_counts)
+                self._assert_identical(got, want)
+
+    @pytest.mark.parametrize("no_native", [False, True])
+    @pytest.mark.parametrize("chunk", [12, 100])
+    def test_packed_gather_odd_chunk_sizes(self, chunk, no_native, monkeypatch):
+        """Chunks that are not whole bytes, padding, stride, partial chunks.
+
+        With the native kernel forced off, both NumPy branches (the GEMM
+        fallback and the ``need_counts=False`` matvec) unpack the
+        gathered bytes; they must still match the original loop.
+        """
+        if no_native:
+            monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+            assert not native.available()
+        rng = np.random.default_rng(chunk)
+        for i, (kernel, stride, padding) in enumerate(
+            [(3, 2, 1), (1, 1, 0), (5, 3, 2), (2, 1, 1)]
+        ):
+            spec = ConvLayerSpec(
+                name=f"odd{i}",
+                in_height=int(rng.integers(7, 11)),
+                in_width=int(rng.integers(7, 11)),
+                # A partial last chunk, sometimes after whole ones.
+                in_channels=int(rng.integers(1, 2 * chunk + 1)) | 1,
+                kernel=kernel,
+                n_filters=int(rng.integers(2, 12)),
+                stride=stride,
+                padding=padding,
+                input_density=float(rng.uniform(0.2, 0.9)),
+                filter_density=float(rng.uniform(0.2, 0.9)),
+            )
+            cfg = HardwareConfig(
+                name="odd",
+                n_clusters=3,
+                units_per_cluster=4,
+                chunk_size=chunk,
+                position_sample=None if i % 2 else 4,
+            )
+            data = synthesize_layer(spec, seed=i)
             for need_counts in (True, False):
                 got = compute_chunk_work(data, cfg, need_counts=need_counts)
                 want = _reference_chunk_work(data, cfg, need_counts=need_counts)

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nets.layers import ConvLayerSpec
 from repro.nets.synthesis import synthesize_layer
 from repro.sim.config import HardwareConfig
 from repro.sim.dense import simulate_dense
-from repro.sim.scnn import scnn_tile_plan, simulate_scnn
+from repro.nets.synthesis import synthesize_masks
+from repro.sim.scnn import _scnn_image_stats, scnn_tile_plan, simulate_scnn
 
 
 def spec(**kwargs) -> ConvLayerSpec:
@@ -150,3 +153,100 @@ class TestBatch:
         one = simulate_scnn(spec(), cfg1)
         two = simulate_scnn(spec(), cfg2)
         assert two.cycles > one.cycles
+
+
+def _reference_scnn_stats(data, cfg, variant):
+    """The original per-tile / per-group loops and ``np.add.at`` PE scatter.
+
+    Frozen as the oracle for the pad-and-reshape closed form; returns the
+    image statistics plus the per-PE useful products behind ``busy``.
+    """
+    spec = data.spec
+    n_pes = cfg.scnn_n_pes
+    mult_in, mult_w = cfg.scnn_mult_rows, cfg.scnn_mult_cols
+    tile_h, tile_w, n_ty, n_tx = scnn_tile_plan(spec, cfg)
+    c = spec.in_channels
+    group = cfg.scnn_output_group
+    n_groups = int(np.ceil(spec.n_filters / group))
+    tile_nnz = np.zeros((n_ty * n_tx, c), dtype=np.int64)
+    tile_cells = np.zeros(n_ty * n_tx, dtype=np.int64)
+    for ty in range(n_ty):
+        for tx in range(n_tx):
+            block = data.input_mask[
+                ty * tile_h : (ty + 1) * tile_h, tx * tile_w : (tx + 1) * tile_w
+            ]
+            tile_nnz[ty * n_tx + tx] = block.sum(axis=(0, 1))
+            tile_cells[ty * n_tx + tx] = block.shape[0] * block.shape[1]
+    if variant == "dense":
+        tile_counts = np.broadcast_to(tile_cells[:, None], tile_nnz.shape)
+    else:
+        tile_counts = tile_nnz
+    w_nnz = data.filter_masks.sum(axis=(1, 2))
+    group_w_nnz = np.zeros((n_groups, c), dtype=np.int64)
+    group_w_all = np.zeros((n_groups, c), dtype=np.int64)
+    for g in range(n_groups):
+        members = list(range(g * group, min((g + 1) * group, spec.n_filters)))
+        group_w_nnz[g] = w_nnz[members].sum(axis=0)
+        group_w_all[g] = len(members) * spec.kernel * spec.kernel
+    group_weights = group_w_nnz if variant == "two" else group_w_all
+    pe_of_tile = np.arange(n_ty * n_tx) % n_pes
+    pe_ceil = np.zeros((n_pes, c), dtype=np.int64)
+    np.add.at(pe_ceil, pe_of_tile, np.ceil(tile_counts / mult_in).astype(np.int64))
+    sum_ceil_w = np.ceil(group_weights / mult_w).astype(np.int64).sum(axis=0)
+    max_pe = pe_ceil.max(axis=0)
+    in_nz_total = tile_nnz.sum(axis=0).astype(np.float64)
+    w_nz_total = group_w_nnz.sum(axis=0).astype(np.float64)
+    products = float(
+        np.dot(tile_counts.sum(axis=0), group_weights.sum(axis=0).astype(np.float64))
+    )
+    both_nz = float(np.dot(in_nz_total, w_nz_total))
+    stride_factor = 1.0 / (spec.stride * spec.stride)
+    useful = both_nz * stride_factor
+    in_nz_pe = np.zeros((n_pes, c), dtype=np.float64)
+    np.add.at(in_nz_pe, pe_of_tile, tile_nnz.astype(np.float64))
+    return {
+        "cycles": float(np.dot(max_pe, sum_ceil_w)),
+        "useful": useful,
+        "issued": float(np.dot(pe_ceil.sum(axis=0), sum_ceil_w)) * mult_in * mult_w,
+        "inter": float(np.dot(n_pes * max_pe - pe_ceil.sum(axis=0), sum_ceil_w))
+        * mult_in
+        * mult_w,
+        "stride_waste": both_nz - useful,
+        "operand_zero": products - both_nz,
+        "busy": (in_nz_pe @ w_nz_total) * stride_factor,
+    }
+
+
+@given(
+    seed=st.integers(0, 2**31),
+    height=st.integers(3, 17),
+    width=st.integers(3, 17),
+    channels=st.integers(1, 9),
+    n_filters=st.integers(1, 21),
+    stride=st.integers(1, 3),
+    grid=st.sampled_from([(1, 1), (2, 2), (2, 3), (3, 3)]),
+    max_tile=st.integers(1, 5),
+    group=st.sampled_from([1, 3, 8]),
+)
+@settings(max_examples=40, deadline=None)
+def test_closed_form_matches_reference_loops(
+    seed, height, width, channels, n_filters, stride, grid, max_tile, group
+):
+    """Partial edge tiles, tile counts off the PE grid, partial groups."""
+    s = ConvLayerSpec(
+        name="ref", in_height=height, in_width=width, in_channels=channels,
+        kernel=3, n_filters=n_filters, stride=stride, padding=1,
+        input_density=0.5, filter_density=0.5,
+    )
+    cfg = HardwareConfig(
+        name="ref", n_clusters=2, units_per_cluster=4, chunk_size=16,
+        scnn_pe_grid=grid, scnn_max_tile=max_tile, scnn_output_group=group,
+    )
+    data = synthesize_masks(s, seed=seed % 1000)
+    for variant in ("two", "one", "dense"):
+        got = _scnn_image_stats(data, cfg, variant, profile=True)
+        want = _reference_scnn_stats(data, cfg, variant)
+        for key in ("cycles", "useful", "issued", "inter", "stride_waste",
+                    "operand_zero"):
+            assert got[key] == want[key], key
+        assert np.array_equal(got["counters"].busy, want["busy"])
