@@ -8,6 +8,10 @@ memory) and fails unless the second run
 2. reports zero ``sim.*`` counts and zero ``kernel.*dispatch`` counts in
    its manifest -- no simulator and no match/reduce kernel ran, and
 3. served results from the store (``cache.result.disk_hit`` > 0),
+4. when the run configuration asks for more than one job, started no
+   worker pool (``parallel.pool_start`` 0) and synthesized nothing (zero
+   ``synthesize`` span calls): every fan-out item resolves from the store
+   in the parent, so spawning workers would only re-import the program,
 
 and unless the cold run wrote at most ``MAX_STORE_MB`` of store entries
 (``cache.disk.store_bytes`` in its manifest).
@@ -54,13 +58,19 @@ def _run(store: str, manifest: pathlib.Path) -> str:
 
 
 def main() -> int:
+    from repro import config
+
+    jobs = config.current().jobs
     OUTPUT.mkdir(parents=True, exist_ok=True)
     cold_manifest = OUTPUT / "warm-store-cold.json"
     warm_manifest = OUTPUT / "warm-store-warm.json"
     with tempfile.TemporaryDirectory(prefix="warm-store-") as store:
         cold = _run(store, cold_manifest)
         warm = _run(store, warm_manifest)
-    counters = json.loads(warm_manifest.read_text())["counters"]
+    warm_doc = json.loads(warm_manifest.read_text())
+    counters = warm_doc["counters"]
+    synthesized = warm_doc["spans"].get("synthesize", {}).get("calls", 0)
+    pools = counters.get("parallel.pool_start", 0)
     cold_counters = json.loads(cold_manifest.read_text())["counters"]
     store_mb = cold_counters.get("cache.disk.store_bytes", 0) / 1e6
     simulated = {k: v for k, v in counters.items() if k.startswith("sim.") and v}
@@ -78,6 +88,10 @@ def main() -> int:
         failures.append(f"the warm run dispatched kernels: {dispatched}")
     if not hits > 0:
         failures.append("the warm run served no result from the store")
+    if jobs > 1 and pools:
+        failures.append(f"the warm run at {jobs} jobs started {pools:.0f} worker pool(s)")
+    if jobs > 1 and synthesized:
+        failures.append(f"the warm run synthesized {synthesized} layer(s)")
     if store_mb > MAX_STORE_MB:
         failures.append(
             f"the cold run wrote {store_mb:.1f} MB of store entries "
@@ -89,8 +103,8 @@ def main() -> int:
         return 1
     print(
         f"check_warm_store: OK -- warm fig7 matched the cold rows with "
-        f"{hits:.0f} results from the store, 0 simulations, 0 kernel dispatches; "
-        f"the cold run wrote {store_mb:.1f} MB"
+        f"{hits:.0f} results from the store, 0 simulations, 0 kernel dispatches, "
+        f"{pools:.0f} pools at {jobs} jobs; the cold run wrote {store_mb:.1f} MB"
     )
     return 0
 

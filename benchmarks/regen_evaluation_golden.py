@@ -5,19 +5,24 @@
 Runs the paper's evaluation in fast mode at seed 0 -- Figs 7-9 speedups
 with every layer's cycles per scheme, Figs 10-12 breakdowns, Figs 15-17
 FPGA speedups, Fig 13 energy, the Fig 14 GB distribution, Table 4 and
-the headline means -- and writes it through the result-entry codec
-(:mod:`repro.resilience.checkpoint`), so every float is stored as its
-IEEE-754 bit pattern. ``tests/test_golden.py`` recomputes the same
-document with :func:`evaluation` and requires it to be identical.
+the headline means -- and writes it through :func:`encode`, which stores
+every float as its IEEE-754 bit pattern (``{"f8": <hex>}``) and every
+array as dtype, shape and raw bytes. This encoder is the golden file's
+own: the result-entry codec (:mod:`repro.resilience.checkpoint`) writes
+finite floats as exact decimals, and the file must stay byte-identical.
+``tests/test_golden.py`` recomputes the same document with
+:func:`evaluation` and requires it to be identical.
 Regenerate only with a change that alters the program's outputs on
 purpose, and say so in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import pathlib
+import struct
 import sys
 
 import numpy as np
@@ -38,11 +43,26 @@ def _plain(value):
     return value
 
 
+def encode(value):
+    """*value* as the golden file's JSON: floats as bit patterns, dicts tagged."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float):
+        return {"f8": struct.pack(">d", value).hex()}
+    if isinstance(value, list):
+        return [encode(v) for v in value]
+    if isinstance(value, dict):
+        return {"dict": {k: encode(v) for k, v in value.items()}}
+    if isinstance(value, np.ndarray):
+        raw = base64.b64encode(value.tobytes()).decode("ascii")
+        return {"ndarray": [value.dtype.str, list(value.shape), raw]}
+    raise TypeError(f"cannot encode {type(value).__name__}")
+
+
 def evaluation(seed: int = 0) -> dict:
-    """The fast-mode evaluation at *seed*, encoded by the result-entry codec."""
+    """The fast-mode evaluation at *seed*, encoded by :func:`encode`."""
     from repro.eval import experiments as ex
     from repro.nets.models import all_networks
-    from repro.resilience import checkpoint
 
     out: dict = {}
     for net in all_networks():
@@ -61,7 +81,7 @@ def evaluation(seed: int = 0) -> dict:
     out["asic_table"] = ex.asic_table()
     means = ex.headline_means(fast=True, seed=seed)
     out["headline_means"] = {k: v for k, v in means.items() if k != "extras"}
-    return checkpoint.encode(_plain(out))
+    return encode(_plain(out))
 
 
 def main() -> int:

@@ -142,13 +142,13 @@ def compare_architectures(
     )
     needs_counts = any(s.startswith("sparten") for s in run_schemes)
     t0 = time.perf_counter()
-    worker = partial(
+    worker = parallel.Replayable(partial(
         _layer_results,
         schemes=run_schemes,
         cfg=cfg,
         seed=seed,
         need_counts=needs_counts,
-    )
+    ))
     with telemetry.span("compare", network=target.name, arch=cfg.name):
         per_layer = parallel.parallel_map(worker, layers, jobs=jobs)
     for spec, layer_results in zip(layers, per_layer):

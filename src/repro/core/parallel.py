@@ -27,6 +27,23 @@ workers too -- and at interpreter exit. Each start counts
 (``REPRO_FAULT=kind:N``) are per worker process, so they are spent over
 the pool's life rather than per call.
 
+**Pre-resolution answers stored items in the parent.** A fan-out whose
+function is wrapped in :class:`Replayable` (the evaluation's
+``compare_architectures``, ``energy_figure``, ``fpga_figure`` and
+``headline_means``) first runs each item in the parent under
+:func:`repro.core.workload.replay_only`. There ``get_workload`` raises
+``StoreMiss`` before any claim, synthesis or kernel call, and a nested
+``parallel_map`` runs serially. Items that resolve from stored results
+are kept; only the items that raised go to the pool, each under its
+original ``item<i>`` token, so fault injection hits the same items it
+would have hit without the probe. A call with no miss starts no pool.
+The **pool decision** is the original call's (``jobs > 1`` and more
+than one item), not the number of misses: a call that would have used
+the pool sends its misses there even when only one item missed. The
+probe is ordinary parent work, so its telemetry stays in the parent's
+recorder (a damaged entry it quarantines counts once). A plain function
+is never run in the parent, and the serial path never probes.
+
 Failure handling is **per item**, not per pool. Each item is its own
 future with a bounded retry budget (``REPRO_RETRIES``, exponential
 backoff via ``REPRO_RETRY_BACKOFF``) and an optional watchdog
@@ -94,7 +111,7 @@ from repro.resilience.retry import RetryPolicy, call_with_retry
 from repro.telemetry import events
 from repro.telemetry.progress import ProgressRenderer
 
-__all__ = ["default_jobs", "parallel_map", "shutdown_pool"]
+__all__ = ["Replayable", "default_jobs", "parallel_map", "shutdown_pool"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -214,6 +231,43 @@ def _instrumented_call(
     return result, snap
 
 
+@dataclasses.dataclass(frozen=True)
+class Replayable:
+    """A pool function whose items the store may answer in the parent.
+
+    ``parallel_map(Replayable(fn), items)`` pre-resolves: before any
+    pool work it runs each item in the parent under
+    :func:`repro.core.workload.replay_only`, keeps the items that
+    resolve from stored results and sends only the rest to the pool (see
+    the module docstring). Wrap only functions whose every computation
+    goes through :func:`~repro.core.workload.get_workload`, so an item
+    the store cannot answer stops before any synthesis or simulation.
+    """
+
+    fn: Callable
+
+    def __call__(self, item):
+        return self.fn(item)
+
+
+def _pre_resolve(fn: Replayable, items: list, results: list) -> None:
+    """Fill *results* with every item the store answers in the parent."""
+    from repro.core import workload  # workload imports this module
+
+    with workload.replay_only():
+        for i, item in enumerate(items):
+            try:
+                results[i] = fn(item)
+            except workload.StoreMiss:
+                pass
+
+
+def _replaying() -> bool:
+    from repro.core import workload
+
+    return workload.replaying()
+
+
 def parallel_map(
     fn: Callable[[T], R], items: Iterable[T], jobs: int | None = None
 ) -> list[R]:
@@ -226,18 +280,25 @@ def parallel_map(
     the pool itself is shared across calls (see the module docstring).
     Per-item failures retry under the :class:`RetryPolicy` of the run
     configuration and completed work survives a dying pool; see the module
-    docstring for the full degradation ladder.
+    docstring for the full degradation ladder. A :class:`Replayable`
+    *fn* is pre-resolved in the parent first, and only its misses reach
+    the pool.
     """
     items = list(items)
     n = default_jobs() if jobs is None else max(1, int(jobs))
-    if _IN_WORKER or n <= 1 or len(items) <= 1:
+    if _IN_WORKER or n <= 1 or len(items) <= 1 or _replaying():
         return [fn(item) for item in items]
-    policy = RetryPolicy.from_config()
     results: list = [_PENDING] * len(items)
+    if isinstance(fn, Replayable):
+        _pre_resolve(fn, items, results)
+    todo = [i for i, r in enumerate(results) if r is _PENDING]
+    if not todo:
+        return results
+    policy = RetryPolicy.from_config()
     attempts = [0] * len(items)
     broken = False
     abandoned = False  # a timed-out item left a possibly-hung worker behind
-    pool_size = min(n, len(items))
+    pool_size = min(n, len(todo))
     shard = config.current().shard
     progress = ProgressRenderer(
         total=len(items), label=f"pool[{shard}]" if shard else "pool"
@@ -255,7 +316,7 @@ def parallel_map(
             workers_busy=min(pool_size, sum(1 for r in results if r is _PENDING)),
         )
 
-    with telemetry.span("parallel_map", jobs=pool_size, items=len(items)):
+    with telemetry.span("parallel_map", jobs=pool_size, items=len(todo)):
         # The open parallel_map span is the trace context every worker
         # attempt adopts, re-parenting its spans in the merged trace.
         trace_ctx = telemetry.current_span_id()
@@ -263,7 +324,7 @@ def parallel_map(
         healthy = False
         try:
             pending = {}
-            for i in range(len(items)):
+            for i in todo:
                 try:
                     pending[i] = pool.submit(
                         _instrumented_call, fn, items[i], f"item{i}", 0, trace_ctx

@@ -36,6 +36,13 @@ those products *by value* so the redundancy disappears:
   tier is the only copy of a finished result: ``repro run --resume DIR``
   uses *DIR* as the store to skip finished work after a crash, and
   distributed sweeps coordinate on the same entries.
+- **Replay-only lookups** (:func:`replay_only`): inside that context a
+  request that would compute -- :func:`get_workload` or
+  :func:`get_layer_masks` -- raises :class:`StoreMiss` before any claim,
+  synthesis or kernel call, so a caller learns whether stored results
+  alone answer a piece of work. :mod:`repro.core.parallel` uses it to
+  answer a fan-out's replayable items in the parent and send only the
+  misses to the pool.
 
 The disk store is *corruption-safe*: a truncated or garbled ``.npz`` or
 result entry (a crash mid-``os.replace`` on exotic filesystems, bit rot,
@@ -56,6 +63,8 @@ the simulator serves nothing the new code did not produce.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import hashlib
 import math
@@ -86,6 +95,9 @@ from repro.sim.kernels import ChunkWork, PositionAssignment, compute_chunk_work
 
 __all__ = [
     "CacheStats",
+    "StoreMiss",
+    "replay_only",
+    "replaying",
     "source_fingerprint",
     "workload_key",
     "result_key",
@@ -314,6 +326,37 @@ def result_key(kind: str, spec: ConvLayerSpec, cfg: HardwareConfig, seed: int) -
     )
 
 
+class StoreMiss(LookupError):
+    """Raised under :func:`replay_only` where a result would be computed."""
+
+
+_REPLAY_ONLY = contextvars.ContextVar("replay_only", default=False)
+
+
+@contextlib.contextmanager
+def replay_only():
+    """Answer from stored results only; computing raises :class:`StoreMiss`.
+
+    Scoped to the current context (thread), so a concurrent caller keeps
+    computing. Nested ``parallel_map`` calls run serially inside it.
+    """
+    token = _REPLAY_ONLY.set(True)
+    try:
+        yield
+    finally:
+        _REPLAY_ONLY.reset(token)
+
+
+def replaying() -> bool:
+    """Whether the current context is inside :func:`replay_only`."""
+    return _REPLAY_ONLY.get()
+
+
+def _refuse_compute(spec: ConvLayerSpec) -> None:
+    if _REPLAY_ONLY.get():
+        raise StoreMiss(f"no stored result for layer {spec.name}")
+
+
 def get_layer_data(spec: ConvLayerSpec, seed: int = 0) -> LayerData:
     """Memoised :func:`synthesize_layer`: the dense values, for value-level use."""
     key = ("data", type(spec).__name__, _fields(spec), int(seed))
@@ -330,6 +373,7 @@ def get_layer_masks(spec: ConvLayerSpec, seed: int = 0) -> LayerMasks:
     key = ("masks", type(spec).__name__, _fields(spec), int(seed))
     masks = _WORKLOADS.get(key)
     if masks is None:
+        _refuse_compute(spec)
         with telemetry.span("synthesize", layer=spec.name):
             masks = synthesize_masks(spec, seed=seed)
         _WORKLOADS.put(key, masks, arrays=(masks.input_mask, masks.filter_masks))
@@ -354,7 +398,12 @@ def get_workload(
     mask work. Claims are advisory -- a stale or unobtainable lease
     degrades to the old compute-and-race behaviour, which atomic
     publish keeps correct.
+
+    Under :func:`replay_only` it raises :class:`StoreMiss` at once: a
+    workload is only ever wanted for a simulation, which replay must
+    leave to the pool.
     """
+    _refuse_compute(spec)
     key = workload_key(spec, cfg, seed)
     entry = _WORKLOADS.get(key)
     if entry is not None:

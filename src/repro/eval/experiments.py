@@ -167,7 +167,7 @@ def energy_figure(
     identical there, as the paper notes).
     """
     networks = networks if networks is not None else all_networks()
-    worker = partial(_energy_network_totals, fast=fast, seed=seed)
+    worker = parallel.Replayable(partial(_energy_network_totals, fast=fast, seed=seed))
     per_network = parallel.parallel_map(worker, networks)
     out: dict[str, dict[str, dict[str, float]]] = {}
     for network, totals in zip(networks, per_network):
@@ -221,16 +221,22 @@ def gb_impact_figure(
     """Per-chunk filter density before/after GB-H (Figure 14).
 
     Defaults to AlexNet Layer 2 -- 384 filters becoming 192 pairs -- the
-    paper's representative layer.
+    paper's representative layer. The distribution is a stored result
+    like a simulated one, so a warm run synthesizes nothing.
     """
     network = network if network is not None else alexnet()
     spec = network.layer(layer_name)
     cfg = config_for(network)
-    masks = get_layer_masks(spec, seed=seed).filter_masks
-    plan = gb_h_plan(masks, cfg.units_per_cluster, chunk_size=cfg.chunk_size)
-    return figure14_distribution(
-        masks, plan, chunk_index=chunk_index, chunk_size=cfg.chunk_size
-    )
+    key = workload.result_key(f"fig14:{chunk_index}", spec, cfg, seed)
+    data = workload.lookup_result(key)
+    if data is None:
+        masks = get_layer_masks(spec, seed=seed).filter_masks
+        plan = gb_h_plan(masks, cfg.units_per_cluster, chunk_size=cfg.chunk_size)
+        data = figure14_distribution(
+            masks, plan, chunk_index=chunk_index, chunk_size=cfg.chunk_size
+        )
+        workload.store_result(key, data)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +256,7 @@ def fpga_figure(
     cfg = _fast_cfg(FPGA_CONFIG, fast)
     layers: dict[str, dict[str, float]] = {s: {} for s in FPGA_SCHEMES}
     bound: dict[str, list[str]] = {s: [] for s in FPGA_SCHEMES}
-    worker = partial(_fpga_layer_results, cfg=cfg, seed=seed)
+    worker = parallel.Replayable(partial(_fpga_layer_results, cfg=cfg, seed=seed))
     with telemetry.span("fpga_figure", network=network.name, arch=cfg.name):
         per_layer = parallel.parallel_map(worker, network.layers)
     for spec, results in zip(network.layers, per_layer):
@@ -353,7 +359,7 @@ def headline_means(fast: bool = True, seed: int = 0) -> dict:
 
     t0 = _time.perf_counter()
     networks = all_networks()
-    worker = partial(_headline_network_figs, fast=fast, seed=seed)
+    worker = parallel.Replayable(partial(_headline_network_figs, fast=fast, seed=seed))
     with telemetry.span("headline_means", fast=fast, seed=seed):
         per_network = parallel.parallel_map(worker, networks)
     vs_dense: list[float] = []

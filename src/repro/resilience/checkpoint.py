@@ -14,16 +14,24 @@ simulating. The same entries carry the two recovery paths:
 - **Distributed sweeps.** :mod:`repro.dist.worker` coordinates on the
   entries: a unit is done when its entry exists.
 
-An entry is one JSON document ``{"sha256": <hex>, "body": {"key": ...,
-"value": ...}}``. The checksum covers the body's bytes exactly as
-written; the body holds the *full* key, which a keyed read compares
-(a mismatch is a digest collision, counted as ``cache.disk.collision``).
-The codec (:func:`encode` / :func:`decode`) covers a closed set of
-types -- the four result records (``LayerResult``, ``Breakdown``,
-``Traffic``, ``CounterSet``), str-keyed dicts, lists, tuples, bool, int,
-float, str, None and numeric ndarrays -- and rejects anything else with
-``TypeError``. Floats travel as their IEEE-754 bit patterns and arrays
-as raw bytes with dtype and shape, so every value round-trips
+An entry is one JSON document ``{"sha256": <hex>, "body": [key,
+value]}``. The checksum covers the body's bytes exactly as written; the
+body holds the *full* key, which a keyed read compares (a mismatch is a
+digest collision, counted as ``cache.disk.collision``). The codec
+(:func:`encode` / :func:`decode`) covers a closed set of types -- the
+result records (``LayerResult``, ``Breakdown``, ``Traffic``,
+``CounterSet``, and Fig 14's ``Figure14Data``), str-keyed dicts, lists,
+tuples, bool, int, float, str, None and numeric ndarrays -- and rejects
+anything else with ``TypeError``. Every JSON object in an entry is a
+one-key tagged wrapper: ``{"dict": [[k, v], ...]}``, ``{"tuple": [...]}``,
+``{"<Record>": [field, ...]}`` in field order, ``{"ndarray": [dtype,
+shape, base64]}`` and ``{"f8": <hex>}``. So :func:`parse_entry` decodes
+an entry in one ``json.loads`` pass, each wrapper unwrapped by the
+parser's object hook as it closes. Finite floats travel as JSON numbers
+-- Python writes the shortest decimal that reads back to the same
+double, so they round-trip exactly -- and only non-finite ones (signed
+infinities, NaNs with their payloads) as IEEE-754 bit patterns; arrays
+travel as raw bytes with dtype and shape. Every value round-trips
 bit-exactly; nothing is ever unpickled.
 
 Entries are append-only and content-keyed: publishing an existing entry
@@ -45,6 +53,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import pathlib
 import struct
@@ -85,10 +94,14 @@ def _records() -> dict[str, type]:
     # Late imports: the simulators import the workload cache, which
     # imports this module.
     from repro.arch.memory import Traffic
+    from repro.balance.metrics import Figure14Data
     from repro.profiling.counters import CounterSet
     from repro.sim.results import Breakdown, LayerResult
 
-    return {cls.__name__: cls for cls in (LayerResult, Breakdown, Traffic, CounterSet)}
+    return {
+        cls.__name__: cls
+        for cls in (LayerResult, Breakdown, Traffic, CounterSet, Figure14Data)
+    }
 
 
 def encode(value):
@@ -99,6 +112,8 @@ def encode(value):
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
+        if math.isfinite(value):
+            return value
         return {"f8": struct.pack(">d", value).hex()}
     if isinstance(value, list):
         return [encode(v) for v in value]
@@ -108,7 +123,7 @@ def encode(value):
         for k in value:
             if not isinstance(k, str):
                 raise TypeError(f"cannot encode a dict key of type {type(k).__name__}")
-        return {"dict": {k: encode(v) for k, v in value.items()}}
+        return {"dict": [[k, encode(v)] for k, v in value.items()]}
     if isinstance(value, np.ndarray):
         if value.dtype.kind not in _NUMERIC:
             raise TypeError(f"cannot encode an ndarray of dtype {value.dtype}")
@@ -117,37 +132,58 @@ def encode(value):
     name = type(value).__name__
     if _records().get(name) is type(value):
         fields = dataclasses.fields(value)
-        return {name: {f.name: encode(getattr(value, f.name)) for f in fields}}
+        return {name: [encode(getattr(value, f.name)) for f in fields]}
     raise TypeError(f"cannot encode {name}")
+
+
+def _ndarray(body) -> np.ndarray:
+    dtype, shape, raw = body
+    dtype = np.dtype(dtype)
+    if dtype.kind not in _NUMERIC:
+        # Raw bytes must never become object pointers.
+        raise ValueError(f"not a numeric dtype: {dtype}")
+    buf = bytearray(base64.b64decode(raw, validate=True))
+    return np.frombuffer(buf, dtype=dtype).reshape(shape)
+
+
+_TAGS = {
+    "dict": dict,
+    "tuple": tuple,
+    "f8": lambda body: struct.unpack(">d", bytes.fromhex(body))[0],
+    "ndarray": _ndarray,
+}
+
+
+def _unwrap(pairs: list):
+    """The value of one tagged wrapper, its body already decoded.
+
+    The ``object_pairs_hook`` of every decode: the parser calls it as
+    each JSON object closes, innermost first, so one ``json.loads``
+    rebuilds the whole value.
+    """
+    if len(pairs) != 1:
+        raise ValueError(f"not an encoded value: an object of {len(pairs)} keys")
+    ((tag, body),) = pairs
+    build = _TAGS.get(tag)
+    if build is not None:
+        return build(body)
+    cls = _records().get(tag)
+    if cls is None:
+        raise ValueError(f"unknown encoded type {tag!r}")
+    return cls(*body)
+
+
+def _loads(text: str | bytes):
+    return json.loads(text, object_pairs_hook=_unwrap)
+
+
+def _dumps(data) -> str:
+    return json.dumps(data, separators=(",", ":"), allow_nan=False)
 
 
 def decode(data):
     """The value :func:`encode` turned into *data*."""
-    if data is None or isinstance(data, (bool, int, str)):
-        return data
-    if isinstance(data, list):
-        return [decode(v) for v in data]
-    if not isinstance(data, dict) or len(data) != 1:
-        raise ValueError(f"not an encoded value: {type(data).__name__}")
-    ((tag, body),) = data.items()
-    if tag == "f8":
-        return struct.unpack(">d", bytes.fromhex(body))[0]
-    if tag == "tuple":
-        return tuple(decode(v) for v in body)
-    if tag == "dict":
-        return {k: decode(v) for k, v in body.items()}
-    if tag == "ndarray":
-        dtype, shape, raw = body
-        dtype = np.dtype(dtype)
-        if dtype.kind not in _NUMERIC:
-            # Raw bytes must never become object pointers.
-            raise ValueError(f"not a numeric dtype: {dtype}")
-        buf = bytearray(base64.b64decode(raw, validate=True))
-        return np.frombuffer(buf, dtype=dtype).reshape(shape)
-    cls = _records().get(tag)
-    if cls is None:
-        raise ValueError(f"unknown encoded type {tag!r}")
-    return cls(**{k: decode(v) for k, v in body.items()})
+    return _loads(_dumps(data))
 
 
 _HEAD = b'{"sha256":"'
@@ -156,9 +192,7 @@ _DIGEST_END = len(_HEAD) + 64
 
 
 def _entry_bytes(key: tuple, value) -> bytes:
-    body = json.dumps(
-        {"key": encode(key), "value": encode(value)}, separators=(",", ":")
-    ).encode()
+    body = _dumps([encode(key), encode(value)]).encode()
     return _HEAD + hashlib.sha256(body).hexdigest().encode() + _BODY + body + b"}"
 
 
@@ -176,11 +210,10 @@ def parse_entry(raw: bytes) -> tuple[tuple, object]:
         or hashlib.sha256(body).hexdigest().encode() != raw[len(_HEAD):_DIGEST_END]
     ):
         raise ValueError("entry checksum mismatch")
-    record = json.loads(body)
-    key = decode(record["key"])
+    key, value = _loads(body)
     if not isinstance(key, tuple):
         raise ValueError("entry key is not a tuple")
-    return key, decode(record["value"])
+    return key, value
 
 
 # -- entries on disk ------------------------------------------------------------

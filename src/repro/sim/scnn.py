@@ -145,28 +145,33 @@ def _scnn_image_stats(
 
     The per-tile histograms come from one pad-and-reshape sum over the
     input mask: zero padding to whole tiles adds no non-zeros, and the
-    cell counts clip the edge tiles.
+    cell counts clip the edge tiles. All three SCNN variants read the
+    same histograms, so they are built once per mask set and tile plan
+    and memoised on the masks instance, as read-only arrays.
     """
     spec = data.spec
-    tile_h, tile_w, n_ty, n_tx = scnn_tile_plan(spec, cfg)
-    h, w, c = spec.in_height, spec.in_width, spec.in_channels
-    tiled = np.zeros((n_ty * tile_h, n_tx * tile_w, c), dtype=bool)
-    tiled[:h, :w] = data.input_mask
-    tile_nnz = count_true(
-        tiled.reshape(n_ty, tile_h, n_tx, tile_w, c), (1, 3), tile_h * tile_w
-    )
-    heights = np.minimum(tile_h, h - np.arange(n_ty) * tile_h)
-    widths = np.minimum(tile_w, w - np.arange(n_tx) * tile_w)
+    plan = scnn_tile_plan(spec, cfg)
+    memo = data.__dict__.setdefault("_scnn_histograms", {})
+    if plan not in memo:
+        tile_h, tile_w, n_ty, n_tx = plan
+        h, w, c = spec.in_height, spec.in_width, spec.in_channels
+        tiled = np.zeros((n_ty * tile_h, n_tx * tile_w, c), dtype=bool)
+        tiled[:h, :w] = data.input_mask
+        tile_nnz = count_true(
+            tiled.reshape(n_ty, tile_h, n_tx, tile_w, c), (1, 3), tile_h * tile_w
+        )
+        heights = np.minimum(tile_h, h - np.arange(n_ty) * tile_h)
+        widths = np.minimum(tile_w, w - np.arange(n_tx) * tile_w)
+        histograms = (
+            np.outer(heights, widths).reshape(-1),
+            tile_nnz.reshape(n_ty * n_tx, c),
+            count_true(data.filter_masks, (1, 2), spec.kernel * spec.kernel),
+        )
+        for arr in histograms:
+            arr.setflags(write=False)
+        memo[plan] = histograms
     return scnn_closed_form(
-        spec,
-        cfg,
-        variant,
-        np.outer(heights, widths).reshape(-1),
-        tile_nnz.reshape(n_ty * n_tx, c),
-        count_true(data.filter_masks, (1, 2), spec.kernel * spec.kernel),
-        profile=profile,
-        bins=bins,
-        scheme=scheme,
+        spec, cfg, variant, *memo[plan], profile=profile, bins=bins, scheme=scheme
     )
 
 

@@ -63,7 +63,8 @@ the survivors exactly. Regenerate with::
 
 The whole fast evaluation at seed 0 -- Figs 7-17 with per-layer cycles,
 Table 4 and the headline means -- is pinned exactly: every float by its
-IEEE-754 bit pattern, through the result-entry codec. Regenerate with::
+IEEE-754 bit pattern, through the regeneration script's own encoder.
+Regenerate with::
 
     python benchmarks/regen_evaluation_golden.py
 """

@@ -279,3 +279,73 @@ class TestSharedPool:
         assert set(cold).isdisjoint(warm)
         # Every fresh worker misses the shared layer once, then hits.
         assert self._counter("cache.workload.miss") == len(set(cold))
+
+
+def _square_unless_odd_in_replay(x):
+    """Squares *x*; under replay an odd *x* is a store miss. Reports where."""
+    from repro.core import workload
+
+    if x % 2 and workload.replaying():
+        raise workload.StoreMiss(f"item {x}")
+    return x * x, parallel._IN_WORKER
+
+
+class TestPreResolution:
+    """``Replayable`` fan-outs answer stored items in the parent first."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_pool(self, monkeypatch):
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        parallel.shutdown_pool()
+        telemetry.reset()
+        yield
+        parallel.shutdown_pool()
+        telemetry.reset()
+
+    @staticmethod
+    def _counter(name):
+        return telemetry.get_recorder().counters().get(name, 0)
+
+    def test_resolved_items_start_no_pool(self):
+        fn = parallel.Replayable(_square_unless_odd_in_replay)
+        assert parallel.parallel_map(fn, [0, 2, 4], jobs=2) == [
+            (0, False), (4, False), (16, False),
+        ]
+        assert self._counter("parallel.pool_start") == 0
+
+    def test_only_misses_reach_the_pool_even_one(self):
+        fn = parallel.Replayable(_square_unless_odd_in_replay)
+        # One miss among three items: the call asked for a pool, so the
+        # miss runs in a worker rather than in the parent.
+        assert parallel.parallel_map(fn, [0, 1, 2], jobs=2) == [
+            (0, False), (1, True), (4, False),
+        ]
+        assert self._counter("parallel.pool_start") == 1
+
+    def test_plain_functions_never_run_in_the_parent(self):
+        out = parallel.parallel_map(_square_unless_odd_in_replay, [0, 2], jobs=2)
+        assert out == [(0, True), (4, True)]
+
+    def test_serial_calls_do_not_probe(self):
+        fn = parallel.Replayable(_square_unless_odd_in_replay)
+        assert parallel.parallel_map(fn, [1, 3], jobs=1) == [(1, False), (9, False)]
+
+    def test_nested_fanout_inside_replay_runs_serially(self):
+        from repro.core import workload
+
+        with workload.replay_only():
+            assert parallel.parallel_map(_worker_pid, range(3), jobs=2) == [os.getpid()] * 3
+        assert self._counter("parallel.pool_start") == 0
+
+    def test_replay_only_refuses_to_compute(self, tiny_spec, mini_cfg):
+        from repro.core import workload
+
+        clear_caches()
+        with workload.replay_only():
+            assert workload.replaying()
+            with pytest.raises(workload.StoreMiss):
+                workload.get_workload(tiny_spec, mini_cfg, 0)
+            with pytest.raises(workload.StoreMiss):
+                workload.get_layer_masks(tiny_spec, 0)
+        assert not workload.replaying()
+        assert telemetry.get_recorder().span_totals().get("synthesize") is None

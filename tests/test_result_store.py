@@ -10,6 +10,7 @@ alone, and must never trust a damaged, foreign or stale entry.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import shutil
 import struct
@@ -20,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro import telemetry
+from repro import config, telemetry
 from repro.arch.memory import Traffic
-from repro.core import compare, workload
+from repro.core import compare, parallel, workload
 from repro.core.workload import cache_stats, clear_caches
 from repro.profiling.counters import CounterSet
 from repro.resilience import checkpoint
@@ -84,6 +85,27 @@ _EXTRAS = st.dictionaries(
     st.text(max_size=8),
     _SCALARS | st.lists(_SCALARS, max_size=3) | st.tuples(_SCALARS, _SCALARS),
     max_size=6,
+)
+
+
+#: Tag names of the codec's wrappers, as dict keys and as strings.
+_TAG_NAMES = ("f8", "dict", "tuple", "ndarray", "LayerResult", "Figure14Data")
+#: Integers JSON readers commonly round through a double.
+_WIDE_INTS = st.sampled_from((2**53 + 1, -(2**53) - 1, 2**64 + 3, -(3**50)))
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | _WIDE_INTS | _ANY_FLOAT
+    | st.text(max_size=6) | st.sampled_from(_TAG_NAMES)
+)
+#: Nested values: lists, tuples, dicts (one-key dicts keyed by a tag name too).
+_NESTED = st.recursive(
+    _LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=3)
+        | st.tuples(inner, inner)
+        | st.dictionaries(st.text(max_size=6) | st.sampled_from(_TAG_NAMES), inner, max_size=3)
+        | st.builds(lambda k, v: {k: v}, st.sampled_from(_TAG_NAMES), inner)
+    ),
+    max_leaves=12,
 )
 
 
@@ -182,6 +204,26 @@ class TestCodec:
         with pytest.raises(TypeError):
             checkpoint.encode(value)
 
+    @settings(max_examples=200, deadline=None)
+    @given(value=_NESTED)
+    def test_values_round_trip_bit_exactly(self, value):
+        _same_bits(checkpoint.decode(checkpoint.encode(value)), value)
+        key = ("result", value)
+        found, back = checkpoint.parse_entry(checkpoint._entry_bytes(key, value))
+        _same_bits(found, key)
+        _same_bits(back, value)
+
+    def test_finite_floats_travel_as_numbers(self):
+        raw = checkpoint._entry_bytes(("k",), [0.1, -0.0, 5e-324, 2.0**60, math.inf])
+        assert b"0.1,-0.0,5e-324,1.152921504606847e+18" in raw
+        assert b'{"f8":"7ff0000000000000"}' in raw
+
+    def test_figure14_data_is_a_record(self):
+        from repro.balance.metrics import Figure14Data
+
+        data = Figure14Data(3, np.array([0.25, 0.5]), np.array([0.375]))
+        _same_bits(checkpoint.decode(checkpoint.encode(data)), data)
+
     def test_decode_refuses_object_arrays(self):
         forged = {"ndarray": ["|O", [1], "AAAAAAAAAAA="]}
         with pytest.raises(ValueError):
@@ -248,6 +290,113 @@ class TestWarmFromStore:
         assert cache_stats()["results"]["disk_hits"] == len(results)
         assert _counter("cache.result.disk_hit") == len(results)
 
+    def test_fig14_answers_from_the_store_without_synthesis(self, tmp_path, monkeypatch):
+        from repro.eval.experiments import gb_impact_figure
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        cold = gb_impact_figure()
+        assert _spans("synthesize") == 1
+        assert _counter("cache.result.disk_store") == 1
+
+        clear_caches()
+        telemetry.reset()
+        warm = gb_impact_figure()
+        _same_bits(warm, cold)
+        assert _spans("synthesize") == 0
+        assert _counter("cache.result.disk_hit") == 1
+
+
+def _fig7():
+    from repro.eval.experiments import speedup_figure
+    from repro.nets.models import alexnet
+
+    return speedup_figure(alexnet(), fast=True)
+
+
+@pytest.fixture(scope="module")
+def fig7_store(tmp_path_factory):
+    """A store populated by one serial fig7 run, and that run's figure."""
+    store = tmp_path_factory.mktemp("fig7-store")
+    clear_caches()
+    with config.use(dataclasses.replace(config.current(), cache_dir=str(store), jobs=1)):
+        fig = _fig7()
+    clear_caches()
+    return store, fig
+
+
+class TestPreResolvedWarmRuns:
+    """A ``REPRO_JOBS=2`` fig7 answers stored results in the parent."""
+
+    @pytest.fixture
+    def store(self, fig7_store, tmp_path, monkeypatch):
+        store = tmp_path / "store"
+        shutil.copytree(fig7_store[0], store)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(store))
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        yield store
+        parallel.shutdown_pool()
+
+    @staticmethod
+    def _same_figure(got, want):
+        assert got["layers"] == want["layers"]
+        assert got["geomean"] == want["geomean"]
+        for scheme, per_layer in want["comparison"].results.items():
+            for layer, result in per_layer.items():
+                _same_bits(got["comparison"].results[scheme][layer], result)
+
+    def _rerun(self):
+        clear_caches()
+        telemetry.reset()
+        return _fig7()
+
+    def test_warm_run_starts_no_pool_and_counts_deterministically(self, store, fig7_store):
+        splits = []
+        for _ in range(3):
+            self._same_figure(self._rerun(), fig7_store[1])
+            assert _counter("parallel.pool_start") == 0
+            assert _spans("synthesize") == _spans("simulate") == _spans("chunk_work") == 0
+            splits.append((_counter("cache.result.hit"), _counter("cache.result.disk_hit")))
+        assert splits[0][1] > 0
+        assert splits == [splits[0]] * 3
+
+    def _layer_keys(self, fig, layer):
+        from repro.eval.experiments import _fast_cfg
+        from repro.nets.models import alexnet
+        from repro.sim.config import config_for
+
+        net = alexnet()
+        cfg = _fast_cfg(config_for(net), True)
+        spec = net.layer(layer)
+        return [workload.result_key(s, spec, cfg, 0) for s in fig["comparison"].schemes]
+
+    def test_a_missing_layer_recomputes_alone_in_a_worker(self, store, fig7_store):
+        fig = fig7_store[1]
+        keys = self._layer_keys(fig, "Layer2")
+        for key in keys:
+            workload._result_path(key).unlink()
+        self._same_figure(self._rerun(), fig)
+        # One item missed, and the call asked for a pool: one pool starts.
+        assert _counter("parallel.pool_start") == 1
+        assert _spans("simulate") == len(keys)
+        assert _spans("synthesize") == 0  # the workload entry is still there
+        # The parent memoised only what it pre-resolved; the worker
+        # computed the missing layer.
+        n_layers = len(fig["comparison"].layer_names)
+        assert cache_stats()["results"]["entries"] == (n_layers - 1) * len(keys)
+
+    def test_a_truncated_entry_is_quarantined_and_counted_once(self, store, fig7_store):
+        fig = fig7_store[1]
+        (key,) = [k for k in self._layer_keys(fig, "Layer2") if k[2] == "sparten"]
+        path = workload._result_path(key)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        self._same_figure(self._rerun(), fig)
+        assert _counter("cache.disk.quarantine") == 1
+        assert path.with_suffix(".json.corrupt").exists()
+        assert _counter("parallel.pool_start") == 1
+        assert _spans("simulate") == 1
+
 
 class TestDamage:
     def _populate(self, tmp_path, monkeypatch, spec, cfg):
@@ -261,10 +410,14 @@ class TestDamage:
         result = self._populate(tmp_path, monkeypatch, tiny_spec, mini_cfg)
         path = _result_entry(tmp_path)
         raw = bytearray(path.read_bytes())
-        # Change the last hex digit of the cycles' bits: same length, still
-        # valid JSON, a float one ulp away -- only the checksum can tell.
-        at = raw.index(b'"cycles":{"f8":"') + len(b'"cycles":{"f8":"') + 15
-        raw[at] = ord("1") if raw[at] == ord("0") else ord("0")
+        # Change the leading digit of the cycles (the record's third
+        # field): same length, still valid JSON, another float -- only
+        # the checksum can tell.
+        names = json.dumps([result.scheme, result.layer_name], separators=(",", ":"))
+        head = b'{"LayerResult":[' + names[1:-1].encode() + b","
+        at = raw.index(head) + len(head)
+        assert raw[at:].startswith(repr(result.cycles).encode())
+        raw[at] = ord("2") if raw[at] == ord("1") else ord("1")
         path.write_bytes(bytes(raw))
         assert len(raw) == path.stat().st_size
 

@@ -1,5 +1,8 @@
 """Unit tests for the SCNN simulator (Cartesian product, tiling, barriers)."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,7 +246,10 @@ def test_closed_form_matches_reference_loops(
         scnn_pe_grid=grid, scnn_max_tile=max_tile, scnn_output_group=group,
     )
     data = synthesize_masks(s, seed=seed % 1000)
-    for variant in ("two", "one", "dense"):
+    # A second tiling over the same masks: the histograms are memoised
+    # on the masks per tile plan and shared by the three variants.
+    other = dataclasses.replace(cfg, scnn_max_tile=max_tile % 5 + 1)
+    for cfg, variant in itertools.product((cfg, other), ("two", "one", "dense")):
         got = _scnn_image_stats(data, cfg, variant, profile=True)
         want = _reference_scnn_stats(data, cfg, variant)
         for key in ("cycles", "useful", "issued", "inter", "stride_waste",
