@@ -1,7 +1,8 @@
 """CI guard: the hardware counters must obey their physical invariants.
 
-Profiles AlexNet (sampled) with ``REPRO_PROFILE=counters`` and fails the
-build when either microarchitectural law breaks:
+Profiles AlexNet (sampled) with hardware counters, which every fidelity
+rung attaches, and fails the build when either microarchitectural law
+breaks:
 
 1. **Conservation** -- for every (scheme, layer, cluster), busy +
    filter-zero + barrier-wait + permute-stall + imbalance-idle +
@@ -35,10 +36,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--network", default="alexnet")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(sys.argv[1:] if argv is None else argv)
-
-    if os.environ.get("REPRO_PROFILE", "").strip().lower() == "off":
-        # The whole point is to check the counters; force them on.
-        os.environ["REPRO_PROFILE"] = "counters"
 
     from repro import profiling, telemetry
 

@@ -49,7 +49,7 @@ def estimate_network(
     Mirrors :func:`repro.profiling.attribution.profile_network`'s payload
     shape (per-layer counter dumps + machine-wide totals) so the render
     and downstream tooling stay shared; the payload records
-    ``fidelity: "analytical"`` instead of a profile mode.
+    ``fidelity: "analytical"`` instead of the profiler's ``mode``.
     """
     from repro.eval.experiments import network_by_name
     from repro.sim.config import config_for
@@ -69,11 +69,6 @@ def estimate_network(
             for scheme in schemes:
                 result = predict_layer(spec, cfg, scheme=scheme, seed=seed, stats=stats)
                 counters = result.counters
-                if counters is None:
-                    raise RuntimeError(
-                        "analytical counters are off (REPRO_PROFILE=off); the "
-                        "CLI escalates to 'counters' before estimating"
-                    )
                 layers.setdefault(spec.name, {})[scheme] = counters.to_dict()
                 for bucket, value in counters.totals().items():
                     totals[scheme][bucket] += value

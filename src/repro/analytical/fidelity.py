@@ -6,9 +6,9 @@ Every per-layer question in the repo can be answered at four costs:
   (:mod:`repro.analytical.model`); microseconds per layer, validated
   against the simulators by :mod:`repro.analytical.validate`.
 - ``counters``    -- the cycle-level simulators with per-cluster
-  hardware counters attached (the repo's default profile mode).
-- ``timeline``    -- counters plus binned per-cluster cycle timelines
-  (``REPRO_PROFILE=timeline``).
+  hardware counters attached (the default).
+- ``timeline``    -- counters plus :data:`~repro.profiling.TIMELINE_BINS`
+  -bin per-cluster cycle timelines.
 - ``trace``       -- timeline plus an event-level memory-system trace of
   the busiest cluster through the double-buffered front end
   (:mod:`repro.sim.trace`), attached under ``extras['trace_*']``.
@@ -16,16 +16,21 @@ Every per-layer question in the repo can be answered at four costs:
 Each rung returns the same :class:`~repro.sim.results.LayerResult`
 schema, so callers (sweeps, the pipeline, the CLI) choose cost without
 changing shape. The level comes from the ``fidelity=`` argument or the
-run configuration (``REPRO_FIDELITY``); results memoise through the
-content-hash result cache with fidelity-qualified kinds, so mixed-level
-runs never serve one rung's result to another.
+run configuration (``REPRO_FIDELITY``), the one depth setting: every
+simulator attaches counters on every rung (code that always simulates,
+such as the figures, does so under ``analytical`` too), and reads the
+rung to decide on timelines. An explicit level is bound into the run
+configuration for the call (:func:`at_level`). Results memoise through
+the content-hash result cache with fidelity-qualified kinds and a
+timelines flag, so mixed-level runs never serve one rung's result to
+another.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from repro import profiling, telemetry
+from repro import telemetry
 from repro.analytical.model import ANALYTICAL_SCHEMES, predict_layer
 from repro import config
 from repro.nets.layers import ConvLayerSpec
@@ -36,6 +41,7 @@ __all__ = [
     "FIDELITY_LEVELS",
     "DEFAULT_FIDELITY",
     "fidelity_level",
+    "at_level",
     "fidelity_result_key",
     "simulate_at_fidelity",
 ]
@@ -47,12 +53,6 @@ DEFAULT_FIDELITY = config.RunConfig.fidelity
 
 #: Schemes whose chunk-count streams the trace front end understands.
 _TRACEABLE = ("one_sided", "sparten_no_gb", "sparten_gb_s", "sparten")
-
-_PROFILE_FOR = {
-    "counters": profiling.MODE_COUNTERS,
-    "timeline": profiling.MODE_TIMELINE,
-    "trace": profiling.MODE_TIMELINE,
-}
 
 
 def fidelity_level(explicit: str | None = None) -> str:
@@ -71,6 +71,12 @@ def fidelity_level(explicit: str | None = None) -> str:
     return config.current().fidelity
 
 
+def at_level(level: str):
+    """Bind the current run configuration at rung *level* for a ``with``."""
+    cfg = config.current()
+    return config.use(cfg if cfg.fidelity == level else replace(cfg, fidelity=level))
+
+
 def fidelity_result_key(
     scheme: str,
     spec: ConvLayerSpec,
@@ -80,22 +86,24 @@ def fidelity_result_key(
 ) -> tuple:
     """The memo key :func:`simulate_at_fidelity` publishes under.
 
-    The key depends on the profile mode the ladder will *escalate to*,
-    not the ambient one, so it is computed under the same
-    :func:`repro.profiling.escalated` config as the simulation.
-    Distributed workers use this to locate a unit's result entry in the
-    store without running anything -- it must stay in lockstep with
-    :func:`simulate_at_fidelity`.
+    The key depends on the resolved level, not the ambient one, so it is
+    computed with that level bound. :func:`simulate_at_fidelity` keys
+    through this function, and distributed workers use it to locate a
+    unit's result entry in the store without running anything.
     """
     from repro.core import workload
 
     level = fidelity_level(fidelity)
-    if level == "analytical":
-        return workload.result_key(f"analytical:{scheme}", spec, cfg, seed)
-    with config.use(profiling.escalated(_PROFILE_FOR[level])):
-        if level == "trace" and scheme in _TRACEABLE:
-            return workload.result_key(f"trace:{scheme}", spec, cfg, seed)
-        return workload.result_key(scheme, spec, cfg, seed)
+    with at_level(level):
+        return workload.result_key(_kind(level, scheme), spec, cfg, seed)
+
+
+def _kind(level: str, scheme: str) -> str:
+    """The result kind rung *level* publishes *scheme* under; the plain
+    simulator rungs share :func:`repro.core.compare.run_scheme_cached`'s."""
+    if level == "analytical" or (level == "trace" and scheme in _TRACEABLE):
+        return f"{level}:{scheme}"
+    return scheme
 
 
 def _attach_trace(
@@ -141,30 +149,21 @@ def simulate_at_fidelity(
 
     level = fidelity_level(fidelity)
     telemetry.count(f"fidelity.{level}.layers")
-    if level == "analytical":
-        if scheme not in ANALYTICAL_SCHEMES:
-            raise ValueError(
-                f"scheme {scheme!r} has no analytical model "
-                f"(have {ANALYTICAL_SCHEMES})"
-            )
-        key = workload.result_key(f"analytical:{scheme}", spec, cfg, seed)
+    if level == "analytical" and scheme not in ANALYTICAL_SCHEMES:
+        raise ValueError(
+            f"scheme {scheme!r} has no analytical model (have {ANALYTICAL_SCHEMES})"
+        )
+    with at_level(level):
+        key = fidelity_result_key(scheme, spec, cfg, seed, level)
+        if _kind(level, scheme) == scheme:
+            return compare.run_scheme_cached(scheme, spec, cfg, seed, key=key)
         result = workload.lookup_result(key)
         if result is None:
-            result = predict_layer(spec, cfg, scheme=scheme, seed=seed)
+            if level == "analytical":
+                result = predict_layer(spec, cfg, scheme=scheme, seed=seed)
+            else:
+                result = _attach_trace(
+                    compare.run_scheme_cached(scheme, spec, cfg, seed), spec, cfg, seed
+                )
             workload.store_result(key, result)
         return result
-
-    with config.use(profiling.escalated(_PROFILE_FOR[level])):
-        if level == "trace" and scheme in _TRACEABLE:
-            key = workload.result_key(f"trace:{scheme}", spec, cfg, seed)
-            result = workload.lookup_result(key)
-            if result is None:
-                result = _attach_trace(
-                    compare.run_scheme_cached(scheme, spec, cfg, seed),
-                    spec,
-                    cfg,
-                    seed,
-                )
-                workload.store_result(key, result)
-            return result
-        return compare.run_scheme_cached(scheme, spec, cfg, seed)

@@ -442,50 +442,47 @@ def _positional_result(
     )
     layer_cycles = float(layer_cycles)
 
-    mode = profiling.profile_mode()
-    counters = None
-    if mode != profiling.MODE_OFF:
-        permute_slots = per_pos_permute * units
-        zero_c = np.bincount(
+    permute_slots = per_pos_permute * units
+    zero_c = np.bincount(
+        cluster_of,
+        weights=(per_pos_slots - per_pos_useful) * weights,
+        minlength=n_clusters,
+    )
+    permute_c = np.bincount(
+        cluster_of, weights=permute_slots * weights, minlength=n_clusters
+    )
+    wait_c = np.bincount(
+        cluster_of,
+        weights=(per_pos_barrier * units - per_pos_slots - permute_slots)
+        * weights,
+        minlength=n_clusters,
+    )
+    bins = profiling.timeline_bins()
+    tl_cycles = tl_busy = None
+    if bins:
+        tl_cycles, tl_busy = profiling.positional_timeline(
             cluster_of,
-            weights=(per_pos_slots - per_pos_useful) * weights,
-            minlength=n_clusters,
+            per_pos_barrier * weights,
+            per_pos_slots * weights,
+            n_clusters,
+            bins,
         )
-        permute_c = np.bincount(
-            cluster_of, weights=permute_slots * weights, minlength=n_clusters
-        )
-        wait_c = np.bincount(
-            cluster_of,
-            weights=(per_pos_barrier * units - per_pos_slots - permute_slots)
-            * weights,
-            minlength=n_clusters,
-        )
-        bins = profiling.timeline_bins() if mode == profiling.MODE_TIMELINE else 0
-        tl_cycles = tl_busy = None
-        if bins:
-            tl_cycles, tl_busy = profiling.positional_timeline(
-                cluster_of,
-                per_pos_barrier * weights,
-                per_pos_slots * weights,
-                n_clusters,
-                bins,
-            )
-        counters = profiling.CounterSet(
-            scheme=scheme,
-            n_clusters=n_clusters,
-            units_per_cluster=units,
-            total_cycles=layer_cycles,
-            busy=busy_c,
-            filter_zero=zero_c,
-            barrier_wait=wait_c,
-            permute_stall=permute_c,
-            imbalance_idle=idle,
-            memory_stall=np.zeros(n_clusters, dtype=np.float64),
-            barriers=barriers,
-            buffer_hwm=dict(buffer_hwm or {}),
-            timeline_cycles=tl_cycles,
-            timeline_busy=tl_busy,
-        )
+    counters = profiling.CounterSet(
+        scheme=scheme,
+        n_clusters=n_clusters,
+        units_per_cluster=units,
+        total_cycles=layer_cycles,
+        busy=busy_c,
+        filter_zero=zero_c,
+        barrier_wait=wait_c,
+        permute_stall=permute_c,
+        imbalance_idle=idle,
+        memory_stall=np.zeros(n_clusters, dtype=np.float64),
+        barriers=barriers,
+        buffer_hwm=dict(buffer_hwm or {}),
+        timeline_cycles=tl_cycles,
+        timeline_busy=tl_busy,
+    )
 
     extras = observability_extras(breakdown)
     return LayerResult(
@@ -596,35 +593,32 @@ def _predict_dense(
     layer_cycles = float(layer_cycles)
     scheme = "dense_naive" if naive_buffers else "dense"
 
-    mode = profiling.profile_mode()
-    counters = None
-    if mode != profiling.MODE_OFF:
-        bins = profiling.timeline_bins() if mode == profiling.MODE_TIMELINE else 0
-        tl_cycles = tl_busy = None
-        if bins:
-            per_pos = np.full(cluster_of.size, float(n_groups * dot_length))
-            tl_cycles, tl_busy = profiling.positional_timeline(
-                cluster_of,
-                per_pos * weights,
-                np.full(cluster_of.size, float(spec.n_filters * dot_length))
-                * weights,
-                n_clusters,
-                bins,
-            )
-        counters = profiling.CounterSet(
-            scheme=scheme,
-            n_clusters=n_clusters,
-            units_per_cluster=units,
-            total_cycles=layer_cycles,
-            busy=useful_c,
-            filter_zero=issued_c - useful_c,
-            barrier_wait=cluster_cycles * units - issued_c,
-            permute_stall=np.zeros(n_clusters, dtype=np.float64),
-            imbalance_idle=idle,
-            memory_stall=np.zeros(n_clusters, dtype=np.float64),
-            timeline_cycles=tl_cycles,
-            timeline_busy=tl_busy,
+    bins = profiling.timeline_bins()
+    tl_cycles = tl_busy = None
+    if bins:
+        per_pos = np.full(cluster_of.size, float(n_groups * dot_length))
+        tl_cycles, tl_busy = profiling.positional_timeline(
+            cluster_of,
+            per_pos * weights,
+            np.full(cluster_of.size, float(spec.n_filters * dot_length))
+            * weights,
+            n_clusters,
+            bins,
         )
+    counters = profiling.CounterSet(
+        scheme=scheme,
+        n_clusters=n_clusters,
+        units_per_cluster=units,
+        total_cycles=layer_cycles,
+        busy=useful_c,
+        filter_zero=issued_c - useful_c,
+        barrier_wait=cluster_cycles * units - issued_c,
+        permute_stall=np.zeros(n_clusters, dtype=np.float64),
+        imbalance_idle=idle,
+        memory_stall=np.zeros(n_clusters, dtype=np.float64),
+        timeline_cycles=tl_cycles,
+        timeline_busy=tl_busy,
+    )
     extras = observability_extras(breakdown)
     return LayerResult(
         scheme=scheme,
@@ -687,7 +681,6 @@ def _predict_scnn(
     scheme = {"two": "scnn", "one": "scnn_one_sided", "dense": "scnn_dense"}[
         variant
     ]
-    mode = profiling.profile_mode()
     cells, tile_nnz = _scnn_tile_nnz(stats, cfg)
     s = scnn_closed_form(
         spec,
@@ -696,8 +689,6 @@ def _predict_scnn(
         cells,
         tile_nnz,
         stats.filter_channel_nnz,
-        profile=mode != profiling.MODE_OFF,
-        bins=profiling.timeline_bins() if mode == profiling.MODE_TIMELINE else 0,
         scheme=scheme,
     )
     breakdown = Breakdown(
@@ -721,7 +712,7 @@ def _predict_scnn(
             spec, scheme=traffic_scheme, chunk_size=cfg.chunk_size
         ),
         extras={**extras, "fidelity": "analytical", "variant": variant},
-        counters=s.get("counters"),
+        counters=s["counters"],
     )
 
 

@@ -293,8 +293,8 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
 def _run_config(args: argparse.Namespace) -> config.RunConfig:
     """This call's run configuration: its flags over the current one.
 
-    ``estimate``/``profile`` escalate the profile mode (never downgrade
-    it). ``run``/``report --resume DIR`` and ``sweep``/``worker --store
+    ``profile --trace`` raises the fidelity rung to at least
+    ``timeline``. ``run``/``report --resume DIR`` and ``sweep``/``worker --store
     DIR`` make DIR the store; the read-only ``top``/``inspect --store``
     leave it alone. A sweep or worker streams events and metrics into the store, one
     file per worker, unless configured otherwise (``REPRO_EVENTS=`` opts out).
@@ -307,13 +307,8 @@ def _run_config(args: argparse.Namespace) -> config.RunConfig:
     }
     if args.command in ("run", "report") and args.resume:
         changes["cache_dir"] = args.resume
-    if args.command == "estimate":
-        # Analytical counters ride the same profile switch as the profiler.
-        cfg = profiling.escalated(profiling.MODE_COUNTERS, cfg)
-    elif args.command == "profile":
-        # The profiler needs counters on; --trace needs timelines too.
-        wanted = profiling.MODE_TIMELINE if args.trace else profiling.MODE_COUNTERS
-        cfg = profiling.escalated(wanted, cfg)
+    if args.command == "profile" and args.trace and not profiling.records_timelines():
+        changes["fidelity"] = "timeline"  # the trace's cluster rows are timelines
     elif args.command in ("sweep", "worker"):
         from repro.dist import shard as dist_shard
         from repro.dist import store as dist_store
@@ -427,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the profile.json payload to PATH")
     profile.add_argument("--trace", metavar="PATH", default=None,
                          help="write a Chrome trace with per-cluster cycle "
-                              "timeline rows to PATH (forces "
-                              "REPRO_PROFILE=timeline)")
+                              "timeline rows to PATH (raises the "
+                              "fidelity rung to at least timeline)")
 
     stats = sub.add_parser("stats", help="pretty-print a run manifest")
     stats.add_argument("manifest", help="path to a manifest.json")

@@ -6,7 +6,7 @@ are the parse table (variable, type, default, minimum or choices).
 (variable, value), counts ``env.invalid`` and yields the default (or
 clamps to the minimum). Code reads :func:`current`. An entry point binds
 a config with :func:`use`, one ``contextvars`` variable, so a scoped
-change -- ``use(dataclasses.replace(current(), profile="timeline"))`` --
+change -- ``use(dataclasses.replace(current(), fidelity="timeline"))`` --
 ends with its ``with`` block and never touches ``os.environ``. With
 nothing bound, :func:`current` parses the process environment (memoised
 on the knobs' raw values), so scripts and tests that configure through
@@ -48,10 +48,6 @@ class RunConfig:
 
     jobs: int = _knob("REPRO_JOBS", int, 1, minimum=1)
     fidelity: str = _knob("REPRO_FIDELITY", str, "counters", choices=FIDELITY_LEVELS)
-    profile: str = _knob(
-        "REPRO_PROFILE", str, "counters", choices=("off", "counters", "timeline")
-    )
-    profile_bins: int = _knob("REPRO_PROFILE_BINS", int, 32, minimum=4)
     no_native: bool = _knob("REPRO_NO_NATIVE", bool, False)
     native_dir: str | None = _knob("REPRO_NATIVE_DIR", str, None)
     cache_dir: str | None = _knob("REPRO_CACHE_DIR", str, None)
@@ -159,7 +155,7 @@ _BOUND: contextvars.ContextVar[RunConfig | None] = contextvars.ContextVar(
 # The unbound fallback runs on hot paths (every event emit), so its memo
 # key probes the dict os.environ wraps (CPython's ``os._Environ._data``,
 # keyed by ``encodekey``) instead of decoding lookups: ~2 us a call
-# rather than ~30 us for 25 ``os.environ.get`` misses, over ~12k calls
+# rather than ~30 us for 23 ``os.environ.get`` misses, over ~12k calls
 # in one evaluation.
 _RAW_NAMES = tuple(os.environ.encodekey(knob.env) for knob in KNOBS)
 

@@ -189,9 +189,11 @@ def run_scheme_cached(
     cfg: HardwareConfig,
     seed: int,
     need_counts: bool = True,
+    key: tuple | None = None,
 ) -> LayerResult:
-    """One scheme on one single-image workload, memoised by content key."""
-    key = workload.result_key(scheme, spec, cfg, seed)
+    """One scheme on one single-image workload, memoised by content key
+    (*key*, default :func:`repro.core.workload.result_key` of the scheme)."""
+    key = key or workload.result_key(scheme, spec, cfg, seed)
     result = workload.lookup_result(key)
     if result is None:
         data, work = workload.get_workload(spec, cfg, seed, need_counts=need_counts)

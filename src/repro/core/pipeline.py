@@ -229,21 +229,19 @@ class NetworkPipeline:
         result memo; the ``trace`` rung degrades to ``timeline`` here
         (the trace front end keys off the workload cache).
         """
-        from repro import config as run_config
-        from repro import profiling
-        from repro.analytical.fidelity import _PROFILE_FOR, fidelity_level
+        from repro.analytical.fidelity import at_level, fidelity_level
 
         level = fidelity_level(self.fidelity)
-        if level == "analytical":
-            from repro.analytical.model import predict_layer
+        with at_level(level):
+            if level == "analytical":
+                from repro.analytical.model import predict_layer
 
-            scheme = {
-                "no_gb": "sparten_no_gb",
-                "gb_s": "sparten_gb_s",
-                "gb_h": "sparten",
-            }[self.variant]
-            return predict_layer(spec, self.config, scheme=scheme, data=data)
-        with run_config.use(profiling.escalated(_PROFILE_FOR[level])):
+                scheme = {
+                    "no_gb": "sparten_no_gb",
+                    "gb_s": "sparten_gb_s",
+                    "gb_h": "sparten",
+                }[self.variant]
+                return predict_layer(spec, self.config, scheme=scheme, data=data)
             return simulate_sparten(
                 spec, self.config, variant=self.variant, data=data
             )

@@ -309,10 +309,11 @@ def workload_key(spec: ConvLayerSpec, cfg: HardwareConfig, seed: int) -> tuple:
 def result_key(kind: str, spec: ConvLayerSpec, cfg: HardwareConfig, seed: int) -> tuple:
     """Content key for one finished per-layer simulation result.
 
-    The active ``REPRO_PROFILE`` mode participates so a result computed
-    without counters (or without timelines) is never served to a run
-    that expects them -- figure values are identical across modes, but
-    the attached :class:`~repro.profiling.counters.CounterSet` is not.
+    Whether the active fidelity rung records timelines participates, so
+    a result computed without them is never served to a run that expects
+    them -- figure values are identical on every rung, but the attached
+    :class:`~repro.profiling.counters.CounterSet` is not. The rung name
+    itself stays out: ``analytical`` and ``counters`` runs share entries.
     """
     return (
         "result",
@@ -322,7 +323,7 @@ def result_key(kind: str, spec: ConvLayerSpec, cfg: HardwareConfig, seed: int) -
         _fields(spec),
         _fields(cfg),
         int(seed),
-        profiling.profile_mode(),
+        profiling.records_timelines(),
     )
 
 

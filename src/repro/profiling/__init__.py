@@ -4,31 +4,27 @@ The cycle simulators (:mod:`repro.sim.dense`, :mod:`repro.sim.sparten`,
 :mod:`repro.sim.scnn`, :mod:`repro.sim.dynamic`, :mod:`repro.sim.fpga`)
 attach a :class:`~repro.profiling.counters.CounterSet` to every
 :class:`~repro.sim.results.LayerResult`: per-cluster busy/idle/stall
-MAC-cycles split by cause, buffer-occupancy high-water marks and
-(optionally) down-sampled cycle timelines. The ``REPRO_PROFILE`` knob
-selects the depth, pay-for-what-you-use:
-
-- ``off``      -- no counters; the simulators skip all per-cluster
-  reductions (the fast path for headline figure regeneration).
-- ``counters`` -- the default: per-cluster buckets + high-water marks.
-- ``timeline`` -- counters plus fixed-size progress histograms per
-  cluster, exported as per-cluster rows in the Chrome trace (one sim
-  cycle renders as one microsecond, each scheme on its own sim clock
-  starting at 0).
+MAC-cycles split by cause and buffer-occupancy high-water marks,
+always. The fidelity ladder (``REPRO_FIDELITY``, see
+:mod:`repro.analytical.fidelity`) decides the one optional extra: on
+the ``timeline`` and ``trace`` rungs every cluster also gets a
+:data:`TIMELINE_BINS`-bin progress histogram, exported as per-cluster
+rows in the Chrome trace (one sim cycle renders as one microsecond,
+each scheme on its own sim clock starting at 0).
 
 :func:`record_layer` folds a finished layer's counters into the
 telemetry recorder (``profile.<scheme>.<bucket>_mac_cycles`` counters,
-so they reach manifests and merge across ``REPRO_JOBS`` workers) and, in
-timeline mode, emits the per-cluster trace rows.
+so they reach manifests and merge across ``REPRO_JOBS`` workers) and, on
+the timeline rungs, emits the per-cluster trace rows.
 
 Profiling never influences simulation results: figures are byte-
-identical across all three modes (the result memo keys include the mode
-so cached entries are never served at the wrong depth).
+identical on every rung (the result memo keys include whether the rung
+records timelines, so a cached entry never lacks the timelines a run
+expects).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import zlib
 
 from repro import telemetry
@@ -41,15 +37,12 @@ from repro.profiling.counters import (
 )
 
 __all__ = [
-    "MODE_OFF",
-    "MODE_COUNTERS",
-    "MODE_TIMELINE",
+    "TIMELINE_BINS",
     "BUCKETS",
     "CounterSet",
     "zero_counters",
     "positional_timeline",
-    "profile_mode",
-    "escalated",
+    "records_timelines",
     "timeline_bins",
     "record_layer",
     "reset_sim_clock",
@@ -60,11 +53,8 @@ __all__ = [
     "PROFILE_SCHEMA",
 ]
 
-MODE_OFF = "off"
-MODE_COUNTERS = "counters"
-MODE_TIMELINE = "timeline"
-
-_MODES = (MODE_OFF, MODE_COUNTERS, MODE_TIMELINE)
+#: Progress bins per cluster timeline on the ``timeline``/``trace`` rungs.
+TIMELINE_BINS = 32
 
 #: Trace pids for simulated-time rows live far above real OS pids.
 _SIM_PID_BASE = 900_000_000
@@ -73,23 +63,14 @@ _SIM_PID_BASE = 900_000_000
 _sim_clock: dict[str, float] = {}
 
 
-def profile_mode() -> str:
-    """The active ``REPRO_PROFILE`` mode (``off``/``counters``/``timeline``)."""
-    return config.current().profile
-
-
-def escalated(wanted: str, cfg: config.RunConfig | None = None) -> config.RunConfig:
-    """*cfg* (default: the current one) with its profile mode raised to
-    *wanted*; a richer mode already configured is kept."""
-    cfg = cfg or config.current()
-    if _MODES.index(cfg.profile) < _MODES.index(wanted):
-        cfg = dataclasses.replace(cfg, profile=wanted)
-    return cfg
+def records_timelines() -> bool:
+    """Whether the active fidelity rung attaches cluster timelines."""
+    return config.current().fidelity in ("timeline", "trace")
 
 
 def timeline_bins() -> int:
-    """Progress bins per cluster timeline (``REPRO_PROFILE_BINS``, >= 4)."""
-    return config.current().profile_bins
+    """Bins per cluster timeline on the active rung (0: no timelines)."""
+    return TIMELINE_BINS if records_timelines() else 0
 
 
 def reset_sim_clock() -> None:

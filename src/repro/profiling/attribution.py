@@ -44,20 +44,14 @@ def profile_network(
 
     Returns the JSON-able ``repro-profile/1`` payload: per-layer counter
     dumps, machine-wide bucket totals per scheme, and the conservation /
-    GB-invariant check results. Requires ``REPRO_PROFILE`` to not be
-    ``off`` (the CLI forces ``counters`` before calling).
+    GB-invariant check results. ``mode`` says whether the active
+    fidelity rung attached timelines (``timeline``) or not (``counters``).
     """
     from repro import profiling
     from repro.core.compare import compare_architectures
     from repro.eval.experiments import network_by_name
     from repro.sim.config import config_for
 
-    mode = profiling.profile_mode()
-    if mode == profiling.MODE_OFF:
-        raise RuntimeError(
-            "profiling is disabled (REPRO_PROFILE=off); set REPRO_PROFILE to "
-            "'counters' or 'timeline' to collect hardware counters"
-        )
     net = network_by_name(network)
     cfg = config_for(net)
     if fast:
@@ -72,11 +66,6 @@ def profile_network(
         totals[scheme] = {name: 0.0 for name in BUCKETS}
         for layer_name in comparison.layer_names:
             counters = comparison.results[scheme][layer_name].counters
-            if counters is None:
-                raise RuntimeError(
-                    f"no counters on ({scheme}, {layer_name}); a cached result "
-                    "from an off-mode run leaked through the result memo"
-                )
             max_residual = max(max_residual, counters.check_conservation())
             layers.setdefault(layer_name, {})[scheme] = counters.to_dict()
             for bucket, value in counters.totals().items():
@@ -89,7 +78,7 @@ def profile_network(
         "layer": layer,
         "seed": seed,
         "fast": fast,
-        "mode": mode,
+        "mode": "timeline" if profiling.records_timelines() else "counters",
         "schemes": list(comparison.schemes),
         "layer_names": list(comparison.layer_names),
         "layers": layers,

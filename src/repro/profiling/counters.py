@@ -30,8 +30,9 @@ per cluster (up to float summation order; see
 acceptance criteria, *idle* = ``barrier_wait + imbalance_idle`` and
 *stall* = ``permute_stall + memory_stall``.
 
-Timelines (``REPRO_PROFILE=timeline``) down-sample each cluster's
-execution into a fixed number of progress bins -- ``timeline_cycles``
+Timelines (the ``timeline`` and ``trace`` fidelity rungs) down-sample
+each cluster's execution into a fixed number of progress bins
+(:data:`repro.profiling.TIMELINE_BINS`) -- ``timeline_cycles``
 holds wall cycles per bin (rows sum to the cluster's cycles) and
 ``timeline_busy`` the occupied MAC-cycle slots per bin -- so profiling
 cost stays O(clusters x bins), never O(cycles).

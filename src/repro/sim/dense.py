@@ -45,19 +45,16 @@ def simulate_dense(
     dot_length = spec.kernel * spec.kernel * spec.in_channels
     n_groups = int(np.ceil(spec.n_filters / units))
 
-    mode = profiling.profile_mode()
-    profile = mode != profiling.MODE_OFF
-    bins = profiling.timeline_bins() if mode == profiling.MODE_TIMELINE else 0
+    bins = profiling.timeline_bins()
 
     cluster_cycles = np.zeros(n_clusters, dtype=np.float64)
     nonzero = 0.0
     total_mult_slots = 0.0
-    if profile:
-        busy_c = np.zeros(n_clusters, dtype=np.float64)
-        zero_c = np.zeros(n_clusters, dtype=np.float64)
-        wait_c = np.zeros(n_clusters, dtype=np.float64)
-        tl_cycles = np.zeros((n_clusters, bins), dtype=np.float64) if bins else None
-        tl_busy = np.zeros((n_clusters, bins), dtype=np.float64) if bins else None
+    busy_c = np.zeros(n_clusters, dtype=np.float64)
+    zero_c = np.zeros(n_clusters, dtype=np.float64)
+    wait_c = np.zeros(n_clusters, dtype=np.float64)
+    tl_cycles = np.zeros((n_clusters, bins), dtype=np.float64) if bins else None
+    tl_busy = np.zeros((n_clusters, bins), dtype=np.float64) if bins else None
 
     for img_data, img_work in batch_workloads(
         spec, cfg, seed, data, work, need_counts=False
@@ -74,34 +71,33 @@ def simulate_dense(
         total_mult_slots += float(
             assignment.cluster_positions.sum() * spec.n_filters * dot_length
         )
-        if profile:
-            weights = assignment.weight_of
-            cluster_of = assignment.cluster_of
-            issued_c = (
-                assignment.cluster_positions.astype(np.float64)
-                * spec.n_filters
-                * dot_length
-            )
-            useful_c = np.bincount(
+        weights = assignment.weight_of
+        cluster_of = assignment.cluster_of
+        issued_c = (
+            assignment.cluster_positions.astype(np.float64)
+            * spec.n_filters
+            * dot_length
+        )
+        useful_c = np.bincount(
+            cluster_of,
+            weights=img_work.match_sums * weights,
+            minlength=n_clusters,
+        )
+        busy_c += useful_c
+        zero_c += issued_c - useful_c
+        wait_c += img_cycles * units - issued_c
+        if bins:
+            per_pos = np.full(cluster_of.size, float(n_groups * dot_length))
+            img_tl_cycles, img_tl_busy = profiling.positional_timeline(
                 cluster_of,
-                weights=img_work.match_sums * weights,
-                minlength=n_clusters,
+                per_pos * weights,
+                np.full(cluster_of.size, float(spec.n_filters * dot_length))
+                * weights,
+                n_clusters,
+                bins,
             )
-            busy_c += useful_c
-            zero_c += issued_c - useful_c
-            wait_c += img_cycles * units - issued_c
-            if bins:
-                per_pos = np.full(cluster_of.size, float(n_groups * dot_length))
-                img_tl_cycles, img_tl_busy = profiling.positional_timeline(
-                    cluster_of,
-                    per_pos * weights,
-                    np.full(cluster_of.size, float(spec.n_filters * dot_length))
-                    * weights,
-                    n_clusters,
-                    bins,
-                )
-                tl_cycles += img_tl_cycles
-                tl_busy += img_tl_busy
+            tl_cycles += img_tl_cycles
+            tl_busy += img_tl_busy
 
     layer_cycles = float(cluster_cycles.max())
     zero = total_mult_slots - nonzero
@@ -117,22 +113,20 @@ def simulate_dense(
     telemetry.count(f"sim.{scheme}.layers")
     telemetry.count(f"sim.{scheme}.cycles", layer_cycles)
     telemetry.gauge(f"sim.{scheme}.mac_utilization", extras["mac_utilization"])
-    counters = None
-    if profile:
-        counters = profiling.CounterSet(
-            scheme=scheme,
-            n_clusters=n_clusters,
-            units_per_cluster=units,
-            total_cycles=layer_cycles,
-            busy=busy_c,
-            filter_zero=zero_c,
-            barrier_wait=wait_c,
-            permute_stall=np.zeros(n_clusters, dtype=np.float64),
-            imbalance_idle=(layer_cycles - cluster_cycles) * units,
-            memory_stall=np.zeros(n_clusters, dtype=np.float64),
-            timeline_cycles=tl_cycles,
-            timeline_busy=tl_busy,
-        )
+    counters = profiling.CounterSet(
+        scheme=scheme,
+        n_clusters=n_clusters,
+        units_per_cluster=units,
+        total_cycles=layer_cycles,
+        busy=busy_c,
+        filter_zero=zero_c,
+        barrier_wait=wait_c,
+        permute_stall=np.zeros(n_clusters, dtype=np.float64),
+        imbalance_idle=(layer_cycles - cluster_cycles) * units,
+        memory_stall=np.zeros(n_clusters, dtype=np.float64),
+        timeline_cycles=tl_cycles,
+        timeline_busy=tl_busy,
+    )
     result = LayerResult(
         scheme=scheme,
         layer_name=spec.name,

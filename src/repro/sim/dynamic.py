@@ -55,19 +55,16 @@ def simulate_dynamic_dispatch(
     units = cfg.units_per_cluster
     n_clusters = cfg.n_clusters
 
-    mode = profiling.profile_mode()
-    profile = mode != profiling.MODE_OFF
-    bins = profiling.timeline_bins() if mode == profiling.MODE_TIMELINE else 0
+    bins = profiling.timeline_bins()
 
     cluster_cycles = np.zeros(n_clusters, dtype=np.float64)
     nonzero = 0.0
     intra = 0.0
     refetch_bytes = 0.0
-    if profile:
-        busy_c = np.zeros(n_clusters, dtype=np.float64)
-        wait_c = np.zeros(n_clusters, dtype=np.float64)
-        tl_cycles = np.zeros((n_clusters, bins), dtype=np.float64) if bins else None
-        tl_busy = np.zeros((n_clusters, bins), dtype=np.float64) if bins else None
+    busy_c = np.zeros(n_clusters, dtype=np.float64)
+    wait_c = np.zeros(n_clusters, dtype=np.float64)
+    tl_cycles = np.zeros((n_clusters, bins), dtype=np.float64) if bins else None
+    tl_busy = np.zeros((n_clusters, bins), dtype=np.float64) if bins else None
 
     for img_data, img_work in batch_workloads(
         spec, cfg, seed, data, work, need_counts=True
@@ -92,25 +89,24 @@ def simulate_dynamic_dispatch(
         )
         nonzero += float(np.sum(per_pos_busy * weights))
         intra += float(np.sum((per_pos_barrier * units - per_pos_busy) * weights))
-        if profile:
-            busy_c += np.bincount(
-                cluster_of, weights=per_pos_busy * weights, minlength=n_clusters
-            )
-            wait_c += np.bincount(
+        busy_c += np.bincount(
+            cluster_of, weights=per_pos_busy * weights, minlength=n_clusters
+        )
+        wait_c += np.bincount(
+            cluster_of,
+            weights=(per_pos_barrier * units - per_pos_busy) * weights,
+            minlength=n_clusters,
+        )
+        if bins:
+            img_tl_cycles, img_tl_busy = profiling.positional_timeline(
                 cluster_of,
-                weights=(per_pos_barrier * units - per_pos_busy) * weights,
-                minlength=n_clusters,
+                per_pos_barrier * weights,
+                per_pos_busy * weights,
+                n_clusters,
+                bins,
             )
-            if bins:
-                img_tl_cycles, img_tl_busy = profiling.positional_timeline(
-                    cluster_of,
-                    per_pos_barrier * weights,
-                    per_pos_busy * weights,
-                    n_clusters,
-                    bins,
-                )
-                tl_cycles += img_tl_cycles
-                tl_busy += img_tl_busy
+            tl_cycles += img_tl_cycles
+            tl_busy += img_tl_busy
 
         # Filter movement: every (position, chunk, unit-slot) fetches a
         # chunk's mask + values instead of holding it resident. Use the
@@ -137,22 +133,20 @@ def simulate_dynamic_dispatch(
     telemetry.count("sim.sparten_dynamic.layers")
     telemetry.count("sim.sparten_dynamic.cycles", layer_cycles)
     telemetry.gauge("sim.sparten_dynamic.mac_utilization", extras["mac_utilization"])
-    counters = None
-    if profile:
-        counters = profiling.CounterSet(
-            scheme="sparten_dynamic",
-            n_clusters=n_clusters,
-            units_per_cluster=units,
-            total_cycles=layer_cycles,
-            busy=busy_c,
-            filter_zero=np.zeros(n_clusters, dtype=np.float64),
-            barrier_wait=wait_c,
-            permute_stall=np.zeros(n_clusters, dtype=np.float64),
-            imbalance_idle=(layer_cycles - cluster_cycles) * units,
-            memory_stall=np.zeros(n_clusters, dtype=np.float64),
-            timeline_cycles=tl_cycles,
-            timeline_busy=tl_busy,
-        )
+    counters = profiling.CounterSet(
+        scheme="sparten_dynamic",
+        n_clusters=n_clusters,
+        units_per_cluster=units,
+        total_cycles=layer_cycles,
+        busy=busy_c,
+        filter_zero=np.zeros(n_clusters, dtype=np.float64),
+        barrier_wait=wait_c,
+        permute_stall=np.zeros(n_clusters, dtype=np.float64),
+        imbalance_idle=(layer_cycles - cluster_cycles) * units,
+        memory_stall=np.zeros(n_clusters, dtype=np.float64),
+        timeline_cycles=tl_cycles,
+        timeline_busy=tl_busy,
+    )
     result = LayerResult(
         scheme="sparten_dynamic",
         layer_name=spec.name,

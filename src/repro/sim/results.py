@@ -92,7 +92,7 @@ class LayerResult:
             counts, utilisation, ...).
         counters: per-cluster hardware counters
             (:class:`repro.profiling.counters.CounterSet`), attached by
-            the simulators unless ``REPRO_PROFILE=off``. Excluded from
+            every simulator and analytical prediction. Excluded from
             equality: counters are observability, never figure values.
     """
 
@@ -134,8 +134,8 @@ class NetworkResult:
     def counters(self) -> "CounterSet | None":
         """Whole-network counter aggregate: the per-layer sets summed.
 
-        ``None`` when any layer ran without counters
-        (``REPRO_PROFILE=off``) or the network has no layers.
+        ``None`` when any layer carries no counters (a result built
+        by hand) or the network has no layers.
         """
         per_layer = [result.counters for result in self.layers]
         if not per_layer or any(c is None for c in per_layer):

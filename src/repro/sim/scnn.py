@@ -65,9 +65,6 @@ def simulate_scnn(
     if variant not in ("two", "one", "dense"):
         raise ValueError(f"variant must be 'two', 'one' or 'dense', got {variant!r}")
     scheme = {"two": "scnn", "one": "scnn_one_sided", "dense": "scnn_dense"}[variant]
-    mode = profiling.profile_mode()
-    profile = mode != profiling.MODE_OFF
-    bins = profiling.timeline_bins() if mode == profiling.MODE_TIMELINE else 0
 
     cycles_total = 0.0
     useful = 0.0
@@ -89,19 +86,14 @@ def simulate_scnn(
             for image in range(cfg.batch)
         ]
     for img_data in batch_items:
-        s = _scnn_image_stats(
-            img_data, cfg, variant, profile=profile, bins=bins, scheme=scheme
-        )
+        s = _scnn_image_stats(img_data, cfg, variant, scheme=scheme)
         cycles_total += s["cycles"]
         useful += s["useful"]
         issued += s["issued"]
         inter += s["inter"]
         stride_waste += s["stride_waste"]
         operand_zero += s["operand_zero"]
-        if profile:
-            counters = (
-                s["counters"] if counters is None else counters + s["counters"]
-            )
+        counters = s["counters"] if counters is None else counters + s["counters"]
 
     intra = issued - useful - stride_waste - operand_zero
     breakdown = Breakdown(
@@ -137,8 +129,6 @@ def _scnn_image_stats(
     data: LayerMasks,
     cfg: HardwareConfig,
     variant: str,
-    profile: bool = False,
-    bins: int = 0,
     scheme: str = "scnn",
 ) -> dict:
     """Cycle/work statistics for one image on SCNN.
@@ -170,9 +160,7 @@ def _scnn_image_stats(
         for arr in histograms:
             arr.setflags(write=False)
         memo[plan] = histograms
-    return scnn_closed_form(
-        spec, cfg, variant, *memo[plan], profile=profile, bins=bins, scheme=scheme
-    )
+    return scnn_closed_form(spec, cfg, variant, *memo[plan], scheme=scheme)
 
 
 def scnn_closed_form(
@@ -182,8 +170,6 @@ def scnn_closed_form(
     cells: np.ndarray,
     tile_nnz: np.ndarray,
     filter_channel_nnz: np.ndarray,
-    profile: bool = False,
-    bins: int = 0,
     scheme: str = "scnn",
 ) -> dict:
     """SCNN's cycle model, closed form in the tile and filter histograms.
@@ -195,7 +181,8 @@ def scnn_closed_form(
 
     The simulator and the analytical tier both call this, so the
     analytical SCNN prediction equals the simulator bit for bit. Every
-    quantity is an exact integer count until the final floats.
+    quantity is an exact integer count until the final floats. The
+    per-PE counters ride along under ``"counters"``.
     """
     cells = np.asarray(cells, dtype=np.int64)
     tile_nnz = np.asarray(tile_nnz, dtype=np.int64)
@@ -264,8 +251,6 @@ def scnn_closed_form(
         "stride_waste": stride_waste,
         "operand_zero": operand_zero,
     }
-    if not profile:
-        return stats
 
     # Per-PE hardware counters. A PE issues for ``pe_ceil * ceil_w``
     # cycles of each (group, channel) broadcast and then waits for the
@@ -279,6 +264,7 @@ def scnn_closed_form(
     both_nz_pe = in_nz_pe @ w_nz_total
     useful_pe = both_nz_pe * stride_factor
     timeline_cycles = timeline_busy = None
+    bins = profiling.timeline_bins()
     if bins:
         # Channel-axis progress bins: every PE advances through the
         # channels in lockstep (the broadcast barrier), so the wall row

@@ -122,9 +122,7 @@ def simulate_sparten(
     units = cfg.units_per_cluster
     n_clusters = cfg.n_clusters
 
-    mode = profiling.profile_mode()
-    profile = mode != profiling.MODE_OFF
-    bins = profiling.timeline_bins() if mode == profiling.MODE_TIMELINE else 0
+    bins = profiling.timeline_bins()
 
     cluster_cycles = np.zeros(n_clusters, dtype=np.float64)
     nonzero = 0.0
@@ -132,14 +130,13 @@ def simulate_sparten(
     intra = 0.0
     permute_total = 0.0
     barriers_total = 0.0
-    if profile:
-        busy_c = np.zeros(n_clusters, dtype=np.float64)
-        zero_c = np.zeros(n_clusters, dtype=np.float64)
-        wait_c = np.zeros(n_clusters, dtype=np.float64)
-        permute_c = np.zeros(n_clusters, dtype=np.float64)
-        hwm: dict[str, float] = {}
-        tl_cycles = np.zeros((n_clusters, bins), dtype=np.float64) if bins else None
-        tl_busy = np.zeros((n_clusters, bins), dtype=np.float64) if bins else None
+    busy_c = np.zeros(n_clusters, dtype=np.float64)
+    zero_c = np.zeros(n_clusters, dtype=np.float64)
+    wait_c = np.zeros(n_clusters, dtype=np.float64)
+    permute_c = np.zeros(n_clusters, dtype=np.float64)
+    hwm: dict[str, float] = {}
+    tl_cycles = np.zeros((n_clusters, bins), dtype=np.float64) if bins else None
+    tl_busy = np.zeros((n_clusters, bins), dtype=np.float64) if bins else None
 
     for img_data, img_work in batch_workloads(
         spec, cfg, seed, data, work, need_counts=(sided == "two")
@@ -156,44 +153,43 @@ def simulate_sparten(
         intra += stats["intra"]
         permute_total += stats.get("permute", 0.0)
         barriers_total += stats.get("barriers", 0.0)
-        if profile:
-            weights = img_work.assignment.weight_of
-            cluster_of = img_work.assignment.cluster_of
-            barrier = stats["per_pos_barrier"]
-            slots = stats["per_pos_slots"]
-            useful = stats["per_pos_useful"]
-            permute_slots = stats["per_pos_permute"] * units
-            busy_c += np.bincount(
-                cluster_of, weights=useful * weights, minlength=n_clusters
+        weights = img_work.assignment.weight_of
+        cluster_of = img_work.assignment.cluster_of
+        barrier = stats["per_pos_barrier"]
+        slots = stats["per_pos_slots"]
+        useful = stats["per_pos_useful"]
+        permute_slots = stats["per_pos_permute"] * units
+        busy_c += np.bincount(
+            cluster_of, weights=useful * weights, minlength=n_clusters
+        )
+        zero_c += np.bincount(
+            cluster_of, weights=(slots - useful) * weights, minlength=n_clusters
+        )
+        wait_c += np.bincount(
+            cluster_of,
+            weights=(barrier * units - slots - permute_slots) * weights,
+            minlength=n_clusters,
+        )
+        permute_c += np.bincount(
+            cluster_of, weights=permute_slots * weights, minlength=n_clusters
+        )
+        hwm_entries = {
+            "input_chunk_values": float(img_work.input_pop.max(initial=0)),
+            "filter_chunk_values": float(
+                img_work.filter_chunk_nnz.max(initial=0)
+            ),
+            "output_collector_entries": float(
+                2 * units if stats.get("collocated") else units
+            ),
+        }
+        for key, value in hwm_entries.items():
+            hwm[key] = max(hwm.get(key, value), value)
+        if bins:
+            img_tl_cycles, img_tl_busy = profiling.positional_timeline(
+                cluster_of, barrier * weights, slots * weights, n_clusters, bins
             )
-            zero_c += np.bincount(
-                cluster_of, weights=(slots - useful) * weights, minlength=n_clusters
-            )
-            wait_c += np.bincount(
-                cluster_of,
-                weights=(barrier * units - slots - permute_slots) * weights,
-                minlength=n_clusters,
-            )
-            permute_c += np.bincount(
-                cluster_of, weights=permute_slots * weights, minlength=n_clusters
-            )
-            hwm_entries = {
-                "input_chunk_values": float(img_work.input_pop.max(initial=0)),
-                "filter_chunk_values": float(
-                    img_work.filter_chunk_nnz.max(initial=0)
-                ),
-                "output_collector_entries": float(
-                    2 * units if stats.get("collocated") else units
-                ),
-            }
-            for key, value in hwm_entries.items():
-                hwm[key] = max(hwm.get(key, value), value)
-            if bins:
-                img_tl_cycles, img_tl_busy = profiling.positional_timeline(
-                    cluster_of, barrier * weights, slots * weights, n_clusters, bins
-                )
-                tl_cycles += img_tl_cycles
-                tl_busy += img_tl_busy
+            tl_cycles += img_tl_cycles
+            tl_busy += img_tl_busy
 
     layer_cycles = float(cluster_cycles.max())
     inter = float(np.sum((layer_cycles - cluster_cycles) * units))
@@ -212,24 +208,22 @@ def simulate_sparten(
     telemetry.count(f"sim.{scheme}.layers")
     telemetry.count(f"sim.{scheme}.cycles", layer_cycles)
     telemetry.gauge(f"sim.{scheme}.mac_utilization", extras["mac_utilization"])
-    counters = None
-    if profile:
-        counters = profiling.CounterSet(
-            scheme=scheme,
-            n_clusters=n_clusters,
-            units_per_cluster=units,
-            total_cycles=layer_cycles,
-            busy=busy_c,
-            filter_zero=zero_c,
-            barrier_wait=wait_c,
-            permute_stall=permute_c,
-            imbalance_idle=(layer_cycles - cluster_cycles) * units,
-            memory_stall=np.zeros(n_clusters, dtype=np.float64),
-            barriers=barriers_total,
-            buffer_hwm=hwm,
-            timeline_cycles=tl_cycles,
-            timeline_busy=tl_busy,
-        )
+    counters = profiling.CounterSet(
+        scheme=scheme,
+        n_clusters=n_clusters,
+        units_per_cluster=units,
+        total_cycles=layer_cycles,
+        busy=busy_c,
+        filter_zero=zero_c,
+        barrier_wait=wait_c,
+        permute_stall=permute_c,
+        imbalance_idle=(layer_cycles - cluster_cycles) * units,
+        memory_stall=np.zeros(n_clusters, dtype=np.float64),
+        barriers=barriers_total,
+        buffer_hwm=hwm,
+        timeline_cycles=tl_cycles,
+        timeline_busy=tl_busy,
+    )
     result = LayerResult(
         scheme=scheme,
         layer_name=spec.name,

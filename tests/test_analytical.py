@@ -445,7 +445,7 @@ class TestPredictGrid:
         the points scored, the ``profile.*`` stall counters stay clean."""
         from repro import telemetry
 
-        monkeypatch.setenv("REPRO_PROFILE", "counters")
+        monkeypatch.setenv("REPRO_FIDELITY", "counters")
         stats = extract_density_stats(
             tiny_spec,
             HardwareConfig(name="canon", n_clusters=1, units_per_cluster=1),

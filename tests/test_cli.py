@@ -108,7 +108,7 @@ class TestRunConfig:
     def test_in_process_calls_leave_env_alone_and_share_no_flags(
         self, tmp_path, monkeypatch, capsys
     ):
-        monkeypatch.setenv("REPRO_PROFILE", "off")
+        monkeypatch.setenv("REPRO_FIDELITY", "analytical")
         monkeypatch.delenv("REPRO_EVENTS", raising=False)
         seen = []
         dispatch = cli._dispatch
@@ -121,15 +121,19 @@ class TestRunConfig:
         before = dict(os.environb)
         events_path = tmp_path / "events.jsonl"
         assert main(["estimate", "--network", "alexnet", "--layer", "Layer2"]) == 0
+        assert main(["profile", "--layer", "Layer2", "--schemes", "dense",
+                     "--trace", str(tmp_path / "trace.json")]) == 0
+        assert dict(os.environb) == before
         assert main(["run", "table1", "--events", str(events_path)]) == 0
         assert dict(os.environb) == before
         assert main(["run", "table1"]) == 0
         assert dict(os.environb) == before
-        estimate, with_events, plain = seen
-        assert estimate.profile == "counters"  # escalated for that call
-        assert with_events.profile == "off"
+        estimate, profile, with_events, plain = seen
+        assert estimate.fidelity == "analytical"
+        assert profile.fidelity == "timeline"  # --trace raised it for that call
+        assert with_events.fidelity == "analytical"
         assert with_events.events == str(events_path)
-        assert plain.profile == "off"
+        assert plain.fidelity == "analytical"
         assert plain.events is None
         assert events_path.exists()
 

@@ -124,7 +124,7 @@ def test_golden_file_sane(golden):
 
 def test_profile_totals_match_golden(monkeypatch):
     """Stall-bucket totals and invariants, as ``check_profile.py`` runs them."""
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+    monkeypatch.setenv("REPRO_FIDELITY", "counters")
     want = json.loads(PROFILE_GOLDEN.read_text())
     profile = profiling.profile_network(
         network=want["network"],

@@ -1,23 +1,28 @@
 """The microarchitectural profiler: counters, conservation, timelines.
 
-Every simulator attaches a :class:`CounterSet` to its results unless
-``REPRO_PROFILE=off``; these tests pin the conservation law (busy + idle
-+ stall == total cycles x units, per cluster) across every scheme and
-both sided modes, the timeline shapes, the batch/roofline arithmetic,
-and the plumbing: extras schema, telemetry counters, trace metadata,
-result-memo mode separation and the CLI payload.
+Every simulator attaches a :class:`CounterSet` to its results on every
+fidelity rung; these tests pin the conservation law (busy + idle + stall
+== total cycles x units, per cluster) across every scheme and both sided
+modes, the timeline shapes, the batch/roofline arithmetic, and the
+plumbing: extras schema, telemetry counters, trace metadata, result-memo
+separation across rungs and the CLI payload.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import profiling, telemetry
+from repro import config, profiling, telemetry
 from repro.nets.layers import ConvLayerSpec
 from repro.profiling.counters import BUCKETS, CounterSet, positional_timeline, zero_counters
 from repro.sim.dense import simulate_dense
 from repro.sim.dynamic import simulate_dynamic_dispatch
+from repro.sim.config import HardwareConfig
 from repro.sim.fpga import apply_roofline
 from repro.sim.results import Breakdown, LayerResult, NetworkResult, observability_extras
 from repro.sim.scnn import simulate_scnn
@@ -81,7 +86,7 @@ def test_observability_extras_schema():
 
 
 def test_conservation_all_schemes(tiny_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+    monkeypatch.setenv("REPRO_FIDELITY", "counters")
     for label, result in _all_results(tiny_spec, mini_cfg):
         counters = result.counters
         assert counters is not None, label
@@ -94,7 +99,7 @@ def test_conservation_all_schemes(tiny_spec, mini_cfg, monkeypatch):
 
 
 def test_conservation_strided(strided_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+    monkeypatch.setenv("REPRO_FIDELITY", "counters")
     for label, result in _all_results(strided_spec, mini_cfg):
         assert result.counters.check_conservation(rtol=1e-9) <= 1e-9, label
 
@@ -102,7 +107,7 @@ def test_conservation_strided(strided_spec, mini_cfg, monkeypatch):
 @pytest.mark.parametrize("seed", [11, 29, 47])
 def test_conservation_property_random_layers(seed, mini_cfg, monkeypatch):
     """Property-style: random shapes/densities never leak MAC-cycles."""
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+    monkeypatch.setenv("REPRO_FIDELITY", "counters")
     rng = np.random.default_rng(seed)
     spec = ConvLayerSpec(
         name=f"rand{seed}",
@@ -120,21 +125,65 @@ def test_conservation_property_random_layers(seed, mini_cfg, monkeypatch):
         assert result.counters.check_conservation(rtol=1e-9) <= 1e-9, label
 
 
-def test_off_mode_attaches_no_counters(tiny_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "off")
-    for label, result in _all_results(tiny_spec, mini_cfg):
-        assert result.counters is None, label
-
-
 def test_profiling_never_changes_results(tiny_spec, mini_cfg, monkeypatch):
-    """Figures are byte-identical across off/counters/timeline."""
-    by_mode = {}
-    for mode in ("off", "counters", "timeline"):
-        monkeypatch.setenv("REPRO_PROFILE", mode)
-        by_mode[mode] = _all_results(tiny_spec, mini_cfg)
-    for (label, off), (_, cnt), (_, tl) in zip(*by_mode.values()):
-        assert off.cycles == cnt.cycles == tl.cycles, label
-        assert off.breakdown == cnt.breakdown == tl.breakdown, label
+    """Figures are byte-identical on the counters/timeline/trace rungs."""
+    by_rung = {}
+    for rung in ("counters", "timeline", "trace"):
+        monkeypatch.setenv("REPRO_FIDELITY", rung)
+        by_rung[rung] = _all_results(tiny_spec, mini_cfg)
+    for (label, cnt), (_, tl), (_, tr) in zip(*by_rung.values()):
+        assert cnt.cycles == tl.cycles == tr.cycles, label
+        assert cnt.breakdown == tl.breakdown == tr.breakdown, label
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    size=st.tuples(st.integers(3, 7), st.integers(3, 7)),
+    channels=st.integers(1, 24),  # 1-3 chunks of 16, the last partial
+    kernel=st.integers(1, 3),
+    stride=st.integers(1, 3),
+    padding=st.integers(0, 2),
+    n_filters=st.integers(1, 11),  # mostly not a multiple of 4 units
+    densities=st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+)
+@settings(max_examples=25, deadline=None)
+def test_ladder_property_random_layers(
+    seed, size, channels, kernel, stride, padding, n_filters, densities
+):
+    """On random layers, the counters/timeline/trace rungs agree on cycles,
+    breakdowns and counter totals, and every timeline row sums to its
+    cluster's wall cycles."""
+    mini = HardwareConfig(
+        name="mini", n_clusters=3, units_per_cluster=4, chunk_size=16,
+        bisection_width=2, scnn_pe_grid=(2, 2), scnn_max_tile=3,
+    )
+    spec = ConvLayerSpec(
+        name=f"prop{seed}", in_height=size[0], in_width=size[1],
+        in_channels=channels, kernel=kernel, n_filters=n_filters,
+        stride=stride, padding=padding,
+        input_density=densities[0], filter_density=densities[1],
+    )
+    by_rung = {}
+    for rung in ("counters", "timeline", "trace"):
+        with config.use(dataclasses.replace(config.current(), fidelity=rung)):
+            by_rung[rung] = _all_results(spec, mini, seed=seed)
+    for (label, cnt), (_, tl), (_, tr) in zip(*by_rung.values()):
+        assert cnt.cycles == tl.cycles == tr.cycles, label
+        assert cnt.breakdown == tl.breakdown == tr.breakdown, label
+        assert cnt.counters.totals() == tl.counters.totals() == tr.counters.totals(), label
+        assert cnt.counters.timeline_cycles is None, label
+        for result in (tl, tr):
+            c = result.counters
+            # SCNN's PEs advance in broadcast lockstep, so each PE's wall
+            # is the layer's; the positional schemes' clusters finish
+            # early by their imbalance idle.
+            wall = np.full(c.n_clusters, c.total_cycles)
+            if not label.startswith("scnn"):
+                wall = wall - c.imbalance_idle / c.units_per_cluster
+            np.testing.assert_allclose(
+                c.timeline_cycles.sum(axis=1), wall, rtol=1e-9, atol=1e-9,
+                err_msg=label,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +191,13 @@ def test_profiling_never_changes_results(tiny_spec, mini_cfg, monkeypatch):
 
 
 def test_timeline_shapes_and_row_sums(tiny_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "timeline")
-    monkeypatch.setenv("REPRO_PROFILE_BINS", "8")
+    monkeypatch.setenv("REPRO_FIDELITY", "timeline")
+    shape_of = lambda counters: (counters.n_clusters, profiling.TIMELINE_BINS)
     for label, result in _all_results(tiny_spec, mini_cfg):
         counters = result.counters
         assert counters.timeline_cycles is not None, label
-        assert counters.timeline_cycles.shape == (counters.n_clusters, 8), label
-        assert counters.timeline_busy.shape == (counters.n_clusters, 8), label
+        assert counters.timeline_cycles.shape == shape_of(counters), label
+        assert counters.timeline_busy.shape == shape_of(counters), label
         # Rows sum to each cluster's wall cycles; the slowest cluster
         # defines the layer.
         row_sums = counters.timeline_cycles.sum(axis=1)
@@ -171,7 +220,7 @@ def test_positional_timeline_binning():
 
 
 def test_counters_mode_skips_timelines(tiny_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+    monkeypatch.setenv("REPRO_FIDELITY", "counters")
     result = simulate_sparten(tiny_spec, mini_cfg)
     assert result.counters is not None
     assert result.counters.timeline_cycles is None
@@ -246,7 +295,7 @@ def test_counterset_roundtrip_and_check_failure():
 
 
 def test_fpga_roofline_charges_memory_stall(tiny_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+    monkeypatch.setenv("REPRO_FIDELITY", "counters")
     result = simulate_sparten(tiny_spec, mini_cfg)
     bounded = apply_roofline(result, bytes_per_cycle=0.05)
     assert bounded.cycles > result.cycles  # the bandwidth bound bit
@@ -259,7 +308,7 @@ def test_fpga_roofline_charges_memory_stall(tiny_spec, mini_cfg, monkeypatch):
 
 
 def test_batch_accumulation_adds_counters(tiny_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+    monkeypatch.setenv("REPRO_FIDELITY", "counters")
     from repro.core.compare import _accumulate
 
     a = simulate_sparten(tiny_spec, mini_cfg, seed=0)
@@ -276,7 +325,7 @@ def test_batch_accumulation_adds_counters(tiny_spec, mini_cfg, monkeypatch):
 
 
 def test_network_result_counters(tiny_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+    monkeypatch.setenv("REPRO_FIDELITY", "counters")
     from dataclasses import replace
 
     r1 = simulate_sparten(tiny_spec, mini_cfg, seed=0)
@@ -300,7 +349,7 @@ def test_gb_h_imbalance_no_worse_than_no_gb(monkeypatch):
     invariant is a property of realistic layers -- the same population
     ``benchmarks/check_profile.py`` gates in CI.
     """
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+    monkeypatch.setenv("REPRO_FIDELITY", "counters")
     from repro.eval.experiments import network_by_name
     from repro.sim.config import config_for
 
@@ -379,21 +428,8 @@ def test_geomean_speedup_over_all_excluded_names_layers():
 # Plumbing: env knob, telemetry flow, trace metadata, memo separation.
 
 
-def test_env_choice(monkeypatch):
-    from repro.config import RunConfig
-
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    assert profiling.profile_mode() == profiling.MODE_COUNTERS
-    monkeypatch.setenv("REPRO_PROFILE", "  TIMELINE ")
-    assert profiling.profile_mode() == profiling.MODE_TIMELINE
-    monkeypatch.setenv("REPRO_PROFILE", "bogus")
-    # Invalid values warn (via the structured logger) and fall back.
-    assert RunConfig.from_env({"REPRO_PROFILE": "bogus"}).profile == "counters"
-    assert profiling.profile_mode() == profiling.MODE_COUNTERS
-
-
 def test_profile_counters_reach_telemetry(tiny_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+    monkeypatch.setenv("REPRO_FIDELITY", "counters")
     telemetry.reset()
     result = simulate_sparten(tiny_spec, mini_cfg)
     counters = telemetry.get_recorder().counters()
@@ -405,7 +441,7 @@ def test_profile_counters_reach_telemetry(tiny_spec, mini_cfg, monkeypatch):
 
 
 def test_timeline_rows_reach_chrome_trace(tiny_spec, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "timeline")
+    monkeypatch.setenv("REPRO_FIDELITY", "timeline")
     telemetry.reset()
     profiling.reset_sim_clock()
     simulate_sparten(tiny_spec, mini_cfg)
@@ -441,14 +477,41 @@ def test_emit_event_respects_budget():
     assert rec.snapshot()["dropped_events"] == 1
 
 
-def test_result_memo_separates_profile_modes(tiny_spec, mini_cfg, monkeypatch):
-    from repro.core import workload
+def test_result_memo_across_rungs(tiny_spec, mini_cfg, monkeypatch, tmp_path):
+    """A rung that records timelines is never served a result without
+    them, nor the reverse, from the in-process memo or the disk store;
+    ``analytical`` and ``counters`` share entries."""
+    from repro.core import compare, workload
 
-    monkeypatch.setenv("REPRO_PROFILE", "off")
-    key_off = workload.result_key("sparten", tiny_spec, mini_cfg, 0)
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
-    key_counters = workload.result_key("sparten", tiny_spec, mini_cfg, 0)
-    assert key_off != key_counters
+    def timeline_shape(rung):
+        monkeypatch.setenv("REPRO_FIDELITY", rung)
+        result = compare.run_scheme_cached("sparten", tiny_spec, mini_cfg, 0)
+        timeline = result.counters.timeline_cycles
+        return None if timeline is None else timeline.shape
+
+    full = (mini_cfg.n_clusters, profiling.TIMELINE_BINS)
+    for store in (None, tmp_path):
+        if store is None:
+            monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(store))
+        for first, second, want in (
+            ("counters", "timeline", full),
+            ("timeline", "counters", None),
+        ):
+            workload.clear_caches()
+            timeline_shape(first)
+            if store is not None:
+                workload.clear_caches()  # the second asks the disk store
+            assert timeline_shape(second) == want, (store, first, second)
+    assert list(tmp_path.glob("**/result-*.json"))
+    workload.clear_caches()
+
+    keys = {}
+    for rung in ("analytical", "counters", "timeline"):
+        monkeypatch.setenv("REPRO_FIDELITY", rung)
+        keys[rung] = workload.result_key("sparten", tiny_spec, mini_cfg, 0)
+    assert keys["analytical"] == keys["counters"] != keys["timeline"]
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +519,7 @@ def test_result_memo_separates_profile_modes(tiny_spec, mini_cfg, monkeypatch):
 
 
 def test_profile_network_payload(monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+    monkeypatch.setenv("REPRO_FIDELITY", "counters")
     telemetry.reset()
     payload = profiling.profile_network(
         "alexnet", schemes=("dense", "sparten_no_gb", "sparten"), layer="Layer2"
@@ -475,18 +538,10 @@ def test_profile_network_payload(monkeypatch):
     telemetry.reset()
 
 
-def test_profile_network_rejects_off_mode(monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "off")
-    with pytest.raises(RuntimeError, match="REPRO_PROFILE"):
-        profiling.profile_network("alexnet", layer="Layer2")
-
-
 def test_cli_profile_subcommand(tmp_path, monkeypatch, capsys):
     from repro.cli import main
 
-    # setenv (not delenv) so the CLI's own escalation of REPRO_PROFILE is
-    # rolled back at teardown.
-    monkeypatch.setenv("REPRO_PROFILE", "counters")
+    monkeypatch.setenv("REPRO_FIDELITY", "counters")
     out_json = tmp_path / "profile.json"
     trace_json = tmp_path / "trace.json"
     code = main(
@@ -511,7 +566,7 @@ def test_cli_profile_subcommand(tmp_path, monkeypatch, capsys):
 
     payload = json.loads(out_json.read_text())
     assert payload["schema"] == "repro-profile/1"
-    assert payload["mode"] == "timeline"  # --trace escalates the mode
+    assert payload["mode"] == "timeline"  # --trace raises the rung
     trace = json.loads(trace_json.read_text())
     assert any(
         e.get("pid", 0) >= 900_000_000 for e in trace["traceEvents"]

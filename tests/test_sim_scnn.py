@@ -250,7 +250,7 @@ def test_closed_form_matches_reference_loops(
     # on the masks per tile plan and shared by the three variants.
     other = dataclasses.replace(cfg, scnn_max_tile=max_tile % 5 + 1)
     for cfg, variant in itertools.product((cfg, other), ("two", "one", "dense")):
-        got = _scnn_image_stats(data, cfg, variant, profile=True)
+        got = _scnn_image_stats(data, cfg, variant)
         want = _reference_scnn_stats(data, cfg, variant)
         for key in ("cycles", "useful", "issued", "inter", "stride_waste",
                     "operand_zero"):
