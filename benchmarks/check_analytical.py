@@ -11,6 +11,11 @@ fast path drifts from ground truth:
    simulated speedups must stay >= 0.95 per scheme. This is the bound
    that makes the pre-screened sweep trustworthy: the simulated optimum
    stays inside the analytical top-k.
+3. **Native barrier** -- on a host where the native library loads, every
+   SparTen prediction must take the compiled order-statistics kernel
+   (``kernel.barrier_native_dispatch``); a single
+   ``kernel.barrier_fallback_dispatch`` means the grid was scored on the
+   slower NumPy path and the timings CI reads describe the wrong code.
 
 Writes the full per-point error table to
 ``benchmarks/output/analytical_validation.json`` and the headline
@@ -37,6 +42,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(sys.argv[1:] if argv is None else argv)
 
     from repro import telemetry
+    from repro.sim import native
     from repro.analytical.validate import (
         MEDIAN_ABS_ERR_BOUND,
         RANK_CORR_BOUND,
@@ -48,7 +54,16 @@ def main(argv: list[str] | None = None) -> int:
     report = validate_analytical(seed=args.seed)
     print(render_validation(report))
 
+    counters = telemetry.snapshot(events=False)["counters"]
+    barrier_native = counters.get("kernel.barrier_native_dispatch", 0)
+    barrier_fallback = counters.get("kernel.barrier_fallback_dispatch", 0)
     failures: list[str] = []
+    if native.available() and (barrier_fallback or not barrier_native):
+        failures.append(
+            f"native library loaded but {int(barrier_fallback)} of "
+            f"{int(barrier_native + barrier_fallback)} barrier evaluations "
+            "took the NumPy fallback"
+        )
     if report.median_abs_error > MEDIAN_ABS_ERR_BOUND:
         failures.append(
             f"pooled median |err| {report.median_abs_error:.4f} > "
@@ -93,6 +108,8 @@ def main(argv: list[str] | None = None) -> int:
         "median_bound": MEDIAN_ABS_ERR_BOUND,
         "rank_bound": RANK_CORR_BOUND,
         "per_scheme": report.per_scheme(),
+        "barrier_native_dispatch": barrier_native,
+        "barrier_fallback_dispatch": barrier_fallback,
         "passed": not failures,
     }
     with open(os.path.join(OUTPUT_DIR, "BENCH_analytical_gate.json"), "w") as fh:

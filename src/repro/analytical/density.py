@@ -22,7 +22,7 @@ extracts its statistics once and predicts every config from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,11 +58,8 @@ class DensityStats:
         channel_input_nnz: (C,) input-map non-zeros per channel.
         filter_channel_nnz: (F, C) filter non-zeros per channel (summed
             over kernel positions) -- the SCNN weight distribution.
-        input_integral: (H+1, W+1, C) int32 summed-area table of the
-            input mask: non-zeros of any spatial rectangle in O(1), so
-            exact tile histograms for *any* SCNN tile plan come from
-            one cfg-agnostic statistic (real activations are spatially
-            clustered, which no per-channel density can capture).
+        input_mask: (H, W, C) bool input occupancy, the source of
+            :attr:`input_integral`.
     """
 
     spec: ConvLayerSpec
@@ -74,7 +71,9 @@ class DensityStats:
     assignment: PositionAssignment
     channel_input_nnz: np.ndarray
     filter_channel_nnz: np.ndarray
-    input_integral: np.ndarray
+    input_mask: np.ndarray
+    # Built on first use; shared by every regrouped copy.
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_filters(self) -> int:
@@ -93,6 +92,31 @@ class DensityStats:
     def total_filter_chunk_nnz(self) -> np.ndarray:
         """Per-chunk non-zeros summed over all filters (n_chunks,)."""
         return self.filter_chunk_nnz.sum(axis=0)
+
+    @property
+    def input_integral(self) -> np.ndarray:
+        """(H+1, W+1, C) int32 summed-area table of the input mask.
+
+        Non-zeros of any spatial rectangle in O(1), so exact tile
+        histograms for *any* SCNN tile plan come from one cfg-agnostic
+        statistic (real activations are spatially clustered, which no
+        per-channel density can capture). Only SCNN predictions read it,
+        so it is built on first use, once per extraction.
+        """
+        integral = self._memo.get("input_integral")
+        if integral is None:
+            mask = self.input_mask
+            integral = np.zeros(
+                (mask.shape[0] + 1, mask.shape[1] + 1, mask.shape[2]),
+                dtype=np.int32,
+            )
+            np.cumsum(
+                np.cumsum(mask, axis=0, dtype=np.int32),
+                axis=1,
+                out=integral[1:, 1:],
+            )
+            self._memo["input_integral"] = integral
+        return integral
 
     def rect_nnz(
         self, y0: np.ndarray, y1: np.ndarray, x0: np.ndarray, x1: np.ndarray
@@ -120,12 +144,6 @@ def stats_from_work(
     so it never triggers count materialisation.
     """
     mask = data.input_mask
-    integral = np.zeros(
-        (mask.shape[0] + 1, mask.shape[1] + 1, mask.shape[2]), dtype=np.int32
-    )
-    np.cumsum(
-        np.cumsum(mask, axis=0, dtype=np.int32), axis=1, out=integral[1:, 1:]
-    )
     return DensityStats(
         spec=data.spec,
         chunk_size=int(chunk_size),
@@ -136,7 +154,7 @@ def stats_from_work(
         assignment=work.assignment,
         channel_input_nnz=mask.sum(axis=(0, 1)).astype(np.int64),
         filter_channel_nnz=data.filter_masks.sum(axis=(1, 2)).astype(np.int64),
-        input_integral=integral,
+        input_mask=mask,
     )
 
 
@@ -152,8 +170,9 @@ def regroup_stats(stats: DensityStats, cfg: HardwareConfig) -> DensityStats:
     in-slice sample to the slice's true position count (the same
     estimator :func:`repro.sim.kernels.assign_positions` uses).
 
-    Per-position arrays are shared (not copied) with the input, so a
-    sweep's cluster axis costs one new assignment per cluster count.
+    Per-position arrays are shared (not copied) with the input, and so
+    is the lazily built integral image, so a sweep's cluster axis costs
+    one new assignment per cluster count.
     Raises ``ValueError`` when some cluster's slice contains no stat
     position (the sample is too sparse for the requested cluster count).
     """
@@ -210,5 +229,5 @@ def extract_density_stats(
     if stats is None:
         data, work = workload.get_workload(spec, cfg, seed, need_counts=False)
         stats = stats_from_work(data, work, cfg.chunk_size)
-        workload.cache_put(key, stats, arrays=(stats.input_integral,))
+        workload.cache_put(key, stats, arrays=(stats.input_mask,))
     return stats

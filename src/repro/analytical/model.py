@@ -26,13 +26,19 @@ How each family is modelled:
   only the imbalance spread is estimated. GB-H routing floors are exact
   (the pairing reconstruction feeds
   :func:`repro.sim.reduce.gb_h_route_floors`), so permute stalls use the
-  stall model's own floor math.
+  stall model's own floor math. The position-independent group
+  summaries are NumPy; the per-(chunk, group, position) arithmetic runs
+  in the native library's ``two_sided_barrier`` kernel, bit-identical to
+  the NumPy slab loop that serves as its fallback
+  (``REPRO_NO_NATIVE``, no compiler).
 - **SCNN** -- exact: the barrier factorises over channels
   (``max_pe . sum_ceil_w``), weight-side ceilings come from the
   per-channel filter histograms and input-side per-PE work from exact
   tile histograms (four summed-area-table lookups per tile against the
   statistics' input integral image -- activations are spatially
-  clustered, so no per-channel density summary could stand in).
+  clustered, so no per-channel density summary could stand in; the
+  image is built on the first SCNN prediction, so a SparTen sweep never
+  builds it).
 
 Energy rides for free: analytical results carry the same breakdown and
 traffic a simulated :class:`~repro.sim.results.LayerResult` does, so
@@ -55,7 +61,7 @@ from repro.arch.memory import layer_traffic
 from repro.balance.greedy import gb_h_chunk_pairing, greedy_order, pair_groups
 from repro.nets.layers import ConvLayerSpec
 from repro.nets.synthesis import LayerMasks
-from repro.sim import reduce
+from repro.sim import native, reduce
 from repro.sim.config import HardwareConfig
 from repro.sim.energy import layer_energy
 from repro.sim.results import Breakdown, LayerResult, observability_extras
@@ -110,6 +116,24 @@ _MAX_COEF_SCALE = 0.85
 
 _NORMAL = NormalDist()
 
+#: Blom coefficients indexed by ``m``, grown on demand (``m`` never
+#: exceeds a group's unit count).
+_BLOM = np.zeros(2, dtype=np.float64)
+
+
+def _blom_table(m_max: int) -> np.ndarray:
+    """The coefficient table, covering every ``m <= m_max``."""
+    global _BLOM
+    if m_max >= _BLOM.size:
+        _BLOM = np.array(
+            [
+                _NORMAL.inv_cdf((v - 0.375) / (v + 0.25)) if v > 1 else 0.0
+                for v in range(m_max + 1)
+            ],
+            dtype=np.float64,
+        )
+    return _BLOM
+
 
 def expected_max_coefficient(m: int | np.ndarray) -> np.ndarray:
     """Blom's expected maximum of ``m`` iid standard normals.
@@ -117,17 +141,10 @@ def expected_max_coefficient(m: int | np.ndarray) -> np.ndarray:
     ``E[max] ~= Phi^-1((m - 0.375) / (m + 0.25))``; 0 for ``m <= 1``
     (a single contender has no selection inflation).
     """
-    m_arr = np.atleast_1d(np.asarray(m, dtype=np.int64))
-    values, inverse = np.unique(m_arr, return_inverse=True)
-    coef = np.array(
-        [
-            _NORMAL.inv_cdf((v - 0.375) / (v + 0.25)) if v > 1 else 0.0
-            for v in values.tolist()
-        ],
-        dtype=np.float64,
-    )
-    out = coef[inverse].reshape(m_arr.shape)
-    return out if np.ndim(m) else float(out[0])
+    m_arr = np.maximum(np.asarray(m, dtype=np.int64), 0)
+    table = _blom_table(int(m_arr.max(initial=0)))
+    out = table[m_arr]
+    return out if np.ndim(m) else float(out)
 
 
 # -- two-sided SparTen -------------------------------------------------------
@@ -232,7 +249,8 @@ def _two_sided_barriers(
     loads_a, loads_b, floors = two_sided_row_loads(stats, cfg, variant)
     n_chunks, n_rows = loads_a.shape
     n_groups = n_rows // units
-    # Without collocation the second component is all zero: skip it.
+    # Without collocation the second component is all zero: the NumPy
+    # path skips it, the native kernel adds its exact zeros.
     collocated = variant != "no_gb"
     ga = loads_a.reshape(n_chunks, n_groups, units)
     gb = loads_b.reshape(n_chunks, n_groups, units) if collocated else None
@@ -271,12 +289,41 @@ def _two_sided_barriers(
     n_sel = k.shape[1]
     r = rho / chunk
     kf = k * np.clip((chunk - k) / max(chunk - 1.0, 1.0), 0.0, 1.0)
-    barrier = np.zeros(n_sel, dtype=np.float64)
-    permute = np.zeros(n_sel, dtype=np.float64)
     # (chunk, group) slabs of ~_SLAB elements: whole chunks when a chunk's
     # groups fit, else group runs inside one chunk.
     gstep = max(1, min(n_groups, _SLAB // max(n_sel, 1)))
     cstep = max(1, _SLAB // (gstep * max(n_sel, 1))) if gstep == n_groups else 1
+    got = native.two_sided_barrier(wa, wb, alpha, floors, k, kf, r, cstep, gstep)
+    if got is not None:
+        telemetry.count("kernel.barrier_native_dispatch")
+        return got[0], got[1], n_groups
+    telemetry.count("kernel.barrier_fallback_dispatch")
+    barrier, permute = _barrier_slabs(wa, wb, alpha, floors, k, kf, r, cstep, gstep)
+    return barrier, permute, n_groups
+
+
+def _barrier_slabs(
+    wa: np.ndarray,
+    wb: np.ndarray | None,
+    alpha: np.ndarray,
+    floors: np.ndarray | None,
+    k: np.ndarray,
+    kf: np.ndarray,
+    r: np.ndarray,
+    cstep: int,
+    gstep: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The barrier kernel's NumPy path (``REPRO_NO_NATIVE``, no compiler).
+
+    Per-position sums over (chunk, group) slabs of ``cstep x gstep``;
+    :func:`repro.sim.native.two_sided_barrier` does the same arithmetic
+    in the same order, bit for bit. *wb* ``None`` skips the collocated
+    component (it would add exact zeros).
+    """
+    n_chunks, n_groups = wa.shape
+    n_sel = r.shape[0]
+    barrier = np.zeros(n_sel, dtype=np.float64)
+    permute = np.zeros(n_sel, dtype=np.float64)
     for c0 in range(0, n_chunks, cstep):
         c1 = min(c0 + cstep, n_chunks)
         k3 = k[c0:c1, None, :]
@@ -293,7 +340,7 @@ def _two_sided_barriers(
             var = 1.0 - qa
             var *= qa
             cap = np.minimum(k3, wa3)
-            if collocated:
+            if wb is not None:
                 wb3 = wb[c0:c1, g0:g1, None]
                 qb = wb3 * r
                 np.minimum(qb, 1.0, out=qb)
@@ -316,7 +363,7 @@ def _two_sided_barriers(
                 permute += var.sum(axis=(0, 1))
                 est = cap
             barrier += est.sum(axis=(0, 1))
-    return barrier, permute, n_groups
+    return barrier, permute
 
 
 class _ClusterAxis(NamedTuple):

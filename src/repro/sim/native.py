@@ -1,4 +1,4 @@
-"""Optional compiled kernels: AND+popcount match counts and the scheme reduction.
+"""Optional compiled kernels: match counts, the scheme reduction, the barrier model.
 
 The hot quantity in every simulator is the per-(chunk, position, filter)
 match count -- the popcount of the AND of two bit-packed masks. BLAS can
@@ -6,7 +6,9 @@ compute it as a float32 GEMM over the unpacked booleans, but that moves
 ``64x`` more data than the packed words need; a tiny C kernel doing
 ``popcount(window_word & filter_word)`` directly runs several times
 faster. The same library reduces the counts to each scheme's per-position
-barrier (see :mod:`repro.sim.reduce`).
+barrier (see :mod:`repro.sim.reduce`), and evaluates the analytical
+tier's order-statistics barrier (:func:`two_sided_barrier`, the inner
+loop of :func:`repro.analytical.model._two_sided_barriers`).
 
 The C source below is embedded and compiled on demand with the system C
 compiler into a cache directory (``$REPRO_NATIVE_DIR``, else
@@ -15,9 +17,17 @@ compiler, the flag sets and the host CPU (``-march=native`` code must
 never be loaded on a CPU that lacks its instructions, e.g. from a cache
 shared over NFS or restored in CI), so rebuilds happen only when one of
 them changes. Everything is best-effort: no compiler, a failed build, or
-``$REPRO_NO_NATIVE`` being set all make :func:`match_counts` return
-``None`` and the caller falls back to the GEMM path. Both paths are
-bit-identical (exact small-integer arithmetic), which the tests assert.
+``$REPRO_NO_NATIVE`` being set all make every kernel return ``None`` and
+the caller falls back to NumPy (the GEMM path for match counts). Both
+paths are bit-identical, which the tests assert. The integer kernels get
+there by exact small-integer arithmetic. The barrier kernel is float
+arithmetic, and its identity rests on two things: ``-ffp-contract=off``
+(in every flag set), so no multiply-add is fused into an FMA that would
+move last bits, and its summation order -- each (chunk, group) slab is
+summed in (chunk, group) order into a per-position partial before that
+partial joins the total, exactly as the NumPy path's per-slab
+``sum(axis=(0, 1))`` does. ``-fno-math-errno`` lets ``sqrt`` vectorise;
+neither flag changes the integer and add-only kernels.
 
 Data layout contract (all C-contiguous unless noted):
 
@@ -57,9 +67,11 @@ __all__ = [
     "load_error",
     "match_counts",
     "reduce_pairs",
+    "two_sided_barrier",
 ]
 
 _C_SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 
 #if defined(__AVX2__)
@@ -317,15 +329,85 @@ void reduce_pairs_u32(REDUCE_PARAMS(uint32_t))
 {
     reduce_scalar_u32(REDUCE_ARGS, 0);
 }
+
+/* ---- order-statistics barrier (analytical tier) -------------------------
+   The expected barrier of one (chunk c, group g, position p): the heaviest
+   unit row's work is two hypergeometric window intersections with loads
+   a = wa[c][g] and b = wb[c][g] (b = 0 without collocation, which adds
+   exact zeros), each part's mean and variance capped by the window count
+   k = k[c][p]:
+     qa = min(a r[p], 1), qb = min(b r[p], 1)
+     est = (qa + qb) k + alpha[c][g] sqrt(((1 - qa) qa + (1 - qb) qb) kf[c][p])
+     est = max(min(est, min(k, a) + min(k, b)), 1)
+   Every operation is the NumPy slab loop's, in its order, so with
+   contraction off (-ffp-contract=off) each element matches bit for bit. */
+static inline double barrier_est(double a, double b, double al, double kk,
+                                 double kfp, double rp)
+{
+    double qa = a * rp, qb = b * rp;
+    qa = qa < 1.0 ? qa : 1.0;
+    qb = qb < 1.0 ? qb : 1.0;
+    double var = (1.0 - qa) * qa + (1.0 - qb) * qb;
+    double cap = (kk < a ? kk : a) + (kk < b ? kk : b);
+    double est = (qa + qb) * kk + sqrt(var * kfp) * al;
+    est = est < cap ? est : cap;
+    return est > 1.0 ? est : 1.0;
+}
+
+/* Per-position sums of max(est, fl) (barrier) and max(est, fl) - est
+   (permute), fl the GB-H routing floor floors[c][g] (0 without floors).
+   (chunk, group) slabs of cstep x gstep are each summed in (chunk, group)
+   order into slab_bar / slab_perm before joining the totals: the order of
+   NumPy's per-slab sum(axis=(0, 1)), which the bit-identity rests on. */
+void two_sided_barrier(const double *restrict wa, const double *restrict wb,
+                       const double *restrict alpha,
+                       const double *restrict floors,
+                       const double *restrict k, const double *restrict kf,
+                       const double *restrict r, double *restrict barrier,
+                       double *restrict permute, double *restrict slab_bar,
+                       double *restrict slab_perm, int64_t n_chunks,
+                       int64_t n_groups, int64_t n_sel, int64_t cstep,
+                       int64_t gstep)
+{
+    for (int64_t c0 = 0; c0 < n_chunks; c0 += cstep) {
+        int64_t c1 = c0 + cstep < n_chunks ? c0 + cstep : n_chunks;
+        for (int64_t g0 = 0; g0 < n_groups; g0 += gstep) {
+            int64_t g1 = g0 + gstep < n_groups ? g0 + gstep : n_groups;
+            for (int64_t p = 0; p < n_sel; ++p)
+                slab_bar[p] = slab_perm[p] = 0.0;
+            for (int64_t c = c0; c < c1; ++c) {
+                const double *kc = k + c * n_sel, *kfc = kf + c * n_sel;
+                for (int64_t g = g0; g < g1; ++g) {
+                    int64_t cg = c * n_groups + g;
+                    double a = wa[cg], b = wb[cg], al = alpha[cg];
+                    /* est >= 1, so a zero floor adds exact zeros. */
+                    double fl = floors ? floors[cg] : 0.0;
+                    for (int64_t p = 0; p < n_sel; ++p) {
+                        double est = barrier_est(a, b, al, kc[p], kfc[p], r[p]);
+                        double top = est > fl ? est : fl;
+                        slab_perm[p] += top - est;
+                        slab_bar[p] += top;
+                    }
+                }
+            }
+            for (int64_t p = 0; p < n_sel; ++p) {
+                barrier[p] += slab_bar[p];
+                permute[p] += slab_perm[p];
+            }
+        }
+    }
+}
 """
 
 #: Compiler flag sets, tried in order until one builds. The first is
-#: ``-O2`` plus the loop vectoriser rather than ``-O3 -funroll-loops``: both
+#: ``-O2`` plus the loop vectoriser rather than ``-O3 -funroll-loops``: the
 #: kernels run as fast, and the build (which every fresh cache directory
-#: pays) takes ~30 % less time.
+#: pays) takes ~30 % less time. Both keep the barrier kernel bit-identical
+#: to NumPy (no FMA contraction) and let its ``sqrt`` vectorise.
+_FLOAT_FLAGS = ["-ffp-contract=off", "-fno-math-errno"]
 _FLAG_SETS = (
-    ["-O2", "-ftree-vectorize", "-march=native"],
-    ["-O3"],
+    ["-O2", "-ftree-vectorize", "-march=native", *_FLOAT_FLAGS],
+    ["-O3", *_FLOAT_FLAGS],
 )
 
 _lib: ctypes.CDLL | None = None
@@ -409,6 +491,8 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         fn = getattr(lib, name)
         fn.restype = None
         fn.argtypes = reduce_args
+    lib.two_sided_barrier.restype = None
+    lib.two_sided_barrier.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_int64] * 5
     return lib
 
 
@@ -547,3 +631,61 @@ def reduce_pairs(
         dyn_units,
     )
     return barrier, busy, permute
+
+
+def two_sided_barrier(
+    wa: np.ndarray,
+    wb: np.ndarray | None,
+    alpha: np.ndarray,
+    floors: np.ndarray | None,
+    k: np.ndarray,
+    kf: np.ndarray,
+    r: np.ndarray,
+    cstep: int,
+    gstep: int,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Order-statistics barrier sums of the analytical tier; ``None`` when
+    unavailable.
+
+    *wa*, *wb* (``None``: no collocated component), *alpha* and *floors*
+    are ``(n_chunks, n_groups)`` float64; *k* and *kf* ``(n_chunks,
+    n_sel)``; *r* ``(n_sel,)``. Returns per-position ``(barrier,
+    permute)`` float64 sums over ``cstep x gstep`` (chunk, group) slabs,
+    bit-identical to :func:`repro.analytical.model._barrier_slabs`.
+    """
+    lib = _load()
+    if lib is None:
+        return None
+    wa, alpha, k, kf, r = (
+        np.ascontiguousarray(a, dtype=np.float64) for a in (wa, alpha, k, kf, r)
+    )
+    wb = np.zeros_like(wa) if wb is None else np.ascontiguousarray(wb, np.float64)
+    if floors is not None:
+        floors = np.ascontiguousarray(floors, np.float64)
+    n_chunks, n_groups = wa.shape
+    n_sel = r.shape[0]
+    assert wb.shape == alpha.shape == wa.shape
+    assert k.shape == kf.shape == (n_chunks, n_sel)
+    assert floors is None or floors.shape == wa.shape
+    barrier = np.zeros(n_sel, dtype=np.float64)
+    permute = np.zeros(n_sel, dtype=np.float64)
+    slabs = np.empty((2, n_sel), dtype=np.float64)
+    lib.two_sided_barrier(
+        _ptr(wa),
+        _ptr(wb),
+        _ptr(alpha),
+        _ptr(floors),
+        _ptr(k),
+        _ptr(kf),
+        _ptr(r),
+        _ptr(barrier),
+        _ptr(permute),
+        _ptr(slabs[0]),
+        _ptr(slabs[1]),
+        n_chunks,
+        n_groups,
+        n_sel,
+        cstep,
+        gstep,
+    )
+    return barrier, permute

@@ -6,8 +6,8 @@ Covers the contracts the pre-screened sweep leans on:
 - :func:`regroup_stats` re-slices one canonical extraction onto any
   cluster count (sharing arrays, preserving the sampling estimator),
 - the barrier kernel matches the group-slab kernel it replaced (kept
-  here as an oracle), and the batched grid path reproduces the
-  per-machine path bit for bit,
+  here as an oracle), its native and NumPy paths agree bit for bit, and
+  the batched grid path reproduces the per-machine path bit for bit,
 - the exact schemes (dense / one-sided / SCNN) match the simulators bit
   for bit and the calibrated SparTen models stay inside the validation
   bounds,
@@ -23,6 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.analytical import model
 from repro.analytical.density import (
     extract_density_stats,
@@ -37,7 +38,9 @@ from repro.analytical.fidelity import (
 from repro.analytical.model import ANALYTICAL_SCHEMES, predict_layer
 from repro.core.compare import run_scheme_cached
 from repro.nets.layers import ConvLayerSpec
+from repro.nets.models import alexnet
 from repro.nets.synthesis import synthesize_layer
+from repro.sim import native
 from repro.sim.config import HardwareConfig
 from repro.sim.kernels import compute_chunk_work
 from repro.sim.results import LayerResult
@@ -101,6 +104,21 @@ class TestRegroupStats:
         assert regrouped.input_pop is stats.input_pop
         assert regrouped.match_sums is stats.match_sums
         assert regrouped.filter_chunk_nnz is stats.filter_chunk_nnz
+
+    def test_integral_image_built_once_across_regroupings(self, tiny_spec):
+        """The SCNN integral image is built on first use and shared by
+        every cluster count's regrouped statistics."""
+        stats = self._full_stats(tiny_spec)
+        integral = regroup_stats(
+            stats,
+            HardwareConfig(name="two", n_clusters=2, units_per_cluster=1,
+                           chunk_size=16),
+        ).input_integral
+        assert stats.input_integral is integral
+        three = HardwareConfig(
+            name="three", n_clusters=3, units_per_cluster=1, chunk_size=16
+        )
+        assert regroup_stats(stats, three).input_integral is integral
 
     def test_weights_recover_cluster_positions(self, tiny_spec):
         stats = self._full_stats(tiny_spec)
@@ -210,43 +228,77 @@ def _slab_barriers_oracle(stats, cfg, variant):
     return barrier, permute, n_groups
 
 
-class TestBarrierKernel:
-    @given(
-        seed=st.integers(0, 2**16),
-        n_filters=st.integers(1, 37),
-        in_channels=st.integers(1, 24),
-        kernel=st.sampled_from([1, 3]),
-        size=st.integers(2, 7),
-        densities=st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
-        chunk=st.sampled_from([4, 8, 16, 128]),
-        units=st.sampled_from([1, 2, 3, 4, 5, 8, 16]),
-        bisection=st.integers(1, 8),
-        variant=st.sampled_from(["no_gb", "gb_s", "gb_h"]),
-        slab=st.sampled_from([1, 7, 64, model._SLAB]),
+#: Hypothesis inputs of the barrier-kernel properties: every variant,
+#: units that do and do not divide F, GB-H floors with narrow
+#: bisections; *slab* forces partial chunk and group slabs.
+_BARRIER_CASES = dict(
+    seed=st.integers(0, 2**16),
+    n_filters=st.integers(1, 37),
+    in_channels=st.integers(1, 24),
+    kernel=st.sampled_from([1, 3]),
+    size=st.integers(2, 7),
+    densities=st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+    chunk=st.sampled_from([4, 8, 16, 128]),
+    units=st.sampled_from([1, 2, 3, 4, 5, 8, 16]),
+    bisection=st.integers(1, 8),
+    variant=st.sampled_from(["no_gb", "gb_s", "gb_h"]),
+    slab=st.sampled_from([1, 7, 64, model._SLAB]),
+)
+
+
+def _barrier_case(
+    seed, n_filters, in_channels, kernel, size, densities, chunk, units,
+    bisection, variant,
+):
+    """(stats, cfg) of one random layer and machine."""
+    # GB-H's permutation network needs a power-of-two port count.
+    assume(variant != "gb_h" or units & (units - 1) == 0)
+    spec = ConvLayerSpec(
+        name="prop", in_height=size, in_width=size,
+        in_channels=in_channels, kernel=kernel, n_filters=n_filters,
+        padding=kernel // 2,
+        input_density=densities[0], filter_density=densities[1],
     )
+    cfg = HardwareConfig(
+        name="prop", n_clusters=1, units_per_cluster=units,
+        chunk_size=chunk, bisection_width=bisection,
+    )
+    data = synthesize_layer(spec, seed)
+    stats = stats_from_work(
+        data, compute_chunk_work(data, cfg, need_counts=False), chunk
+    )
+    return stats, cfg
+
+
+def _barriers_both_paths(stats, cfg, variant, slab=model._SLAB):
+    """``_two_sided_barriers`` on the native kernel and on the NumPy
+    fallback, asserting each path was the one dispatched."""
+    out = {}
+    for no_native in (False, True):
+        before = telemetry.snapshot(events=False)["counters"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_SLAB", slab)
+            if no_native:
+                mp.setenv("REPRO_NO_NATIVE", "1")
+            out[no_native] = model._two_sided_barriers(stats, cfg, variant)
+        after = telemetry.snapshot(events=False)["counters"]
+        name = "fallback" if no_native else "native"
+        key = f"kernel.barrier_{name}_dispatch"
+        assert after.get(key, 0) == before.get(key, 0) + 1, key
+    return out[False], out[True]
+
+
+class TestBarrierKernel:
+    @given(**_BARRIER_CASES)
     @settings(max_examples=80, deadline=None)
     def test_matches_slab_oracle(
         self, seed, n_filters, in_channels, kernel, size, densities, chunk,
         units, bisection, variant, slab,
     ):
-        """Within rel 1e-12 of the replaced kernel, for every variant,
-        units that do and do not divide F, and GB-H floors with narrow
-        bisections; *slab* forces partial chunk and group slabs."""
-        # GB-H's permutation network needs a power-of-two port count.
-        assume(variant != "gb_h" or units & (units - 1) == 0)
-        spec = ConvLayerSpec(
-            name="prop", in_height=size, in_width=size,
-            in_channels=in_channels, kernel=kernel, n_filters=n_filters,
-            padding=kernel // 2,
-            input_density=densities[0], filter_density=densities[1],
-        )
-        cfg = HardwareConfig(
-            name="prop", n_clusters=1, units_per_cluster=units,
-            chunk_size=chunk, bisection_width=bisection,
-        )
-        data = synthesize_layer(spec, seed)
-        stats = stats_from_work(
-            data, compute_chunk_work(data, cfg, need_counts=False), chunk
+        """Within rel 1e-12 of the replaced kernel."""
+        stats, cfg = _barrier_case(
+            seed, n_filters, in_channels, kernel, size, densities, chunk,
+            units, bisection, variant,
         )
         want_b, want_p, want_groups = _slab_barriers_oracle(stats, cfg, variant)
         with pytest.MonkeyPatch.context() as mp:
@@ -259,6 +311,41 @@ class TestBarrierKernel:
         # A permute stall is a difference of nearly equal cycle counts, so
         # its error is bounded relative to the barrier it is cut from.
         assert np.all(np.abs(permute - want_p) <= 1e-12 * want_b)
+
+    @pytest.mark.skipif(not native.available(), reason="no native kernel")
+    @given(**_BARRIER_CASES)
+    @settings(max_examples=80, deadline=None)
+    def test_native_equals_fallback(
+        self, seed, n_filters, in_channels, kernel, size, densities, chunk,
+        units, bisection, variant, slab,
+    ):
+        """The compiled kernel and the NumPy slabs agree bit for bit."""
+        stats, cfg = _barrier_case(
+            seed, n_filters, in_channels, kernel, size, densities, chunk,
+            units, bisection, variant,
+        )
+        got, want = _barriers_both_paths(stats, cfg, variant, slab)
+        assert got[2] == want[2]
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.skipif(not native.available(), reason="no native kernel")
+    def test_native_equals_fallback_on_sweep_grid(self):
+        """AlexNet/Layer2 at seed 0, on every unit count and variant of
+        the design sweep, at the sweep's own statistics sample."""
+        spec = next(s for s in alexnet().layers if s.name == "Layer2")
+        canonical = HardwareConfig(
+            name="prescreen_canonical", n_clusters=1, units_per_cluster=1,
+            position_sample=512,
+        )
+        stats = extract_density_stats(spec, canonical, seed=0)
+        for units in (4, 8, 16, 32, 64, 128, 256):
+            cfg = HardwareConfig(name="grid", n_clusters=1, units_per_cluster=units)
+            for variant in ("no_gb", "gb_s", "gb_h"):
+                got, want = _barriers_both_paths(stats, cfg, variant)
+                case = f"{units} units, {variant}"
+                assert np.array_equal(got[0], want[0]), case
+                assert np.array_equal(got[1], want[1]), case
 
 
 class TestAccuracy:
