@@ -8,11 +8,11 @@ observability layer* says about it:
 2. **Shard 1** starts; once it is publishing, the parent waits a beat
    (so the kill lands mid-simulation, not inside the sub-millisecond
    bookkeeping window after a publish) and SIGKILLs it. The dead worker
-   leaves a stale claim, a non-final health heartbeat, an event stream
-   and an incremental manifest behind.
+   leaves a stale claim, an event stream whose last heartbeat is not
+   final, and an incremental manifest behind.
 3. **Shard 1 restarts** (new pid => new event stream + manifest) and
    finishes the sweep with ``--reconcile``.
-4. After the heartbeat has aged past two claim TTLs, ``repro inspect``
+4. After its stream has aged past two claim TTLs, ``repro inspect``
    must reconstruct a complete, exactly-once fleet timeline whose
    ``dist.unit`` record tallies reconcile exactly with the merged
    manifests, and its
@@ -51,12 +51,11 @@ SEEDS = ",".join(str(s) for s in range(15))
 UNITS = 2 * 2 * 15  # layers x schemes x seeds
 
 CLAIM_TTL = 2.0
-#: Short TTL so the restart steals fast and death is provable quickly;
-#: frequent heartbeats so even the killed worker left several.
+#: Short TTL so the restart steals fast and death is provable quickly
+#: (heartbeats tick every TTL / 3).
 ENV_DEFAULTS = {
     "REPRO_CLAIM_TTL": str(CLAIM_TTL),
     "REPRO_CLAIM_POLL": "0.02",
-    "REPRO_HEALTH_INTERVAL": "0.25",
 }
 
 
@@ -134,14 +133,13 @@ def main(argv: list[str] | None = None) -> int:
               "complete + exactly-once")
         return 1
 
-    # The killed worker's heartbeat must age past DEAD_AFTER_TTLS x TTL
-    # before `classify` may call it dead (its last refresh was up to one
-    # heartbeat interval before the kill, so the wait is measured from
-    # the kill itself, with slack).
+    # The killed worker's stream must age past DEAD_AFTER_TTLS x TTL
+    # before `classify` may call it dead (its last write came before the
+    # kill, so the wait is measured from the kill itself, with slack).
     must_age = 2.0 * CLAIM_TTL + 1.0
     remaining = must_age - (time.monotonic() - killed_at)
     if remaining > 0:
-        print(f"check_fleet: aging the dead heartbeat {remaining:.1f}s")
+        print(f"check_fleet: aging the dead stream {remaining:.1f}s")
         time.sleep(remaining)
 
     print("check_fleet: phase D -- repro inspect reconstructs the fleet")

@@ -154,9 +154,16 @@ def gb_order(stats: DensityStats) -> np.ndarray:
     """The greedy-balance filter sort (densest first, stable on ties).
 
     :func:`repro.balance.greedy.greedy_order` of the whole-filter counts,
-    exactly the order the simulator's plans use.
+    exactly the order the simulator's plans use. Sorted once per
+    extraction (read-only, shared by every regrouped copy): a sweep asks
+    for it once per (units, variant) point.
     """
-    return greedy_order(stats.filter_total_nnz)
+    order = stats._memo.get("gb_order")
+    if order is None:
+        order = greedy_order(stats.filter_total_nnz)
+        order.flags.writeable = False
+        stats._memo["gb_order"] = order
+    return order
 
 
 def _gather_loads(fc: np.ndarray, pair: np.ndarray) -> np.ndarray:

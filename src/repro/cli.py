@@ -33,10 +33,11 @@ store's result entries, so every unit is computed exactly once and a
 SIGKILL'd shard's work is resumed or stolen, never redone. ``repro
 worker --store DIR`` is the standing long-poll form of the same loop.
 ``repro top --store DIR`` watches a running fleet live (workers x
-shards, throughput, ETA, suspect/dead workers from the store's health
-heartbeats); ``repro inspect --store DIR`` reconstructs a finished or
-crashed sweep post-mortem -- merged timeline, cross-worker Chrome
-trace, exactly-once audit, anomaly report.
+shards, throughput, ETA, suspect/dead workers from the heartbeats in
+the workers' event streams); ``repro inspect --store DIR``
+reconstructs a finished or crashed sweep post-mortem -- merged
+timeline, cross-worker Chrome trace, exactly-once audit, anomaly
+report.
 
 ``--resume DIR`` uses *DIR* as the store (the flag wins over
 ``REPRO_CACHE_DIR``): every finished per-layer result is
@@ -525,11 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
         "top",
         help="live dashboard over a distributed sweep's shared store",
         description="Render a refreshing fleet dashboard from the "
-                    "store's health heartbeats, manifests, result entries and "
-                    "event streams: per-shard progress, throughput and "
+                    "store's manifests, result entries and event streams "
+                    "(whose heartbeats give each worker's liveness): "
+                    "per-shard progress, throughput and "
                     "ETA, cache hit rate, and a workers table with "
-                    "suspect/dead workers highlighted. Off a TTY (or "
-                    "with --once) it prints a single snapshot frame.",
+                    "suspect/dead workers highlighted (a worker run "
+                    "without an event stream shows state '-'). Off a TTY "
+                    "(or with --once) it prints a single snapshot frame.",
     )
     top.add_argument("--store", metavar="DIR", required=True,
                      help="shared store directory to watch")
@@ -541,9 +544,10 @@ def build_parser() -> argparse.ArgumentParser:
     inspect = sub.add_parser(
         "inspect",
         help="post-mortem reconstruction of a distributed sweep",
-        description="Merge every worker's event stream, manifest, "
-                    "heartbeat and the store's result entries into one "
-                    "fleet view: a timestamp-ordered timeline, an "
+        description="Merge every worker's event stream (heartbeats "
+                    "included), manifest and the store's result entries "
+                    "into one fleet view: a timestamp-ordered timeline "
+                    "(without heartbeat or progress records), an "
                     "exactly-once audit (entries vs manifests vs "
                     "event counter totals), and an anomaly report "
                     "(dead workers, stragglers, steals, faults). "
@@ -618,7 +622,7 @@ def _render_reconcile(report: dict) -> str:
 def _run_window(command: str, **fields):
     """One run's telemetry window: a reset recorder, ``run.start``, and
     the final metrics snapshot written on exit (a dist worker's
-    heartbeat refreshes it while the window lasts)."""
+    heartbeats refresh it while the window lasts)."""
     from repro.telemetry.metrics import metrics_path, write_metrics_snapshot
 
     telemetry.reset()
@@ -636,7 +640,7 @@ def _main_dist(args: argparse.Namespace) -> int:
 
     The store (the bound ``cache_dir``) is what workers share: its result
     entries are the coordination log, and the per-worker event streams
-    ``_run_config`` defaults into it (with the heartbeats) feed ``repro
+    ``_run_config`` defaults into it (heartbeats included) feed ``repro
     top`` / ``repro inspect``; the per-worker metrics files are for
     external scrapers.
     """

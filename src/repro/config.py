@@ -57,7 +57,6 @@ class RunConfig:
     claim_ttl: float = _knob("REPRO_CLAIM_TTL", float, 300.0, minimum=0.1)
     claim_poll: float = _knob("REPRO_CLAIM_POLL", float, 0.05, minimum=0.001)
     single_flight: str = _knob("REPRO_SINGLE_FLIGHT", str, "on", choices=("on", "off"))
-    health_interval: float = _knob("REPRO_HEALTH_INTERVAL", float, 0.0, minimum=0.0)
     retries: int = _knob("REPRO_RETRIES", int, 2, minimum=0)
     retry_backoff: float = _knob("REPRO_RETRY_BACKOFF", float, 0.05, minimum=0.0)
     item_timeout: float = _knob("REPRO_ITEM_TIMEOUT", float, 0.0, minimum=0.0)

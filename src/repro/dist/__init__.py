@@ -12,9 +12,9 @@ or hosts that share nothing but a result-store directory:
 - :mod:`repro.dist.worker` -- the execution loop: run a shard, steal
   foreign units when done, long-poll as a standing worker, reconcile
   per-shard manifests to sweep totals.
-- :mod:`repro.dist.health` -- store-resident heartbeats: every worker
-  keeps an atomic ``health/<worker>.json`` snapshot fresh; staleness
-  against the claim TTL classifies workers live/suspect/dead/exited.
+- :mod:`repro.dist.health` -- worker liveness: each worker's beacon
+  appends ``heartbeat`` records to its event stream in the store, whose
+  age against the claim TTL classifies it live/suspect/dead/exited.
 - :mod:`repro.dist.fleet` -- the merged fleet view behind ``repro top``
   and ``repro inspect``: per-shard progress, worker liveness, the
   exactly-once audit, stragglers and anomalies from every worker's
@@ -39,9 +39,4 @@ from repro.dist.store import (  # noqa: F401
     reap_orphans,
     try_claim,
     wait_for_publication,
-)
-from repro.dist.health import (  # noqa: F401
-    HealthBeacon,
-    classify,
-    read_health,
 )

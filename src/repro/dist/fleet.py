@@ -2,13 +2,13 @@
 
 :func:`build_fleet_view` folds every observability artifact a sweep
 leaves in its shared store -- the published plan, the result entries,
-per-worker manifests, health heartbeats and event streams -- into a
-single :class:`FleetView`. Each figure has one source:
+per-worker manifests and event streams -- into a single
+:class:`FleetView`. Each figure has one source:
 
 - per-shard progress (published / total per shard slice) from the
   result entries,
 - a workers table with liveness verdicts (live / suspect / dead /
-  exited, from :mod:`repro.dist.health`),
+  exited, from each stream's latest heartbeat, :mod:`repro.dist.health`),
 - fleet throughput and ETA from the merged event stream,
 - the exactly-once audit: result-entry completeness, manifest
   reconciliation (:func:`repro.dist.worker.reconcile`), per-unit
@@ -31,19 +31,14 @@ import os
 import pathlib
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.dist import health
 from repro.dist import shard as dist_shard
-from repro.dist import store as dist_store
 from repro.dist import worker as dist_worker
 from repro.telemetry import aggregate
 
 __all__ = ["FleetView", "build_fleet_view", "render_top", "render_inspect"]
-
-#: Store subdirectory where ``repro sweep``/``repro worker`` default
-#: their per-worker event streams (see ``cli._main_dist``).
-EVENTS_DIR = "events"
 
 _ANSI_RED = "\x1b[31m"
 _ANSI_YELLOW = "\x1b[33m"
@@ -86,25 +81,16 @@ class FleetView:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "schema": "repro-fleet-view/1",
-            "store": self.store,
-            "units_total": self.units_total,
-            "published": self.published,
-            "per_shard": self.per_shard,
-            "workers": self.workers,
-            "tallies": self.tallies,
-            "throughput": self.throughput,
-            "eta_seconds": self.eta_seconds,
-            "cache_hit_rate": self.cache_hit_rate,
-            "reconcile": self.reconcile,
-            "audit": self.audit,
-            "stragglers": self.stragglers,
-            "anomalies": self.anomalies,
-            "events": self.events_info,
-            "healthy": self.healthy,
-            "generated_unix": self.generated_unix,
+        """The ``repro-fleet-view/1`` payload (``repro inspect --json``)."""
+        out = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("events_info", "records")
         }
+        out.update(
+            schema="repro-fleet-view/1", events=self.events_info, healthy=self.healthy
+        )
+        return out
 
     def chrome_trace(self) -> dict:
         """Merged cross-worker Chrome trace (one lane per worker pid)."""
@@ -115,70 +101,54 @@ class FleetView:
         return aggregate.fleet_timeline(self.records, limit=limit)
 
 
-def _shard_count(manifests: list[dict], heartbeats: list[dict]) -> int | None:
-    counts = set()
-    for m in manifests:
-        section = m.get("shard") or {}
-        if isinstance(section, dict) and section.get("count"):
-            counts.add(int(section["count"]))
-    for h in heartbeats:
-        shard = h.get("shard")
-        if isinstance(shard, str) and "/" in shard:
-            try:
-                counts.add(dist_shard.parse_shard(shard)[1])
-            except ValueError:
-                pass
-    return max(counts) if counts else None
-
-
-def _workers_table(
-    manifests: list[dict], heartbeats: list[dict], ttl: float | None
-) -> list[dict]:
+def _workers_table(manifests: list[dict], heartbeats: list[dict]) -> list[dict]:
     workers: dict[str, dict] = {}
+
+    def row(name: str) -> dict:
+        # state None: no heartbeat, the worker ran without a stream.
+        return workers.setdefault(name, {
+            "worker": name, "pid": None, "host": None, "shard": None,
+            "state": None, "computed": 0, "skipped": 0, "stolen": 0,
+            "units_done": 0, "current_unit": None, "age_seconds": None,
+        })
+
     for m in manifests:
-        name = str(m.get("worker", "?"))
         section = m.get("shard") or {}
-        shard = (
-            f"{section['index']}/{section['count']}"
-            if isinstance(section, dict) and section.get("count")
-            else None
+        computed, skipped = m.get("computed", 0), m.get("skipped", 0)
+        row(str(m.get("worker", "?"))).update(
+            pid=m.get("pid"),
+            shard=(
+                f"{section['index']}/{section['count']}"
+                if isinstance(section, dict) and section.get("count")
+                else None
+            ),
+            computed=computed,
+            skipped=skipped,
+            stolen=m.get("stolen", 0),
+            units_done=computed + skipped,
         )
-        workers[name] = {
-            "worker": name,
-            "pid": m.get("pid"),
-            "host": None,
-            "shard": shard,
-            "state": None,  # no heartbeat (pre-heartbeat manifest)
-            "computed": m.get("computed", 0),
-            "skipped": m.get("skipped", 0),
-            "stolen": m.get("stolen", 0),
-            "units_done": m.get("computed", 0) + m.get("skipped", 0),
-            "current_unit": None,
-            "age_seconds": None,
-            "uptime_seconds": None,
-        }
     for h in heartbeats:
-        name = str(h.get("worker", "?"))
-        entry = workers.setdefault(
-            name,
-            {
-                "worker": name, "pid": None, "host": None, "shard": None,
-                "state": None, "computed": 0, "skipped": 0, "stolen": 0,
-                "units_done": 0, "current_unit": None,
-                "age_seconds": None, "uptime_seconds": None,
-            },
-        )
+        entry = row(str(h.get("worker", "?")))
         entry.update(
             pid=h.get("pid", entry["pid"]),
             host=h.get("host"),
             shard=h.get("shard") or entry["shard"],
-            state=health.classify(h, ttl=ttl),
+            state=h["state"],
             current_unit=h.get("current_unit"),
-            age_seconds=round(float(h.get("age_seconds", 0.0)), 1),
-            uptime_seconds=h.get("uptime_seconds"),
+            age_seconds=round(h["age_seconds"], 1),
             units_done=max(entry["units_done"], h.get("units_done", 0)),
         )
     return sorted(workers.values(), key=lambda w: w["worker"])
+
+
+def _shard_count(workers: list[dict]) -> int | None:
+    counts = set()
+    for w in workers:
+        try:
+            counts.add(dist_shard.parse_shard(w["shard"])[1])
+        except (AttributeError, ValueError):
+            pass  # unsharded (None) or an unparseable tag
+    return max(counts) if counts else None
 
 
 def build_fleet_view(
@@ -194,7 +164,6 @@ def build_fleet_view(
     store_dir = pathlib.Path(store_dir)
     if plan is None:
         plan = dist_shard.load_plan(store_dir)
-    ttl = dist_store.claim_ttl() if ttl is None else float(ttl)
 
     published_tokens = {
         u.token for u in plan.units
@@ -202,11 +171,8 @@ def build_fleet_view(
     }
     report = dist_worker.reconcile(store_dir, plan)
     manifests = dist_worker.load_shard_manifests(store_dir)
-    heartbeats = health.read_health(store_dir)
-
-    merged = aggregate.merge_event_streams(
-        sorted((store_dir / EVENTS_DIR).glob("*.jsonl"))
-    )
+    merged = health.store_streams(store_dir)
+    heartbeats = health.latest_heartbeats(merged, ttl)
     records = merged.records
     kinds = Counter(r.get("kind") for r in records)
     spans = aggregate.unit_spans(records)
@@ -253,7 +219,8 @@ def build_fleet_view(
     }
 
     # -- per-shard progress ------------------------------------------------
-    n_shards = _shard_count(manifests, heartbeats)
+    workers = _workers_table(manifests, heartbeats)
+    n_shards = _shard_count(workers)
     per_shard = []
     for index in range(n_shards or 1):
         shard = (index, n_shards) if n_shards else None
@@ -292,7 +259,6 @@ def build_fleet_view(
         "quarantines": kinds["cache.quarantine"] + kinds["doctor.quarantine"],
     }
 
-    workers = _workers_table(manifests, heartbeats, ttl)
     stragglers = aggregate.find_stragglers(spans)
     anomalies = {
         "dead_workers": [w["worker"] for w in workers if w["state"] == health.DEAD],
@@ -325,7 +291,7 @@ def build_fleet_view(
         stragglers=stragglers,
         anomalies=anomalies,
         events_info={
-            "streams": len(merged.files),
+            "streams": len(merged.streams),
             "records": len(records),
             "truncated_lines": merged.truncated_lines,
         },

@@ -36,12 +36,12 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import socket
 import time
 from dataclasses import dataclass
 
 from repro import telemetry
 from repro import config
+from repro.telemetry import metrics
 
 __all__ = [
     "CLAIM_SUFFIX",
@@ -84,11 +84,7 @@ def worker_identity() -> str:
     explicit = config.current().worker_id
     if explicit:
         return explicit
-    try:
-        host = socket.gethostname()
-    except OSError:
-        host = "unknown"
-    return f"{host}-{os.getpid()}"
+    return f"{metrics.hostname()}-{os.getpid()}"
 
 
 @dataclass

@@ -228,7 +228,7 @@ def run_shard(
     def _checkpoint(hb, unit: WorkUnit, status: str, stolen: bool) -> None:
         # Incremental accounting: rewrite the manifest after every
         # tally so a SIGKILL'd worker leaves its computed tokens on
-        # disk for reconciliation, and keep the heartbeat warm.
+        # disk for reconciliation, and refresh the next heartbeat.
         _tally(summary, unit, status, stolen=stolen)
         hb.update(
             current_unit=None,
@@ -246,7 +246,7 @@ def run_shard(
             worker=summary["worker"],
             units=len(own),
         )
-        with health.beacon(store_dir, shard=shard_tag) as hb:
+        with health.beacon(shard=shard_tag) as hb:
             with telemetry.span("dist.shard", shard=label, units=len(own)):
                 deferred: list[WorkUnit] = []
                 with ProgressRenderer(total=len(own), label=label) as progress:
@@ -306,7 +306,7 @@ def run_worker(
     passes = 0
     last: dict | None = None
     shard_tag = f"{shard[0]}/{shard[1]}" if shard else None
-    with health.beacon(store_dir, shard=shard_tag):
+    with health.beacon(shard=shard_tag):
         while True:
             plan = dist_shard.load_plan(store_dir, missing_ok=True)
             if plan is None:

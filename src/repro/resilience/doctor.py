@@ -14,7 +14,8 @@ verification, and -- with ``--prune`` -- deletes quarantined and
 orphaned files.
 
 Verification is read-only apart from quarantine renames; pruning never
-touches healthy entries, so ``repro doctor --prune`` is always safe to
+touches healthy entries or the workers' event streams (counted by
+liveness, never deleted), so ``repro doctor --prune`` is always safe to
 run between experiments.
 """
 
@@ -24,6 +25,7 @@ import os
 import pathlib
 import time
 import zipfile
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,35 +87,22 @@ def _quarantine(path: pathlib.Path, report: DoctorReport, error: Exception) -> N
         report.quarantined.append(str(path))
 
 
-def _scan_health(
+def _count_workers(
     base: pathlib.Path, report: DoctorReport, stale_age: float
 ) -> None:
-    """Tally worker heartbeats under ``health/`` and flag reapable ones.
+    """Tally the liveness of the worker streams under ``events/``.
 
-    Live and suspect heartbeats belong to workers that may still be
-    running -- never touched. A dead worker's heartbeat (stale past
-    twice the claim TTL) and a clean exit's final snapshot older than
-    one TTL are debris: they become orphans so ``--prune`` clears the
-    store for the next sweep, age-gated exactly like claim leases.
+    Read-only: a stream is a worker's record, never debris, whatever its
+    state.
     """
-    from repro.dist import health as dist_health
+    from repro.dist import health
 
-    if not (base / dist_health.HEALTH_DIR).is_dir():
-        return
-    for snapshot in dist_health.read_health(base):
-        state = dist_health.classify(snapshot, ttl=stale_age)
-        if state == dist_health.LIVE:
-            report.workers_live += 1
-        elif state == dist_health.SUSPECT:
-            report.workers_suspect += 1
-        elif state == dist_health.DEAD:
-            report.workers_dead += 1
-            if snapshot["age_seconds"] >= stale_age:
-                report.orphans.append(snapshot["path"])
-        else:  # exited cleanly; keep briefly for post-mortems, then reap
-            report.workers_exited += 1
-            if snapshot["age_seconds"] >= stale_age:
-                report.orphans.append(snapshot["path"])
+    beats = health.latest_heartbeats(health.store_streams(base), stale_age)
+    states = Counter(beat["state"] for beat in beats)
+    report.workers_live = states[health.LIVE]
+    report.workers_suspect = states[health.SUSPECT]
+    report.workers_dead = states[health.DEAD]
+    report.workers_exited = states[health.EXITED]
 
 
 def scan_store(directory: str | os.PathLike, prune: bool = False) -> DoctorReport:
@@ -163,7 +152,7 @@ def scan_store(directory: str | os.PathLike, prune: bool = False) -> DoctorRepor
                 continue
             report.healthy += 1
             report.healthy_bytes += path.stat().st_size
-        _scan_health(base, report, stale_age)
+        _count_workers(base, report, stale_age)
         if prune:
             for name in report.orphans + report.quarantined:
                 try:

@@ -561,10 +561,10 @@ def match_counts(
     storage = np.empty((n_chunks, n_filters, n_sel), dtype=dt)
     pos_sums = np.zeros(n_sel, dtype=np.int64)
     fn(
-        win_words.ctypes.data_as(ctypes.c_void_p),
-        filt_words.ctypes.data_as(ctypes.c_void_p),
-        storage.ctypes.data_as(ctypes.c_void_p),
-        pos_sums.ctypes.data_as(ctypes.c_void_p),
+        _ptr(win_words),
+        _ptr(filt_words),
+        _ptr(storage),
+        _ptr(pos_sums),
         n_chunks,
         n_sel,
         n_filters,
@@ -573,8 +573,13 @@ def match_counts(
     return storage.transpose(0, 2, 1), pos_sums
 
 
-def _ptr(arr: np.ndarray | None) -> ctypes.c_void_p | None:
-    return None if arr is None else arr.ctypes.data_as(ctypes.c_void_p)
+def _ptr(arr: np.ndarray | None) -> int | None:
+    """*arr*'s buffer address for a ``c_void_p`` argument (None: NULL).
+
+    The declared ``argtypes`` convert the plain integer without a
+    ``ctypes`` pointer object per array.
+    """
+    return None if arr is None else arr.ctypes.data
 
 
 def reduce_pairs(

@@ -1,8 +1,9 @@
 """Fleet-wide aggregation over per-worker observability artifacts.
 
-A distributed sweep (:mod:`repro.dist`) leaves one event stream, one
-heartbeat and one manifest per worker in the shared store. This module
-merges the per-worker streams back into one fleet-wide picture:
+A distributed sweep (:mod:`repro.dist`) leaves one event stream and
+one manifest per worker in the shared store; each stream also carries
+its worker's ``heartbeat`` records (:mod:`repro.dist.health`). This
+module merges the per-worker streams back into one fleet-wide picture:
 
 - :func:`merge_event_streams` concatenates every readable JSONL stream
   and sorts the records into one global ``(ts, pid, seq)`` order (a
@@ -24,7 +25,6 @@ merges the per-worker streams back into one fleet-wide picture:
 from __future__ import annotations
 
 import json
-import os
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -33,7 +33,6 @@ from repro.telemetry import events as _events
 
 __all__ = [
     "MergedEvents",
-    "read_events_lenient",
     "merge_event_streams",
     "unit_spans",
     "robust_zscores",
@@ -43,8 +42,8 @@ __all__ = [
 ]
 
 #: Record kinds excluded from human-facing timelines and trace lanes
-#: (high-volume heartbeats).
-HIGH_VOLUME_KINDS = ("progress",)
+#: (periodic progress and liveness records).
+HIGH_VOLUME_KINDS = ("progress", "heartbeat")
 
 #: Robust z-score above which a computed unit is called a straggler.
 STRAGGLER_ZSCORE = 3.5
@@ -57,50 +56,40 @@ _MEANAD_SCALE = 1.2533
 
 @dataclass
 class MergedEvents:
-    """Every event from every worker stream, globally ordered."""
+    """Every event from every worker stream, globally ordered; ``streams``
+    maps each readable file to its own records, in file order."""
 
     records: list = field(default_factory=list)
-    files: list = field(default_factory=list)
+    streams: dict = field(default_factory=dict)
     truncated_lines: int = 0
 
 
-def read_events_lenient(path: str | os.PathLike) -> tuple[list[dict], int]:
-    """Parse a JSONL stream, skipping torn lines instead of raising.
-
-    Returns ``(records, bad_line_count)``. The strict reader
-    (:func:`repro.telemetry.events.read_events`) stays the right tool
-    for single-run validation; this one exists for post-mortems where a
-    killed writer's last line may be incomplete.
-    """
-    records: list[dict] = []
-    bad = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                bad += 1
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-            else:
-                bad += 1
-    return records, bad
-
-
 def merge_event_streams(paths) -> MergedEvents:
-    """Merge many per-worker streams into one ``(ts, pid, seq)`` order."""
+    """Merge many per-worker streams into one ``(ts, pid, seq)`` order.
+
+    Lenient where :func:`repro.telemetry.events.read_events` is strict:
+    this reader exists for post-mortems, so a killed writer's torn last
+    line is counted in ``truncated_lines`` instead of raised, and an
+    unreadable file is skipped.
+    """
     merged = MergedEvents()
     for path in paths:
         try:
-            records, bad = read_events_lenient(path)
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = [line for line in fh if line.strip()]
         except OSError:
             continue
-        merged.files.append(str(path))
-        merged.truncated_lines += bad
+        records = []
+        for line in lines:
+            try:
+                record = json.loads(line)
+            except ValueError:
+                record = None
+            if isinstance(record, dict):
+                records.append(record)
+            else:
+                merged.truncated_lines += 1
+        merged.streams[str(path)] = records
         merged.records.extend(records)
     merged.records.sort(
         key=lambda r: (r.get("ts", 0.0), r.get("pid", 0), r.get("seq", 0))
@@ -183,8 +172,8 @@ def fleet_timeline(
 ) -> list[str]:
     """Render the merged stream as wall-clock ordered timeline lines.
 
-    Progress heartbeats are skipped by default -- they dominate the
-    record count. *limit* keeps the **tail** (the interesting
+    Progress and heartbeat records are skipped by default -- they
+    dominate the record count. *limit* keeps the **tail** (the interesting
     end of a post-mortem) when the timeline is longer.
     """
     lines: list[str] = []

@@ -11,8 +11,9 @@ events.
 
 The stream holds **lifecycle records only** (``run.start``,
 ``pipeline.layer``, ``sweep.point``, ``resilience.retry``,
-``dist.unit``, ``progress`` ...). Counters, gauges and spans live in
-the in-process recorder alone; the manifest and the Prometheus
+``dist.unit``, ``progress``, ``heartbeat`` ...). Counters, gauges and
+spans live in the in-process recorder alone (a dist worker's heartbeat
+carries a copy of its counters); the manifest and the Prometheus
 exposition are views of it. The two meet in one counter: every record a
 process writes or buffers counts :data:`RECORDS_COUNTER` on its
 recorder, so a run's manifest says how many records its stream window
@@ -52,7 +53,6 @@ __all__ = [
     "append",
     "enabled",
     "events_path",
-    "current_seq",
     "start_run",
     "describe",
     "read_events",
@@ -198,16 +198,6 @@ def append(records: list[dict]) -> int:
         return 0
     with _lock:
         return len(records) if _write_locked(path, records) else 0
-
-
-def current_seq() -> int:
-    """This process's next event sequence number.
-
-    A health heartbeat recording it tells a post-mortem reader how far
-    the worker's stream had advanced when the heartbeat was written.
-    """
-    with _lock:
-        return _seq
 
 
 def start_run(**fields) -> None:

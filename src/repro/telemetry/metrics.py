@@ -19,7 +19,7 @@ families, ``repro_span_seconds_total{span="simulate"}`` and
 the output round-trips, and :func:`write_metrics_snapshot` writes the
 ``REPRO_METRICS=path`` snapshot file for file-based scraping: once when
 a CLI run window closes, and on every heartbeat of a dist worker
-(:class:`repro.dist.health.HealthBeacon`).
+(:func:`repro.dist.health.beacon`).
 """
 
 from __future__ import annotations
@@ -80,6 +80,14 @@ def _label_block(labels: Mapping[str, str] | None) -> str:
     return "{" + inner + "}"
 
 
+def hostname() -> str:
+    """This host's name (``"unknown"`` when the lookup fails)."""
+    try:
+        return socket.gethostname()
+    except OSError:
+        return "unknown"
+
+
 def default_labels() -> dict[str, str]:
     """Constant per-worker labels stamped on every fleet sample.
 
@@ -91,11 +99,7 @@ def default_labels() -> dict[str, str]:
     shard = config.current().shard
     if not shard:
         return {}
-    try:
-        host = socket.gethostname()
-    except OSError:
-        host = "unknown"
-    return {"shard": shard, "pid": str(os.getpid()), "host": host}
+    return {"shard": shard, "pid": str(os.getpid()), "host": hostname()}
 
 
 def render_prometheus(

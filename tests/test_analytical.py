@@ -357,6 +357,45 @@ class TestAccuracy:
             pred = predict_layer(tiny_spec, mini_cfg, scheme=scheme, seed=0)
             assert pred.cycles == pytest.approx(sim.cycles, rel=1e-9), scheme
 
+    @given(
+        size=st.integers(3, 8),
+        in_channels=st.integers(1, 12),
+        kernel=st.sampled_from((1, 2, 3)),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 2),
+        n_filters=st.integers(1, 13),
+        densities=st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
+        units=st.integers(1, 5),
+        n_clusters=st.integers(1, 3),
+        chunk=st.sampled_from((8, 16)),
+        pe_side=st.integers(1, 2),
+        max_tile=st.integers(2, 4),
+        seed=st.integers(0, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exact_schemes_match_simulators_on_drawn_layers(
+        self, size, in_channels, kernel, stride, padding, n_filters,
+        densities, units, n_clusters, chunk, pe_side, max_tile, seed,
+    ):
+        """Stride, padding, a partial last channel chunk and filters that
+        do not fill the last unit group, at any density."""
+        assume(size + 2 * padding >= kernel)
+        spec = ConvLayerSpec(
+            name="drawn", in_height=size, in_width=size + 1,
+            in_channels=in_channels, kernel=kernel, n_filters=n_filters,
+            stride=stride, padding=padding,
+            input_density=densities[0], filter_density=densities[1],
+        )
+        cfg = HardwareConfig(
+            name="drawn", n_clusters=n_clusters, units_per_cluster=units,
+            chunk_size=chunk, scnn_pe_grid=(pe_side, pe_side),
+            scnn_max_tile=max_tile,
+        )
+        for scheme in self.EXACT_SCHEMES:
+            sim = run_scheme_cached(scheme, spec, cfg, seed=seed)
+            pred = predict_layer(spec, cfg, scheme=scheme, seed=seed)
+            assert pred.cycles == pytest.approx(sim.cycles, rel=1e-9), scheme
+
     def test_sparten_within_validation_bounds(self, tiny_spec, mini_cfg):
         for scheme in ("sparten_no_gb", "sparten_gb_s", "sparten"):
             sim = run_scheme_cached(scheme, tiny_spec, mini_cfg, seed=0)

@@ -1,15 +1,18 @@
-"""Tests for fleet observability: heartbeats, aggregation, the fleet
-view, reconcile failure paths, doctor health awareness, and the new
-CLI surfaces (``repro top`` / ``repro inspect``, labelled Prometheus,
-attributed ``bench diff``).
+"""Tests for fleet observability: stream heartbeats and liveness,
+aggregation, the fleet view, reconcile failure paths, the doctor's
+worker counts, and the CLI surfaces (``repro top`` / ``repro inspect``,
+labelled Prometheus, attributed ``bench diff``).
 
 The FleetView tests drive a real two-worker store in-process: two
 ``run_shard`` calls under distinct ``REPRO_WORKER_ID``/``REPRO_EVENTS``
-identities, exactly the artifact layout the CLI sweeps produce.
+identities, exactly the artifact layout the CLI sweeps produce. Liveness
+tests forge a stream's age with ``os.utime`` on its mtime.
 """
 
 import json
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -58,6 +61,31 @@ def _run_two_worker_store(store, monkeypatch):
         dist_worker.run_shard(store, plan, shard=(index, 2), steal=False)
     monkeypatch.delenv("REPRO_EVENTS")
     return plan
+
+
+def _heartbeat_stream(store, worker, age=0.0, **fields):
+    """Append a heartbeat to *worker*'s stream, then age the file's mtime."""
+    path = store / health.EVENTS_DIR / f"{worker}.jsonl"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    record = {"schema": events.EVENTS_SCHEMA, "ts": time.time(), "pid": 1,
+              "seq": 0, "kind": health.HEARTBEAT, "worker": worker,
+              "final": False, **fields}
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n")
+    stamp = time.time() - age
+    os.utime(path, (stamp, stamp))
+    return path
+
+
+def _states(store, ttl=None):
+    beats = health.latest_heartbeats(health.store_streams(store), ttl)
+    return {beat["worker"]: beat["state"] for beat in beats}
+
+
+def _heartbeats(path):
+    # Lenient: a live tick thread may be mid-append while the test reads.
+    records = aggregate.merge_event_streams([path]).records
+    return [r for r in records if r["kind"] == health.HEARTBEAT]
 
 
 # -- reconcile failure paths -------------------------------------------------
@@ -111,62 +139,119 @@ class TestReconcileFailures:
         assert not report["duplicates"]
 
 
-# -- health heartbeats -------------------------------------------------------
+# -- stream heartbeats and liveness ------------------------------------------
 
 
 class TestHealth:
-    def test_classify_states(self):
-        assert health.classify({"age_seconds": 0.1}, ttl=1.0) == health.LIVE
-        assert health.classify({"age_seconds": 1.5}, ttl=1.0) == health.SUSPECT
-        assert health.classify({"age_seconds": 2.5}, ttl=1.0) == health.DEAD
-        # A clean exit's final snapshot is never "dead", whatever its age.
-        assert (
-            health.classify({"age_seconds": 99.0, "final": True}, ttl=1.0)
-            == health.EXITED
-        )
+    def test_classify_states(self, tmp_path):
+        _heartbeat_stream(tmp_path, "alive", age=0.1)
+        _heartbeat_stream(tmp_path, "stuck", age=1.5)
+        _heartbeat_stream(tmp_path, "gone", age=2.5)
+        # A clean exit's final heartbeat is never "dead", whatever its age.
+        _heartbeat_stream(tmp_path, "done", age=99.0, final=True)
+        assert _states(tmp_path, ttl=1.0) == {
+            "alive": health.LIVE, "stuck": health.SUSPECT,
+            "gone": health.DEAD, "done": health.EXITED,
+        }
+
+    def test_stream_without_heartbeat_has_no_liveness(self, tmp_path):
+        path = tmp_path / health.EVENTS_DIR / "run.jsonl"
+        path.parent.mkdir()
+        path.write_text(json.dumps({"schema": events.EVENTS_SCHEMA, "ts": 1.0,
+                                    "pid": 1, "seq": 0, "kind": "run.start"}) + "\n")
+        assert _states(tmp_path) == {}
 
     def test_beacon_writes_start_and_final_snapshots(self, tmp_path, monkeypatch):
+        stream = tmp_path / "events" / "hb-test.jsonl"
         monkeypatch.setenv("REPRO_WORKER_ID", "hb-test")
-        beacon = health.HealthBeacon(tmp_path, shard="0/2", interval=60.0)
-        beacon.start()
-        snaps = health.read_health(tmp_path)
-        assert len(snaps) == 1 and not snaps[0]["final"]
-        assert snaps[0]["worker"] == "hb-test"
-        assert snaps[0]["shard"] == "0/2"
-        assert snaps[0]["pid"] == os.getpid()
-        beacon.update(current_unit="u1", units_done=3)
-        beacon.stop()
-        (snap,) = health.read_health(tmp_path)
-        assert snap["final"] and snap["units_done"] == 3
-        assert health.classify(snap) == health.EXITED
-        assert snap["last_event_seq"] == events.current_seq()
+        monkeypatch.setenv("REPRO_EVENTS", str(stream))
+        with health.beacon(shard="0/2") as state:
+            (first,) = _heartbeats(stream)
+            assert not first["final"]
+            assert first["worker"] == "hb-test"
+            assert first["shard"] == "0/2"
+            assert first["pid"] == os.getpid()
+            state.update(current_unit="u1", units_done=3)
+        last = _heartbeats(stream)[-1]
+        assert last["final"] and last["units_done"] == 3
+        assert last["current_unit"] == "u1"
+        assert _states(tmp_path) == {"hb-test": health.EXITED}
 
     def test_beacon_tick_rewrites_the_metrics_exposition(self, tmp_path, monkeypatch):
+        stream = tmp_path / "events" / "hb-metrics.jsonl"
         prom = tmp_path / "metrics" / "hb.prom"
         monkeypatch.setenv("REPRO_WORKER_ID", "hb-metrics")
+        monkeypatch.setenv("REPRO_EVENTS", str(stream))
         monkeypatch.setenv("REPRO_METRICS", str(prom))
+        monkeypatch.setenv("REPRO_CLAIM_TTL", "0.6")  # one tick per 0.2 s
         telemetry.reset()
         telemetry.count("cache.workload.hit", 2)
-        beacon = health.HealthBeacon(tmp_path, interval=60.0).start()
         hits = ("repro_cache_workload_hit_total", ())
-        assert tmetrics.parse_prometheus(prom.read_text())[hits] == 2.0
-        telemetry.count("cache.workload.hit")
-        beacon.stop()
-        assert tmetrics.parse_prometheus(prom.read_text())[hits] == 3.0
-        # The heartbeat carries the recorder's whole counter dict.
-        (snap,) = health.read_health(tmp_path)
-        assert snap["counters"] == telemetry.get_recorder().counters()
+        with health.beacon():
+            assert tmetrics.parse_prometheus(prom.read_text())[hits] == 2.0
+            telemetry.count("cache.workload.hit")
+            deadline = time.monotonic() + 10.0
+            while (tmetrics.parse_prometheus(prom.read_text())[hits] != 3.0
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            # Only the tick thread can have rewritten the exposition, and it
+            # emits its heartbeat first: both ran under the bound config.
+            assert tmetrics.parse_prometheus(prom.read_text())[hits] == 3.0
+            ticked = _heartbeats(stream)[1]
+            assert not ticked["final"]
+            assert ticked["counters"]["cache.workload.hit"] == 3
+        # The heartbeat carries the recorder's whole counter dict (the
+        # final one is emitted, then counted in events.records).
+        counters = dict(telemetry.get_recorder().counters())
+        counters[events.RECORDS_COUNTER] -= 1
+        assert _heartbeats(stream)[-1]["counters"] == counters
         telemetry.reset()
 
+    def test_heartbeat_never_reports_a_torn_state(self, tmp_path, monkeypatch):
+        # The tick thread copies the beacon's state dict without a lock
+        # while the worker updates it: every heartbeat must show one
+        # update whole.
+        stream = tmp_path / "events" / "hb-stress.jsonl"
+        monkeypatch.setenv("REPRO_EVENTS", str(stream))
+        state = {"current_unit": "u0", "units_done": 0}
+        stop = threading.Event()
+
+        def worker():
+            i = 0
+            while not stop.is_set():
+                i += 1
+                state.update(current_unit=f"u{i}", units_done=i)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writers = [threading.Thread(target=worker) for _ in range(3)]
+        for writer in writers:
+            writer.start()
+        try:
+            for _ in range(3000):
+                health._heartbeat(state)
+        finally:
+            stop.set()
+            for writer in writers:
+                writer.join(timeout=10.0)
+            sys.setswitchinterval(switch)
+        assert not any(writer.is_alive() for writer in writers)
+        beats = _heartbeats(stream)
+        assert len(beats) == 3000 and beats[-1]["units_done"] > 0
+        assert all(b["current_unit"] == f"u{b['units_done']}" for b in beats)
+
     def test_run_shard_leaves_exited_heartbeat(self, tmp_path, monkeypatch):
+        stream = tmp_path / "events" / "w0.jsonl"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_WORKER_ID", "w0")
+        monkeypatch.setenv("REPRO_EVENTS", str(stream))
         plan = _tiny_plan()
         dist_worker.run_shard(tmp_path, plan, shard=(0, 2), steal=False)
-        (snap,) = health.read_health(tmp_path)
-        assert snap["worker"] == "w0"
-        assert health.classify(snap) == health.EXITED
-        assert snap["units_done"] >= 1
+        beats = _heartbeats(stream)
+        assert not beats[0]["final"] and beats[0]["units_done"] == 0
+        assert beats[-1]["final"] and beats[-1]["units_done"] >= 1
+        assert _states(tmp_path) == {"w0": health.EXITED}
+        assert not (tmp_path / "health").exists()
 
 
 # -- aggregation primitives --------------------------------------------------
@@ -267,20 +352,15 @@ class TestFleetView:
 
     def test_dead_worker_flagged(self, tmp_path, monkeypatch):
         plan = _run_two_worker_store(tmp_path, monkeypatch)
-        # Forge a heartbeat that was never finalised and is stale past
-        # two TTLs: exactly what a SIGKILL'd worker leaves behind.
-        snap = {
-            "schema": health.HEALTH_SCHEMA, "worker": "w-dead", "pid": 99999,
-            "host": "gone", "shard": "1/2", "current_unit": "x",
-            "units_done": 1, "final": False, "ts": time.time(),
-        }
-        path = health.write_health_snapshot(tmp_path, snap)
-        old = time.time() - 1000.0
-        os.utime(path, (old, old))
+        # A stream whose last heartbeat was never final and whose file is
+        # stale past two TTLs: exactly what a SIGKILL'd worker leaves.
+        _heartbeat_stream(tmp_path, "w-dead", age=1000.0, pid=99999,
+                          shard="1/2", current_unit="x", units_done=1)
         view = fleet.build_fleet_view(tmp_path, plan)
         assert view.anomalies["dead_workers"] == ["w-dead"]
         dead = [w for w in view.workers if w["worker"] == "w-dead"]
         assert dead and dead[0]["state"] == health.DEAD
+        assert dead[0]["pid"] == 99999 and dead[0]["current_unit"] == "x"
         report = fleet.render_inspect(view)
         assert "w-dead" in report and "dead workers" in report
 
@@ -299,15 +379,13 @@ class TestFleetView:
 
     def test_cache_and_steal_figures_come_from_heartbeats(self, tmp_path, monkeypatch):
         plan = _run_two_worker_store(tmp_path, monkeypatch)
+        # Each stream's latest heartbeat carries its worker's counters.
         for worker, counters in (
             ("w0", {"cache.workload.hit": 3, "cache.workload.miss": 1,
                     "store.claim.steal": 1}),
             ("w1", {"cache.workload.hit": 1, "cache.workload.miss": 3}),
         ):
-            health.write_health_snapshot(tmp_path, {
-                "schema": health.HEALTH_SCHEMA, "worker": worker, "pid": 1,
-                "final": True, "counters": counters,
-            })
+            _heartbeat_stream(tmp_path, worker, final=True, counters=counters)
         view = fleet.build_fleet_view(tmp_path, plan)
         assert view.cache_hit_rate == 0.5
         assert view.tallies["claim_steals"] == 1
@@ -324,6 +402,10 @@ class TestFleetView:
         assert view.healthy
         assert view.audit["lost_attribution"] == []
         assert view.events_info["streams"] == 0
+        # No stream, no liveness: the worker's state renders as "-".
+        (worker,) = view.workers
+        assert worker["worker"] == "w0" and worker["state"] is None
+        assert not (tmp_path / "health").exists()
 
 
 # -- CLI surfaces ------------------------------------------------------------
@@ -359,6 +441,22 @@ class TestFleetCli:
         view = json.loads(payload.read_text())
         assert view["healthy"] and view["audit"]["complete"]
 
+    def test_inspect_timeline_skips_heartbeats(self, tmp_path, monkeypatch, capsys):
+        _run_two_worker_store(tmp_path, monkeypatch)
+        streams = health.store_streams(tmp_path)
+        assert any(r["kind"] == health.HEARTBEAT for r in streams.records)
+        report, trace = tmp_path / "report.md", tmp_path / "trace.json"
+        assert cli.main([
+            "inspect", "--store", str(tmp_path), "--report", str(report),
+            "--trace", str(trace),
+        ]) == 0
+        timeline = report.read_text().split("## Timeline", 1)[1]
+        assert "dist.unit" in timeline
+        assert "heartbeat" not in timeline
+        assert "heartbeat" not in capsys.readouterr().out
+        marks = json.loads(trace.read_text())["traceEvents"]
+        assert not [e for e in marks if e.get("name") == health.HEARTBEAT]
+
     def test_inspect_incomplete_exits_nonzero(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_WORKER_ID", "w0")
@@ -367,25 +465,16 @@ class TestFleetCli:
         assert cli.main(["inspect", "--store", str(tmp_path)]) == 1
 
 
-# -- doctor health awareness -------------------------------------------------
+# -- doctor worker counts -----------------------------------------------------
 
 
 class TestDoctorHealth:
-    def _heartbeat(self, store, worker, age, final=False):
-        path = health.write_health_snapshot(store, {
-            "schema": health.HEALTH_SCHEMA, "worker": worker, "pid": 1,
-            "host": "h", "shard": None, "final": final, "ts": time.time(),
-        })
-        stamp = time.time() - age
-        os.utime(path, (stamp, stamp))
-        return path
-
     def test_live_vs_dead_counts(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CLAIM_TTL", "10")
-        self._heartbeat(tmp_path, "alive", age=0.0)
-        self._heartbeat(tmp_path, "stuck", age=15.0)
-        self._heartbeat(tmp_path, "gone", age=100.0)
-        self._heartbeat(tmp_path, "done", age=100.0, final=True)
+        _heartbeat_stream(tmp_path, "alive", age=0.0)
+        _heartbeat_stream(tmp_path, "stuck", age=15.0)
+        _heartbeat_stream(tmp_path, "gone", age=100.0)
+        _heartbeat_stream(tmp_path, "done", age=100.0, final=True)
         report = scan_store(tmp_path)
         assert report.workers_live == 1
         assert report.workers_suspect == 1
@@ -394,23 +483,25 @@ class TestDoctorHealth:
         text = render_report(report)
         assert "live 1" in text and "dead 1" in text
 
-    def test_stale_heartbeats_reaped_fresh_kept(self, tmp_path, monkeypatch):
+    def test_streams_never_pruned(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CLAIM_TTL", "10")
-        fresh = self._heartbeat(tmp_path, "alive", age=0.0)
-        dead = self._heartbeat(tmp_path, "gone", age=100.0)
-        exited = self._heartbeat(tmp_path, "done", age=100.0, final=True)
+        streams = [
+            _heartbeat_stream(tmp_path, "alive", age=0.0),
+            _heartbeat_stream(tmp_path, "gone", age=100.0),
+            _heartbeat_stream(tmp_path, "done", age=100.0, final=True),
+        ]
         report = scan_store(tmp_path, prune=True)
-        assert str(dead) in report.pruned
-        assert str(exited) in report.pruned
-        assert fresh.exists()
-        assert not dead.exists() and not exited.exists()
+        assert report.workers_dead == 1 and report.workers_exited == 1
+        assert report.pruned == [] and report.orphans == []
+        assert all(path.exists() for path in streams)
 
     def test_suspect_heartbeat_not_reaped(self, tmp_path, monkeypatch):
         # Older than one TTL (so "suspect") but not yet provably dead:
-        # the doctor must not destroy a possibly-live worker's beacon.
+        # the doctor must not destroy a possibly-live worker's stream.
         monkeypatch.setenv("REPRO_CLAIM_TTL", "10")
-        suspect = self._heartbeat(tmp_path, "stuck", age=15.0)
+        suspect = _heartbeat_stream(tmp_path, "stuck", age=15.0)
         report = scan_store(tmp_path, prune=True)
+        assert report.workers_suspect == 1
         assert str(suspect) not in report.pruned
         assert suspect.exists()
 
