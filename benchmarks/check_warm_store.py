@@ -13,16 +13,18 @@ memory) and fails unless the second run
    ``synthesize`` span calls): every fan-out item resolves from the store
    in the parent, so spawning workers would only re-import the program,
 
-and unless the cold run wrote at most ``MAX_STORE_MB`` of store entries
-(``cache.disk.store_bytes`` in its manifest).
+and unless the cold run left only ``result-*.json`` entries in the store
+and wrote at most ``MAX_STORE_MB`` of them (``cache.disk.store_bytes``
+in its manifest).
 
 A store whose result tier silently went cold (a key that drifts between
 processes, a codec that refuses a result, a reader that always misses)
 still produces the right figures, just slowly; this makes it a CI
-failure instead. The size bound does the same for a store that grows
-back a large member: the fig7 store is ~2.7 MB of packed masks and
-counts-free chunk work, was ~48 MB while each workload entry also held
-its counts tensor and ~72 MB with dense float64 tensors, all
+failure instead. The content and size checks do the same for a store
+that grows back a second tier or a large member: the fig7 store is
+~0.15 MB of result entries (40 of them). Workload entries added ~2.7 MB
+of packed masks while the store kept them, ~48 MB while they held
+counts tensors and ~72 MB with dense float64 tensors, all
 deterministic. ``REPRO_JOBS`` and the other ``REPRO_*`` variables come
 from the environment, so the job decides whether the warm run fans out.
 The manifests land in ``benchmarks/output/warm-store-{cold,warm}.json``.
@@ -66,6 +68,10 @@ def main() -> int:
     warm_manifest = OUTPUT / "warm-store-warm.json"
     with tempfile.TemporaryDirectory(prefix="warm-store-") as store:
         cold = _run(store, cold_manifest)
+        strays = sorted(
+            p.name for p in pathlib.Path(store).iterdir()
+            if not p.match("result-*.json")
+        )
         warm = _run(store, warm_manifest)
     warm_doc = json.loads(warm_manifest.read_text())
     counters = warm_doc["counters"]
@@ -82,6 +88,11 @@ def main() -> int:
     failures = []
     if warm != cold:
         failures.append("the warm run's figure rows differ from the cold run's")
+    if strays:
+        failures.append(
+            f"the cold run left {len(strays)} file(s) other than result "
+            f"entries in the store: {strays[:5]}"
+        )
     if simulated:
         failures.append(f"the warm run simulated: {simulated}")
     if dispatched:

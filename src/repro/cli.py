@@ -318,7 +318,7 @@ def _run_config(args: argparse.Namespace) -> config.RunConfig:
             dist_shard.parse_shard(args.shard)  # fail fast on garbage
             changes["shard"] = args.shard
         # The store is the one thing workers share: its result entries
-        # are the coordination log, its workload entries the mask work.
+        # are the coordination log.
         changes["cache_dir"] = args.store
         worker_id = dist_store.worker_identity()
         for name, suffix in (("events", "jsonl"), ("metrics", "prom")):
@@ -468,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "a killed shard's units are stolen or resumed.",
     )
     sweep.add_argument("--store", metavar="DIR", required=True,
-                       help="shared store directory (plan, result and "
-                            "workload entries, manifests; overrides "
+                       help="shared store directory (plan, result "
+                            "entries, manifests; overrides "
                             "REPRO_CACHE_DIR)")
     sweep.add_argument("--shard", metavar="I/N", default=None,
                        help="this process's shard (e.g. 0/2); default: "

@@ -56,7 +56,6 @@ class RunConfig:
     worker_id: str | None = _knob("REPRO_WORKER_ID", str, None)
     claim_ttl: float = _knob("REPRO_CLAIM_TTL", float, 300.0, minimum=0.1)
     claim_poll: float = _knob("REPRO_CLAIM_POLL", float, 0.05, minimum=0.001)
-    single_flight: str = _knob("REPRO_SINGLE_FLIGHT", str, "on", choices=("on", "off"))
     retries: int = _knob("REPRO_RETRIES", int, 2, minimum=0)
     retry_backoff: float = _knob("REPRO_RETRY_BACKOFF", float, 0.05, minimum=0.0)
     item_timeout: float = _knob("REPRO_ITEM_TIMEOUT", float, 0.0, minimum=0.0)

@@ -14,51 +14,46 @@ those products *by value* so the redundancy disappears:
   masks (:func:`get_layer_masks`, synthesized once per (spec, seed)
   without a dense tensor) and never the dense float64 tensors. Entries
   live in a bounded in-memory LRU (:data:`WORKLOAD_ENTRIES` entries,
-  ``REPRO_CACHE_BYTES`` bytes) with an optional on-disk ``.npz`` store under
-  ``$REPRO_CACHE_DIR`` that persists across processes. Each store entry
-  holds both masks inline as ``np.packbits`` members, one bit per
-  element, plus the counts-free chunk work (one-sided populations, match
-  sums, filter chunk occupancy, position assignment). The
-  ``(n_chunks, n_sel, F)`` counts tensor is never written: it is by far
-  the largest member and one kernel call rebuilds it from the masks, so
-  a counts request served from the store recomputes it on load. A cached
-  entry computed with ``need_counts=False`` is upgraded in place when a
-  caller later needs the counts tensor. The dense :class:`LayerData`
-  stays behind :func:`get_layer_data` for the value-level consumers.
+  ``REPRO_CACHE_BYTES`` bytes) and never reach the disk: the masks are
+  seeded and deterministic, so a process that needs a workload rebuilds
+  it. A cached entry computed with ``need_counts=False`` is upgraded in
+  place when a caller later needs the counts tensor. The dense
+  :class:`LayerData` stays behind :func:`get_layer_data` for the
+  value-level consumers.
 - **Result memo** (:func:`lookup_result` / :func:`store_result`): finished
   per-layer simulation results keyed by (scheme, spec fields, *full*
   config fields, seed), so a warm re-run of a figure skips the
   simulators entirely. With ``$REPRO_CACHE_DIR`` set, the memo has a
-  disk tier: every stored result is published to the store as a
+  disk tier, the store: every stored result is published as a
   ``result-<sha>.json`` entry (:mod:`repro.resilience.checkpoint`) and a
   memo miss reads it back, so a fresh process over a populated store
-  answers every result without loading a workload or simulating. That
-  tier is the only copy of a finished result: ``repro run --resume DIR``
-  uses *DIR* as the store to skip finished work after a crash, and
-  distributed sweeps coordinate on the same entries.
+  answers every result without synthesizing or simulating. The store
+  holds finished results only, and it is their only copy: ``repro run
+  --resume DIR`` uses *DIR* as the store to skip finished work after a
+  crash, and distributed sweeps coordinate on the same entries.
 - **Replay-only lookups** (:func:`replay_only`): inside that context a
   request that would compute -- :func:`get_workload` or
-  :func:`get_layer_masks` -- raises :class:`StoreMiss` before any claim,
+  :func:`get_layer_masks` -- raises :class:`StoreMiss` before any
   synthesis or kernel call, so a caller learns whether stored results
   alone answer a piece of work. :mod:`repro.core.parallel` uses it to
   answer a fan-out's replayable items in the parent and send only the
   misses to the pool.
 
-The disk store is *corruption-safe*: a truncated or garbled ``.npz`` or
-result entry (a crash mid-``os.replace`` on exotic filesystems, bit rot,
-a concurrent writer on shared storage), or a packed mask whose dtype or
-length disagrees with the spec's shape, is detected on load, renamed to
+The store is *corruption-safe*: a truncated or garbled result entry (a
+crash mid-``os.replace`` on exotic filesystems, bit rot, a concurrent
+writer on shared storage) fails its checksum on load, is renamed to
 ``.corrupt`` (counted as ``cache.disk.quarantine``) and recomputed --
 never trusted, never a crash. ``repro doctor`` scans and prunes
 quarantined entries, and ``REPRO_FAULT=cache_corrupt:N`` injects the
 damage deterministically so the path stays tested.
 
 Keys are tuples of plain values (``dataclasses.astuple`` of frozen
-specs/configs, built once per instance by :func:`_fields`), so two workloads collide only if every field that can
-influence the arrays is equal -- the cache test asserts distinct
-(seed, chunk_size, sampling) keys never collide. Both key kinds also
-carry :func:`source_fingerprint`, so a store that outlives an edit to
-the simulator serves nothing the new code did not produce.
+specs/configs, built once per instance by :func:`_fields`), so two
+workloads collide only if every field that can influence the arrays is
+equal -- the cache test asserts distinct (seed, chunk_size, sampling)
+keys never collide. Both key kinds also carry :func:`source_fingerprint`,
+so a store whose result entries outlive an edit to the simulator serves
+nothing the new code did not produce.
 """
 
 from __future__ import annotations
@@ -67,12 +62,8 @@ import contextlib
 import contextvars
 import functools
 import hashlib
-import math
-import os
 import pathlib
-import tempfile
 import threading
-import zipfile
 from collections import OrderedDict
 from dataclasses import astuple, dataclass
 from typing import Callable
@@ -91,7 +82,7 @@ from repro.nets.synthesis import (
     synthesize_masks,
 )
 from repro.sim.config import HardwareConfig
-from repro.sim.kernels import ChunkWork, PositionAssignment, compute_chunk_work
+from repro.sim.kernels import ChunkWork, compute_chunk_work
 
 __all__ = [
     "CacheStats",
@@ -389,16 +380,8 @@ def get_workload(
 ) -> tuple[LayerMasks, ChunkWork]:
     """Memoised (synthesis + chunk work) for one workload.
 
-    Checks the in-memory LRU, then the on-disk store (when
-    ``$REPRO_CACHE_DIR`` is set), then computes -- writing back to both.
-
-    When several processes share one cache directory, the compute is
-    cross-process single-flight: a claim lease on the entry path
-    (:mod:`repro.dist.store`) elects one computer per missing key and
-    the losers wait for its publication instead of duplicating the
-    mask work. Claims are advisory -- a stale or unobtainable lease
-    degrades to the old compute-and-race behaviour, which atomic
-    publish keeps correct.
+    Checks the in-memory LRU, else computes and caches the pair. A
+    cached counts-free entry is upgraded in place for a counts request.
 
     Under :func:`replay_only` it raises :class:`StoreMiss` at once: a
     workload is only ever wanted for a simulation, which replay must
@@ -407,40 +390,11 @@ def get_workload(
     _refuse_compute(spec)
     key = workload_key(spec, cfg, seed)
     entry = _WORKLOADS.get(key)
-    if entry is not None:
-        if _satisfies(entry[1], need_counts):
-            return entry
-        # Upgrade in place. The store's entry holds no counts either, so
-        # only the in-memory copy changes.
-        pair = (entry[0], _chunk_work(entry[0], cfg, need_counts=True))
-        _WORKLOADS.put(key, pair, arrays=_pair_arrays(pair))
-        return pair
-    path = _disk_path(key)
-    absent = path is not None and not path.exists()
-    disk = _disk_load(key, spec, cfg, need_counts)
-    if disk is not None:
-        _WORKLOADS.put(key, disk, arrays=_pair_arrays(disk))
-        return disk
-    claim, published = _claim_compute(key)
-    if published or (claim is not None and absent):
-        # A won claim checks again when there was no entry: a peer may
-        # have computed, published and released between our miss above
-        # and the election.
-        disk = _disk_load(key, spec, cfg, need_counts)
-        if disk is not None:
-            if claim is not None:
-                claim.release()
-            _WORKLOADS.put(key, disk, arrays=_pair_arrays(disk))
-            return disk
-        # No entry, or the peer's was quarantined: compute.
-    try:
-        masks = get_layer_masks(spec, seed)
-        pair = (masks, _chunk_work(masks, cfg, need_counts))
-        _WORKLOADS.put(key, pair, arrays=_pair_arrays(pair))
-        _disk_store(key, pair)
-    finally:
-        if claim is not None:
-            claim.release()
+    if entry is not None and _satisfies(entry[1], need_counts):
+        return entry
+    masks = entry[0] if entry is not None else get_layer_masks(spec, seed)
+    pair = (masks, _chunk_work(masks, cfg, need_counts))
+    _WORKLOADS.put(key, pair, arrays=_pair_arrays(pair))
     return pair
 
 
@@ -448,27 +402,6 @@ def _chunk_work(masks: LayerMasks, cfg: HardwareConfig, need_counts: bool) -> Ch
     """:func:`compute_chunk_work` under the ``chunk_work`` span."""
     with telemetry.span("chunk_work", layer=masks.spec.name):
         return compute_chunk_work(masks, cfg, need_counts=need_counts)
-
-
-def _claim_compute(key: tuple):
-    """Single-flight election for one missing disk entry.
-
-    Returns ``(claim, published)``: a held :class:`repro.dist.store.Claim`
-    when this process should compute (release it after publishing),
-    ``published=True`` when a peer published while we waited. Both are
-    falsy when no disk cache is configured or single-flight is off.
-    """
-    path = _disk_path(key)
-    if path is None:
-        return None, False
-    from repro.dist import store as dist_store
-
-    if not dist_store.single_flight_enabled():
-        return None, False
-    claim = dist_store.try_claim(path)
-    if claim is not None:
-        return claim, False
-    return dist_store.wait_for_publication(path)
 
 
 def cache_get(key: tuple):
@@ -548,9 +481,6 @@ def reset_cache_stats() -> None:
     _RESULTS.stats.reset()
 
 
-# -- on-disk store ----------------------------------------------------------
-
-
 def _satisfies(work: ChunkWork, need_counts: bool) -> bool:
     """Whether a cached entry can serve a request."""
     return not need_counts or work.counts is not None
@@ -579,154 +509,12 @@ def _pair_nbytes(pair: tuple[LayerMasks, ChunkWork]) -> int:
     return sum(b.nbytes for b in buffers.values())
 
 
+# -- the store --------------------------------------------------------------
+
+
 def _cache_dir() -> pathlib.Path | None:
     path = config.current().cache_dir
     return pathlib.Path(path) if path else None
-
-
-def _disk_path(key: tuple) -> pathlib.Path | None:
-    base = _cache_dir()
-    if base is None:
-        return None
-    digest = hashlib.sha256(repr(key).encode()).hexdigest()[:24]
-    return base / f"workload-{digest}.npz"
-
-
-def _unpack_mask(z, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Entry member *name* unpacked to a bool mask of *shape*.
-
-    A member of the wrong dtype or length raises ``ValueError``, so the
-    caller quarantines the entry instead of unpacking garbage.
-    """
-    packed = z[name]
-    size = math.prod(shape)
-    want = (size + 7) // 8
-    if packed.dtype != np.uint8 or packed.shape != (want,):
-        raise ValueError(
-            f"packed {name} is {packed.dtype}{list(packed.shape)}, "
-            f"expected uint8[{want}] for shape {shape}"
-        )
-    return np.unpackbits(packed, count=size).view(bool).reshape(shape)
-
-
-def _disk_store(key: tuple, pair: tuple[LayerMasks, ChunkWork]) -> None:
-    path = _disk_path(key)
-    if path is None:
-        return
-    masks, work = pair
-    payload = {
-        "key": np.array(repr(key)),
-        "input_mask": np.packbits(masks.input_mask, axis=None),
-        "filter_masks": np.packbits(masks.filter_masks, axis=None),
-        "input_pop": work.input_pop,
-        "match_sums": work.match_sums,
-        "filter_chunk_nnz": work.filter_chunk_nnz,
-        "n_chunks": np.int64(work.n_chunks),
-        "indices": work.assignment.indices,
-        "cluster_of": work.assignment.cluster_of,
-        "weight_of": work.assignment.weight_of,
-        "cluster_positions": work.assignment.cluster_positions,
-    }
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with telemetry.span("cache_disk"), os.fdopen(fd, "wb") as fh:
-                np.savez(fh, **payload)
-            os.replace(tmp, path)
-            telemetry.count("cache.disk.store")
-            telemetry.count("cache.disk.store_bytes", path.stat().st_size)
-            faults.truncate_entry(path, site="workload")
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        # Disk cache is best-effort; a full or read-only volume only
-        # costs the persistence, not the run.
-        _log.debug(
-            "disk cache store failed %s", telemetry.kv(path=path, error=exc)
-        )
-        return
-
-
-def _disk_load(
-    key: tuple,
-    spec: ConvLayerSpec,
-    cfg: HardwareConfig | None = None,
-    need_counts: bool = False,
-) -> tuple[LayerMasks, ChunkWork] | None:
-    """The store's entry under *key*, or ``None`` on a miss or damage.
-
-    Entries hold no counts tensor: a counts request (*need_counts*, with
-    the *cfg* the key was built from) rebuilds it from the loaded masks,
-    which costs a kernel call but no synthesis.
-    """
-    path = _disk_path(key)
-    if path is None or not path.exists():
-        return None
-    try:
-        # Open the file here: np.load(path) leaks its handle when it
-        # raises on a truncated archive.
-        with (
-            telemetry.span("cache_disk"),
-            open(path, "rb") as fh,
-            np.load(fh, allow_pickle=False) as z,
-        ):
-            if str(z["key"][()]) != repr(key):
-                # Digest collision: the 96-bit file name matched but the
-                # full key does not. Recompute rather than trust -- and
-                # count it, because a collision storm reads as a plain
-                # miss otherwise.
-                telemetry.count("cache.disk.collision")
-                _log.warning(
-                    "disk cache digest collision %s",
-                    telemetry.kv(path=path),
-                )
-                return None
-            masks = LayerMasks(
-                spec=spec,
-                input_mask=_unpack_mask(
-                    z, "input_mask", (spec.in_height, spec.in_width, spec.in_channels)
-                ),
-                filter_masks=_unpack_mask(
-                    z,
-                    "filter_masks",
-                    (spec.n_filters, spec.kernel, spec.kernel, spec.in_channels),
-                ),
-            )
-            assignment = PositionAssignment(
-                indices=z["indices"],
-                cluster_of=z["cluster_of"],
-                weight_of=z["weight_of"],
-                cluster_positions=z["cluster_positions"],
-            )
-            work = ChunkWork(
-                counts=None,
-                input_pop=z["input_pop"],
-                match_sums=z["match_sums"],
-                assignment=assignment,
-                n_chunks=int(z["n_chunks"]),
-                filter_chunk_nnz=z["filter_chunk_nnz"],
-            )
-    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
-        # np.load raises BadZipFile/EOFError on a truncated archive and
-        # ValueError/KeyError on garbled contents -- all mean the entry
-        # is damaged. Quarantine it and fall through to recompute.
-        checkpoint.quarantine(path, exc, "cache.disk.quarantine")
-        return None
-    except OSError as exc:
-        # A read error is the volume's problem, not the entry's; leave
-        # the file alone and recompute.
-        _log.debug(
-            "disk cache load failed %s", telemetry.kv(path=path, error=exc)
-        )
-        return None
-    _WORKLOADS.stats.disk_hits += 1
-    telemetry.count("cache.disk.load")
-    if need_counts:
-        work = _chunk_work(masks, cfg, need_counts=True)
-    return (masks, work)
 
 
 def _result_path(key: tuple) -> pathlib.Path | None:
@@ -740,12 +528,14 @@ def _disk_store_result(key: tuple, value) -> None:
         return
     try:
         with telemetry.span("cache_disk"):
-            published = checkpoint.write_entry(path, key, value)
-        if published:
+            written = checkpoint.write_entry(path, key, value)
+        if written:
             telemetry.count("cache.result.disk_store")
-            faults.truncate_entry(path, site="result")
+            telemetry.count("cache.disk.store_bytes", written)
+            faults.truncate_entry(path)
     except OSError as exc:
-        # Best-effort, like the workload entries.
+        # The store is best-effort: a full or read-only volume only
+        # costs the persistence, not the run.
         _log.debug(
             "result store failed %s", telemetry.kv(path=path, error=exc)
         )

@@ -331,7 +331,7 @@ def render_top(view: FleetView, color: bool = False) -> str:
         f" ({pct:.0f}%)   throughput {_fmt_rate(view.throughput, 'units/s')}"
         f"   eta {_fmt_eta(view.eta_seconds)}",
         f"cache hits {hit}   retries {t['retries']}   steals {t['stolen']}"
-        f"   claim-steals {t['claim_steals']}   faults {t['faults']}"
+        f"   claim-steals {t['claim_steals']:.0f}   faults {t['faults']}"
         f"   quarantines {t['quarantines']}",
         "",
         f"{'shard':<8} {'units':>6} {'published':>10}",

@@ -1,11 +1,12 @@
 """Multi-writer safety for the on-disk stores: claims, waiting, reaping.
 
-The store's workload and result entries (``$REPRO_CACHE_DIR``) already
-publish atomically -- ``tempfile.mkstemp`` + ``os.replace`` means
-a reader never sees a half-written entry. What atomic publish alone does
-*not* give a fleet of workers sharing one store is single-flight: two
-processes that miss on the same key both pay the compute and race to
-publish. This module adds the missing coordination with **claim files**:
+The store's result entries (``$REPRO_CACHE_DIR``) already publish
+atomically -- ``tempfile.mkstemp`` + ``os.replace`` means a reader never
+sees a half-written entry. What atomic publish alone does *not* give a
+fleet of sweep workers sharing one store is single-flight: two processes
+that miss on the same unit both pay the compute and race to publish.
+This module adds the missing coordination with **claim files**, which
+:func:`repro.dist.worker.execute_unit` takes around every unit:
 
 - :func:`try_claim` creates ``<entry>.claim`` with ``O_CREAT|O_EXCL`` --
   the one atomic-on-every-filesystem primitive -- so exactly one process
@@ -26,9 +27,10 @@ publish. This module adds the missing coordination with **claim files**:
 
 Correctness never depends on claims: publish stays atomic and
 content-addressed, so the worst outcome of every race here is duplicated
-work, never a corrupt or wrong entry. The concurrent-writer stress test
-(``tests/test_dist.py``) asserts the good case -- exactly-once compute
-per key -- under real process contention.
+work, never a corrupt or wrong entry. The sweep tests
+(``tests/test_dist.py``) assert the good case -- exactly-once compute
+per unit -- and the concurrent-writer stress test that N processes over
+one store leave identical, healthy entries and no debris.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "Claim",
     "claim_path",
     "claim_ttl",
-    "single_flight_enabled",
     "try_claim",
     "wait_for_publication",
     "reap_orphans",
@@ -66,11 +67,6 @@ _log = telemetry.get_logger("dist.store")
 def claim_ttl() -> float:
     """Lease seconds before an unrefreshed claim is stealable."""
     return config.current().claim_ttl
-
-
-def single_flight_enabled() -> bool:
-    """Whether cross-process single-flight claims are active (default on)."""
-    return config.current().single_flight == "on"
 
 
 def claim_path(target: str | os.PathLike) -> pathlib.Path:

@@ -120,7 +120,7 @@ def execute_unit(
     claim = None
     if entry.exists():
         status = SKIPPED
-    elif dist_store.single_flight_enabled():
+    else:
         claim = dist_store.try_claim(entry)
         if claim is None:
             if not wait:

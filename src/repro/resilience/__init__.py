@@ -2,7 +2,7 @@
 
 A multi-hour sweep (``headline_means --exact``, the design-space sweeps)
 must survive the failures that show up only at scale: a worker process
-OOM-killed mid-figure, a truncated ``.npz`` in ``$REPRO_CACHE_DIR``, one
+OOM-killed mid-figure, a truncated entry in ``$REPRO_CACHE_DIR``, one
 layer hanging on a pathological input. This package supplies the three
 mechanisms the engine threads through its hot paths, plus the harness
 that proves they work:
@@ -21,8 +21,8 @@ that proves they work:
   degradation path is exercised in tests and CI rather than discovered
   in production.
 - :mod:`repro.resilience.doctor` -- ``repro doctor``: scan, verify and
-  prune the on-disk store (workload and result entries) and its
-  quarantined entries.
+  prune the on-disk store (its result entries) and its quarantined
+  entries.
 
 Recovery never changes results: every retried or resumed item recomputes
 from its arguments alone, so a faulted run's figures are byte-identical

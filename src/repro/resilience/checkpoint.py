@@ -2,15 +2,16 @@
 
 A finished per-layer result -- a (scheme, layer spec, config, seed,
 source) key and its :class:`~repro.sim.results.LayerResult` -- lives in
-exactly one place: the result tier of the store. With
+exactly one place: the store, which holds finished results only. With
 ``$REPRO_CACHE_DIR`` set, :mod:`repro.core.workload` publishes every
-result as ``result-<sha>.json`` beside the workload ``.npz`` entries and
-reads it back on a memo miss, so a warm process answers without
-simulating. The same entries carry the two recovery paths:
+result as ``result-<sha>.json`` and reads it back on a memo miss, so a
+warm process answers without synthesizing or simulating. The same
+entries carry the two recovery paths:
 
 - **Resume.** ``repro run --resume DIR`` uses *DIR* as the store, so a
   rerun after a crash answers every published result from it and
-  re-executes only the work that was in flight.
+  re-executes only the work that was in flight, synthesizing its layers
+  afresh.
 - **Distributed sweeps.** :mod:`repro.dist.worker` coordinates on the
   entries: a unit is done when its entry exists.
 
@@ -245,17 +246,19 @@ def write_atomic(path: str | os.PathLike, data: bytes | str) -> pathlib.Path:
     return path
 
 
-def write_entry(path: pathlib.Path, key: tuple, value) -> bool:
+def write_entry(path: pathlib.Path, key: tuple, value) -> int:
     """Atomically publish *key* -> *value* at *path* unless it exists.
 
-    Returns whether this call published it. Raises ``TypeError`` (before
-    touching the disk) when *value* holds a type the codec does not
-    cover, and ``OSError`` when the volume refuses the write.
+    Returns the bytes this call wrote: 0 when the entry already existed.
+    Raises ``TypeError`` (before touching the disk) when *value* holds a
+    type the codec does not cover, and ``OSError`` when the volume
+    refuses the write.
     """
     if path.exists():
-        return False
-    write_atomic(path, _entry_bytes(key, value))
-    return True
+        return 0
+    data = _entry_bytes(key, value)
+    write_atomic(path, data)
+    return len(data)
 
 
 def read_entry(

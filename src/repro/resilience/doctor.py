@@ -1,17 +1,17 @@
 """``repro doctor``: scan, verify and prune the on-disk stores.
 
 The store (``$REPRO_CACHE_DIR``, a ``--resume`` directory or a sweep's
-``--store``: workload ``.npz`` and result ``.json`` entries) survives
-crashes by design -- which means it also accumulates the debris of
-crashes: truncated entries, orphaned ``.tmp`` files from interrupted
-atomic writes and ``.claim`` single-flight leases whose writers were
-killed, and ``.corrupt`` quarantine markers left by earlier runs. The
-doctor walks a directory, verifies every
-entry the same way the runtime loaders do (every ``.npz`` array member
-is actually decompressed, not just the zip directory; every result
-entry is checksummed and decoded), quarantines entries that fail
-verification, and -- with ``--prune`` -- deletes quarantined and
-orphaned files.
+``--store``: ``result-*.json`` entries) survives crashes by design --
+which means it also accumulates the debris of crashes: truncated
+entries, orphaned ``.tmp`` files from interrupted atomic writes and
+``.claim`` leases whose writers were killed, and ``.corrupt`` quarantine
+markers left by earlier runs. The doctor walks a directory, verifies
+every result entry the same way the runtime loader does (checksummed and
+decoded), quarantines entries that fail verification, and -- with
+``--prune`` -- deletes quarantined and orphaned files. A
+``workload-*.npz`` entry left by an older store is an orphan too: its
+source-fingerprinted key names code that no longer exists, and nothing
+reads the format any more.
 
 Verification is read-only apart from quarantine renames; pruning never
 touches healthy entries or the workers' event streams (counted by
@@ -24,11 +24,8 @@ from __future__ import annotations
 import os
 import pathlib
 import time
-import zipfile
 from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro import telemetry
 from repro.resilience import checkpoint
@@ -57,15 +54,6 @@ class DoctorReport:
     @property
     def ok(self) -> bool:
         return not self.quarantined
-
-
-def _verify_npz(path: pathlib.Path) -> None:
-    """Load every member of a cache ``.npz``; raises on any corruption."""
-    with np.load(path, allow_pickle=False) as z:
-        if "key" not in z.files:
-            raise ValueError("missing key member")
-        for name in z.files:
-            z[name]  # decompress + CRC-check the member, not just the index
 
 
 def _verify_entry(path: pathlib.Path) -> None:
@@ -112,7 +100,8 @@ def scan_store(directory: str | os.PathLike, prune: bool = False) -> DoctorRepor
     ``cache.disk.quarantine``); with *prune*, quarantined entries and
     orphaned files are deleted. ``.tmp`` and ``.corrupt`` files are
     orphans at any age (nothing re-opens them once the atomic rename
-    they fed has happened or failed); ``.claim`` leases are orphans
+    they fed has happened or failed), and so are ``workload-*.npz``
+    entries of older stores; ``.claim`` leases are orphans
     only once older than ``REPRO_CLAIM_TTL``, because a *fresh* one
     belongs to a live worker that the doctor must not sabotage.
     """
@@ -125,10 +114,7 @@ def scan_store(directory: str | os.PathLike, prune: bool = False) -> DoctorRepor
     stale_age = dist_store.claim_ttl()
     with telemetry.span("doctor", dir=str(base)):
         for path in sorted(base.iterdir()):
-            if path.suffix == ".tmp":
-                report.orphans.append(str(path))
-                continue
-            if path.suffix == ".corrupt":
+            if path.suffix in (".tmp", ".corrupt") or path.match("workload-*.npz"):
                 report.orphans.append(str(path))
                 continue
             if path.suffix == dist_store.CLAIM_SUFFIX:
@@ -139,15 +125,11 @@ def scan_store(directory: str | os.PathLike, prune: bool = False) -> DoctorRepor
                 if age >= stale_age:
                     report.orphans.append(str(path))
                 continue
+            if not path.match("result-*.json"):
+                continue
             try:
-                if path.match("workload-*.npz"):
-                    _verify_npz(path)
-                elif path.match("result-*.json"):
-                    _verify_entry(path)
-                else:
-                    continue
-            except (OSError, EOFError, zipfile.BadZipFile,
-                    *checkpoint.DAMAGE) as exc:
+                _verify_entry(path)
+            except (OSError, *checkpoint.DAMAGE) as exc:
                 _quarantine(path, report, exc)
                 continue
             report.healthy += 1

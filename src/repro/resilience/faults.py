@@ -15,9 +15,9 @@ Specification grammar (comma-separated ``kind:value`` pairs)::
   the rate. Retries hash a new attempt number, so a crashed item draws
   independently on its retry.
 - ``value`` >= 1 (integer) -- a *budget*: the first N calls of that kind
-  at each injection site in this process fire, then the fault goes
-  quiet. Budgets are per-process (each spawn worker has its own), which
-  makes "every worker crashes its first item" expressible. Pool workers outlive a single
+  in this process fire, then the fault goes quiet. Budgets are
+  per-process (each spawn worker has its own), which makes "every worker
+  crashes its first item" expressible. Pool workers outlive a single
   ``parallel_map`` call, so a budget is spent over a worker's life; a
   changed ``REPRO_FAULT`` starts a fresh pool with fresh budgets.
 
@@ -32,12 +32,10 @@ Kinds understood by :func:`fault_point` (the worker-side hook in
   trip the ``REPRO_ITEM_TIMEOUT`` watchdog.
 
 ``cache_corrupt`` is consumed by :mod:`repro.core.workload` through
-:func:`truncate_entry`, which truncates a just-published store entry so
-the next disk load exercises the quarantine path. Its two sites, the
-workload ``.npz`` and the result ``.json`` entries, keep separate
-budgets: ``cache_corrupt:1`` damages the first entry of each kind a
-process publishes, so a warm run that answers from result entries alone
-still meets a damaged one. Every fired fault counts ``fault.<kind>``.
+:func:`truncate_entry`, which truncates a just-published result entry so
+the next load exercises the quarantine path: ``cache_corrupt:1``
+damages the first entry each process publishes. Every fired fault
+counts ``fault.<kind>``.
 
 Liveness guarantee: the *final* retry attempt runs under
 :func:`suppressed`, so even ``worker_crash:1`` (crash every call) cannot
@@ -82,7 +80,7 @@ class FaultPlan:
     rates: dict[str, float] = field(default_factory=dict)
     budgets: dict[str, int] = field(default_factory=dict)
     seed: int = 0
-    _spent: dict[tuple[str, str], int] = field(default_factory=dict)
+    _spent: dict[str, int] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @classmethod
@@ -116,13 +114,8 @@ class FaultPlan:
     def empty(self) -> bool:
         return not self.rates and not self.budgets
 
-    def should_fire(
-        self, kind: str, token: str = "", attempt: int = 0, site: str = ""
-    ) -> bool:
-        """Decide (deterministically) whether *kind* fires at this site.
-
-        A budget is spent per (*kind*, *site*); a rate ignores *site*.
-        """
+    def should_fire(self, kind: str, token: str = "", attempt: int = 0) -> bool:
+        """Decide (deterministically) whether *kind* fires at this site."""
         rate = self.rates.get(kind)
         if rate is not None:
             blob = f"{self.seed}:{kind}:{token}:{attempt}".encode()
@@ -131,9 +124,9 @@ class FaultPlan:
         budget = self.budgets.get(kind)
         if budget is not None:
             with self._lock:
-                spent = self._spent.get((kind, site), 0)
+                spent = self._spent.get(kind, 0)
                 if spent < budget:
-                    self._spent[(kind, site)] = spent + 1
+                    self._spent[kind] = spent + 1
                     return True
         return False
 
@@ -177,12 +170,12 @@ def _is_suppressed() -> bool:
     return getattr(_local, "depth", 0) > 0
 
 
-def fire(kind: str, token: str = "", attempt: int = 0, site: str = "") -> bool:
+def fire(kind: str, token: str = "", attempt: int = 0) -> bool:
     """True when *kind* should fire here; counts ``fault.<kind>``."""
     plan = active_plan()
     if plan is None or _is_suppressed():
         return False
-    if not plan.should_fire(kind, token=token, attempt=attempt, site=site):
+    if not plan.should_fire(kind, token=token, attempt=attempt):
         return False
     telemetry.count(f"fault.{kind}")
     events.emit("resilience.fault", name=kind, token=token, attempt=attempt)
@@ -192,14 +185,13 @@ def fire(kind: str, token: str = "", attempt: int = 0, site: str = "") -> bool:
     return True
 
 
-def truncate_entry(path, site: str) -> None:
-    """``cache_corrupt`` at a just-published store entry: truncate it.
+def truncate_entry(path) -> None:
+    """``cache_corrupt`` at a just-published result entry: truncate it.
 
-    *site* names the entry kind (``workload`` or ``result``), whose
-    budget is spent. The token is the entry's file name, so rate-mode
-    decisions are a pure function of the entry.
+    The token is the entry's file name, so rate-mode decisions are a
+    pure function of the entry.
     """
-    if fire("cache_corrupt", token=path.name, site=site):
+    if fire("cache_corrupt", token=path.name):
         with open(path, "r+b") as fh:
             fh.truncate(max(8, path.stat().st_size // 2))
 

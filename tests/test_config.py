@@ -26,7 +26,7 @@ class TestParseTable:
     def test_one_knob_per_field_with_unique_names(self):
         assert [k.field for k in KNOBS] == [f.name for f in dataclasses.fields(RunConfig)]
         names = [k.env for k in KNOBS]
-        assert len(set(names)) == len(names) == 22
+        assert len(set(names)) == len(names) == 21
         assert all(name.startswith("REPRO_") for name in names)
 
     def test_empty_environment_is_all_defaults(self):

@@ -1,19 +1,17 @@
 """Tests for distributed sweeps: claims, shard planning, the worker loop,
 and the concurrent-writer stress test.
 
-The stress test is the satellite acceptance check: N OS processes
-hammering one ``REPRO_CACHE_DIR`` with overlapping keys must produce no
-corrupt or lost entries, no orphaned temp/claim files, and exactly one
-compute per key (proven by summing each process's ``cache.disk.store``
-counter). Spawn workers need module-level functions; the barrier
-maximises contention by releasing every process onto the same first key
-at once.
+The stress test runs N OS processes over one ``REPRO_CACHE_DIR`` with
+overlapping keys: every process must see identical results, and the
+store must end with exactly one healthy result entry per key and no
+corrupt entries or orphaned temp/claim files. Spawn workers need
+module-level functions; the barrier maximises contention by releasing
+every process onto the same first key at once.
 """
 
 import json
 import multiprocessing as mp
 import os
-import shutil
 import time
 import types
 
@@ -25,10 +23,8 @@ from repro.dist import shard as dist_shard
 from repro.dist import store as dist_store
 from repro.dist import worker as dist_worker
 from repro.dist.shard import SweepPlan, WorkUnit
-from repro.nets.layers import ConvLayerSpec
 from repro.resilience import checkpoint
 from repro.resilience.doctor import scan_store
-from repro.sim.config import HardwareConfig
 
 
 @pytest.fixture(autouse=True)
@@ -38,33 +34,12 @@ def fresh_caches():
     clear_caches()
 
 
-def _spec(**overrides):
-    base = dict(
-        name="distspec", in_height=6, in_width=6, in_channels=20,
-        kernel=3, n_filters=4, input_density=0.5, filter_density=0.5,
-    )
-    base.update(overrides)
-    return ConvLayerSpec(**base)
-
-
-def _cfg(**overrides):
-    base = dict(name="distcfg", n_clusters=2, units_per_cluster=4, chunk_size=16)
-    base.update(overrides)
-    return HardwareConfig(**base)
-
-
-def _counter(name: str) -> float:
-    from repro import telemetry
-
-    return telemetry.get_recorder().counters().get(name, 0.0)
-
-
 # -- claim leases -----------------------------------------------------------
 
 
 class TestClaims:
     def test_single_flight_and_release(self, tmp_path):
-        target = tmp_path / "entry.npz"
+        target = tmp_path / "entry.json"
         claim = dist_store.try_claim(target)
         assert claim is not None
         assert dist_store.claim_path(target).exists()
@@ -75,15 +50,15 @@ class TestClaims:
         assert dist_store.try_claim(target) is not None
 
     def test_claim_body_records_owner(self, tmp_path):
-        target = tmp_path / "entry.npz"
+        target = tmp_path / "entry.json"
         claim = dist_store.try_claim(target)
         body = json.loads(dist_store.claim_path(target).read_text())
         assert body["pid"] == os.getpid()
-        assert body["target"] == "entry.npz"
+        assert body["target"] == "entry.json"
         assert body["owner"] == claim.owner
 
     def test_stale_claim_is_stolen(self, tmp_path):
-        target = tmp_path / "entry.npz"
+        target = tmp_path / "entry.json"
         dead = dist_store.try_claim(target)
         assert dead is not None
         # Backdate the lease past the TTL: the owner "died" holding it.
@@ -94,7 +69,7 @@ class TestClaims:
         stolen.release()
 
     def test_refresh_keeps_a_lease_fresh(self, tmp_path):
-        target = tmp_path / "entry.npz"
+        target = tmp_path / "entry.json"
         claim = dist_store.try_claim(target)
         old = time.time() - 1000.0
         os.utime(claim.path, (old, old))
@@ -102,7 +77,7 @@ class TestClaims:
         assert dist_store.try_claim(target, ttl=10.0) is None
 
     def test_wait_sees_publication(self, tmp_path):
-        target = tmp_path / "entry.npz"
+        target = tmp_path / "entry.json"
         other = dist_store.try_claim(target)
         target.write_bytes(b"published")  # owner publishes...
         other.release()  # ...then releases
@@ -110,7 +85,7 @@ class TestClaims:
         assert claim is None and published
 
     def test_wait_inherits_a_lapsed_lease(self, tmp_path):
-        target = tmp_path / "entry.npz"
+        target = tmp_path / "entry.json"
         dead = dist_store.try_claim(target)
         old = time.time() - 1000.0
         os.utime(dead.path, (old, old))  # owner died without publishing
@@ -121,7 +96,7 @@ class TestClaims:
         claim.release()
 
     def test_wait_times_out_on_a_healthy_slow_owner(self, tmp_path):
-        target = tmp_path / "entry.npz"
+        target = tmp_path / "entry.json"
         slow = dist_store.try_claim(target)
         claim, published = dist_store.wait_for_publication(
             target, ttl=30.0, poll=0.01, max_wait=0.05
@@ -129,23 +104,18 @@ class TestClaims:
         assert claim is None and not published
         slow.release()
 
-    def test_single_flight_env_gate(self, monkeypatch):
-        assert dist_store.single_flight_enabled()
-        monkeypatch.setenv("REPRO_SINGLE_FLIGHT", "off")
-        assert not dist_store.single_flight_enabled()
-
     def test_reap_orphans_age_gated(self, tmp_path):
         old = time.time() - 1000.0
-        for name in ("a.tmp", "b.part", "c.npz.claim"):
+        for name in ("a.tmp", "b.part", "c.json.claim"):
             (tmp_path / name).write_text("debris")
             os.utime(tmp_path / name, (old, old))
         (tmp_path / "fresh.claim").write_text("live")
-        (tmp_path / "workload-abc.npz").write_text("healthy")
+        (tmp_path / "result-abc.json").write_text("healthy")
         reaped = dist_store.reap_orphans(tmp_path, age=1.0)
         assert len(reaped) == 2
         assert (tmp_path / "b.part").exists()  # not store debris
         assert (tmp_path / "fresh.claim").exists()
-        assert (tmp_path / "workload-abc.npz").exists()
+        assert (tmp_path / "result-abc.json").exists()
 
 
 # -- shard planning ---------------------------------------------------------
@@ -404,83 +374,13 @@ class TestRunShard:
         assert report["duplicates"] == [token]
 
 
-# -- single-flight through the workload cache -------------------------------
-
-
-class TestWorkloadSingleFlight:
-    def test_second_process_path_waits_and_loads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        spec, cfg = _spec(), _cfg()
-        stores_before = _counter("cache.disk.store")
-        workload.get_workload(spec, cfg, seed=0)
-        assert _counter("cache.disk.store") == stores_before + 1
-        # No claim debris left behind after a clean compute.
-        assert not list(tmp_path.glob("*.claim"))
-        clear_caches()
-        loads_before = _counter("cache.disk.load")
-        workload.get_workload(spec, cfg, seed=0)
-        assert _counter("cache.disk.load") == loads_before + 1
-        assert _counter("cache.disk.store") == stores_before + 1
-
-    def test_won_claim_rechecks_for_a_peers_entry(self, tmp_path, monkeypatch):
-        # A peer computes, publishes and releases between this process's
-        # disk miss and its claim: the claim is won, but the entry is
-        # already there and must be loaded, not computed a second time.
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        spec, cfg = _spec(), _cfg()
-        key = workload.workload_key(spec, cfg, 0)
-        peer = workload.get_workload(spec, cfg, seed=0)
-        published = workload._disk_path(key).read_bytes()
-        clear_caches()
-        workload._disk_path(key).unlink()
-        real_claim = dist_store.try_claim
-
-        def peer_publishes_first(path, ttl=None):
-            workload._disk_path(key).write_bytes(published)
-            return real_claim(path, ttl)
-
-        monkeypatch.setattr(dist_store, "try_claim", peer_publishes_first)
-        stores_before = _counter("cache.disk.store")
-        loads_before = _counter("cache.disk.load")
-        data, work = workload.get_workload(spec, cfg, seed=0)
-        assert _counter("cache.disk.store") == stores_before
-        assert _counter("cache.disk.load") == loads_before + 1
-        assert not list(tmp_path.glob("*.claim"))
-        assert (data.input_mask == peer[0].input_mask).all()
-
-    def test_collision_counter(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        spec, cfg = _spec(), _cfg()
-        workload.get_workload(spec, cfg, seed=0)
-        key0 = workload.workload_key(spec, cfg, 0)
-        key1 = workload.workload_key(spec, cfg, 1)
-        # Fake a digest collision: seed 1's file name holds seed 0's entry.
-        shutil.copy(workload._disk_path(key0), workload._disk_path(key1))
-        clear_caches()
-        before = _counter("cache.disk.collision")
-        data, work = workload.get_workload(spec, cfg, seed=1)
-        assert _counter("cache.disk.collision") == before + 1
-        # The collision was recomputed, not trusted: seeds differ.
-        data0, _ = workload.get_workload(spec, cfg, seed=0)
-        assert (data.input_mask != data0.input_mask).any()
-
-    def test_single_flight_off_still_correct(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_SINGLE_FLIGHT", "off")
-        spec, cfg = _spec(), _cfg()
-        workload.get_workload(spec, cfg, seed=0)
-        assert not list(tmp_path.glob("*.claim"))
-        clear_caches()
-        workload.get_workload(spec, cfg, seed=0)
-
-
 # -- concurrent-writer stress test ------------------------------------------
 
 
 def _hammer_worker(barrier, queue, worker_idx: int, n_keys: int):
-    """One stress process: compute every key, report counters + checksums."""
+    """One stress process: run every key, report counters + results."""
     from repro import telemetry
-    from repro.core import workload as wl
+    from repro.core.compare import run_scheme_cached
     from repro.nets.layers import ConvLayerSpec
     from repro.sim.config import HardwareConfig
 
@@ -492,15 +392,13 @@ def _hammer_worker(barrier, queue, worker_idx: int, n_keys: int):
         name="distcfg", n_clusters=2, units_per_cluster=4, chunk_size=16
     )
     barrier.wait()  # maximal contention: everyone hits seed 0 together
-    sums = {}
+    cycles = {}
     for seed in range(n_keys):
-        _data, work = wl.get_workload(spec, cfg, seed=seed)
-        sums[seed] = float(work.match_sums.sum())
+        cycles[seed] = run_scheme_cached("sparten", spec, cfg, seed).cycles
     counters = telemetry.get_recorder().counters()
     queue.put({
         "worker": worker_idx,
-        "sums": sums,
-        "stores": counters.get("cache.disk.store", 0.0),
+        "cycles": cycles,
         "collisions": counters.get("cache.disk.collision", 0.0),
         "quarantines": counters.get("cache.disk.quarantine", 0.0),
     })
@@ -514,7 +412,6 @@ class TestConcurrentWriters:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_CLAIM_TTL", "60")
         ctx = mp.get_context("spawn")
         barrier = ctx.Barrier(self.N_PROCS)
         queue = ctx.Queue()
@@ -533,25 +430,21 @@ class TestConcurrentWriters:
             assert p.exitcode == 0
         assert len(reports) == self.N_PROCS
 
-        # No lost/corrupt entries: every worker saw identical workloads.
-        reference = reports[0]["sums"]
+        # No lost/corrupt entries: every worker saw identical results.
+        reference = reports[0]["cycles"]
         for report in reports[1:]:
-            assert report["sums"] == reference
-
-        # Exactly-once compute per key: the disk-store counter across
-        # every process sums to the number of distinct keys.
-        total_stores = sum(r["stores"] for r in reports)
-        assert total_stores == self.N_KEYS
+            assert report["cycles"] == reference
         assert sum(r["collisions"] for r in reports) == 0
         assert sum(r["quarantines"] for r in reports) == 0
 
-        # No orphaned temp or claim files survive the stampede.
+        # No orphaned temp or claim files survive the stampede, and the
+        # store holds exactly one result entry per key.
         leftovers = [
             p.name for p in tmp_path.iterdir()
             if p.suffix in (".tmp", ".claim", ".part")
         ]
         assert leftovers == []
-        entries = list(tmp_path.glob("workload-*.npz"))
+        entries = list(tmp_path.glob("result-*.json"))
         assert len(entries) == self.N_KEYS
 
         # And the doctor agrees the store is healthy.
@@ -610,15 +503,15 @@ class TestMonotonicProgress:
 class TestDoctorOrphans:
     def test_fresh_part_and_claim_are_protected(self, tmp_path):
         (tmp_path / "events.jsonl.123.0.part").write_text("{}\n")
-        (tmp_path / "workload-x.npz.claim").write_text("{}")
+        (tmp_path / "result-x.json.claim").write_text("{}")
         report = scan_store(tmp_path, prune=True)
         assert report.orphans == []
         assert (tmp_path / "events.jsonl.123.0.part").exists()
-        assert (tmp_path / "workload-x.npz.claim").exists()
+        assert (tmp_path / "result-x.json.claim").exists()
 
     def test_stale_claim_is_pruned(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CLAIM_TTL", "1")
-        claim = tmp_path / "workload-x.npz.claim"
+        claim = tmp_path / "result-x.json.claim"
         claim.write_text("{}")
         old = time.time() - 1000.0
         os.utime(claim, (old, old))

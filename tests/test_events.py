@@ -390,7 +390,7 @@ class TestDoctorEvents:
 
         store = tmp_path / "cache"
         store.mkdir()
-        (store / "workload-bad.npz").write_bytes(b"not a zip archive")
+        (store / "result-bad.json").write_bytes(b"not an entry")
         report = scan_store(store, prune=True)
         assert not report.ok
         records = events.read_events(event_log)

@@ -328,10 +328,14 @@ class TestFleetView:
 
     def test_render_top_frame(self, tmp_path, monkeypatch):
         plan = _run_two_worker_store(tmp_path, monkeypatch)
+        # Recorder counters are floats; the frame prints tallies as integers.
+        _heartbeat_stream(tmp_path, "w0", final=True,
+                          counters={"store.claim.steal": 1.0})
         frame = fleet.render_top(fleet.build_fleet_view(tmp_path, plan))
         assert f"{len(plan.units)}/{len(plan.units)} units published" in frame
         assert "w0" in frame and "w1" in frame
         assert "0/2" in frame and "1/2" in frame
+        assert "   claim-steals 1   " in frame
 
     def test_render_inspect_report(self, tmp_path, monkeypatch):
         plan = _run_two_worker_store(tmp_path, monkeypatch)

@@ -7,9 +7,8 @@ tests pin that promise across variants, chunk sizes, collocation,
 sampled positions and ``REPRO_NO_NATIVE`` settings, plus a property
 test of native against fallback over every :class:`GroupReduction`
 shape; they also cover the batch-path workload-cache routing, exact
-``_pair_nbytes`` accounting, the store's counts-free entries (and its
-quarantine of entries written in an older format), and the
-reduce-dispatch and relayout telemetry counters.
+``_pair_nbytes`` accounting, and the reduce-dispatch and relayout
+telemetry counters.
 
 The reference loops below are frozen copies of the pre-engine
 ``_two_sided_cluster_cycles`` / dynamic group-sweep bodies (the same
@@ -399,68 +398,6 @@ def test_batch_paths_share_workload_cache(deep_spec):
     second = workload.cache_stats()["workloads"]
     assert second["misses"] == first["misses"]
     assert second["hits"] >= cfg.batch
-    workload.clear_caches()
-
-
-def _span_calls(name: str) -> int:
-    return telemetry.get_recorder().span_totals().get(name, {}).get("calls", 0)
-
-
-def test_store_entry_rebuilds_counts_on_load(deep_spec, tmp_path, monkeypatch):
-    """A store entry holds no ``counts``; a counts request served from it
-    is a disk hit that rebuilds them from the stored masks, no synthesis."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    cfg = _cfg(chunk_size=64)
-    workload.get_workload(deep_spec, cfg, seed=0, need_counts=True)
-    (path,) = tmp_path.glob("workload-*.npz")
-    with np.load(path) as z:
-        assert "counts" not in z.files
-    workload.clear_caches()
-    telemetry.reset()
-    _, work = workload.get_workload(deep_spec, cfg, seed=0, need_counts=True)
-    assert workload.cache_stats()["workloads"]["disk_hits"] == 1
-    assert telemetry.get_recorder().counters().get("cache.disk.load") == 1
-    assert _span_calls("synthesize") == 0
-    want = compute_chunk_work(synthesize_layer(deep_spec, seed=0), cfg)
-    assert work.counts.dtype == want.counts.dtype
-    assert np.array_equal(work.counts, want.counts)
-    workload.clear_caches()
-
-
-def test_entry_without_input_mask_is_quarantined(deep_spec, tmp_path, monkeypatch):
-    """An entry written by the removed dense-tensor format (no
-    ``input_mask``) is damage: quarantined, recomputed and republished."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    cfg = _cfg(chunk_size=64)
-    key = workload.workload_key(deep_spec, cfg, 0)
-    path = workload._disk_path(key)
-    data = synthesize_layer(deep_spec, seed=0)
-    want = compute_chunk_work(data, cfg, need_counts=True)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(
-        path,
-        key=np.array(repr(key)),
-        input_map=data.input_map,
-        filters=data.filters,
-        counts=want.counts,
-        input_pop=want.input_pop,
-        match_sums=want.match_sums,
-        filter_chunk_nnz=want.filter_chunk_nnz,
-        n_chunks=np.int64(want.n_chunks),
-        indices=want.assignment.indices,
-        cluster_of=want.assignment.cluster_of,
-        weight_of=want.assignment.weight_of,
-        cluster_positions=want.assignment.cluster_positions,
-    )
-    workload.clear_caches()
-    telemetry.reset()
-    _, work = workload.get_workload(deep_spec, cfg, seed=0, need_counts=True)
-    assert np.array_equal(work.counts, want.counts)
-    assert workload.cache_stats()["workloads"]["disk_hits"] == 0
-    assert telemetry.get_recorder().counters()["cache.disk.quarantine"] == 1
-    assert path.with_suffix(".npz.corrupt").exists()
-    with np.load(path) as z:
-        assert "input_mask" in z.files and "counts" not in z.files
     workload.clear_caches()
 
 

@@ -20,7 +20,7 @@ import warnings
 import pytest
 
 from repro import telemetry
-from repro.core import parallel, workload
+from repro.core import parallel
 from repro.core.workload import clear_caches
 from repro.resilience import checkpoint, faults, resilience_summary
 from repro.resilience.doctor import render_report, scan_store
@@ -326,7 +326,7 @@ class TestChaosDeterminism:
         clean = _figure_values(headline_means(fast=True, seed=0))
 
         # Faulted pass: 2-way fan-out, every worker's first item crashes,
-        # the first disk-cache store in each process is truncated.
+        # the first result entry each process publishes is truncated.
         clear_caches()
         telemetry.reset()
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -364,34 +364,39 @@ class TestChaosDeterminism:
 
 class TestDoctor:
     def _populate_cache(self, cache_dir, monkeypatch):
+        from repro.core.compare import run_scheme_cached
         from tests.test_workload_cache import _cfg, _spec
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
-        workload.get_workload(_spec(), _cfg(), seed=0)
-        workload.get_workload(_spec(), _cfg(), seed=1)
-        return sorted(cache_dir.glob("workload-*.npz"))
+        run_scheme_cached("sparten", _spec(), _cfg(), 0)
+        run_scheme_cached("sparten", _spec(), _cfg(), 1)
+        return sorted(cache_dir.glob("result-*.json"))
 
     def test_scan_verifies_quarantines_and_prunes(self, tmp_path, monkeypatch):
         entries = self._populate_cache(tmp_path, monkeypatch)
         assert len(entries) == 2
         raw = entries[0].read_bytes()
         entries[0].write_bytes(raw[: len(raw) // 2])
-        (tmp_path / "workload-orphan.npz.tmp").write_bytes(b"partial write")
+        (tmp_path / "result-orphan.json.tmp").write_bytes(b"partial write")
+        # An entry of the retired workload tier: nothing reads it.
+        (tmp_path / "workload-old.npz").write_bytes(b"PK old workload entry")
 
         report = scan_store(tmp_path)
         assert report.healthy == 1
         assert len(report.quarantined) == 1
         assert not report.ok
-        assert entries[0].with_suffix(".npz.corrupt").exists()
+        assert entries[0].with_suffix(".json.corrupt").exists()
+        assert str(tmp_path / "workload-old.npz") in report.orphans
         text = render_report(report)
         assert "corruption found" in text
 
         report2 = scan_store(tmp_path, prune=True)
         assert report2.healthy == 1
         assert report2.ok
-        assert report2.pruned  # the .corrupt + .tmp debris is gone
+        assert report2.pruned  # the .corrupt, .tmp and .npz debris is gone
         assert not list(tmp_path.glob("*.corrupt"))
         assert not list(tmp_path.glob("*.tmp"))
+        assert not list(tmp_path.glob("*.npz"))
 
     def test_scan_verifies_checkpoint_entries(self, tmp_path):
         good = tmp_path / "result-aaaa.json"

@@ -3,6 +3,8 @@ the step-wise functional model (the golden cross-check)."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.arch.host import Host
 from repro.balance.greedy import gb_s_plan
@@ -75,6 +77,69 @@ class TestFunctionalEquivalence:
         )
         functional, _ = functional_cluster_cycles(data, mini_cfg, "plain")
         assert result.cycles == functional.max()
+
+
+def sim_cluster_cycles(result, cfg):
+    """Per-cluster busy cycles recovered from a simulated layer's counters."""
+    counters = result.counters
+    return counters.total_cycles - counters.imbalance_idle / cfg.units_per_cluster
+
+
+@st.composite
+def conv_cases(draw):
+    """A small random layer and machine that the functional Host can run.
+
+    Channel counts leave partial chunks, filter counts need not divide
+    the units, and every cluster owns at least four output positions
+    (the functional output layout sizes each cluster's region from its
+    share of the output).
+    """
+    units = draw(st.sampled_from([2, 4]))
+    n_clusters = draw(st.integers(1, 3))
+    chunk_size = draw(st.sampled_from([8, 16]))
+    kernel = draw(st.sampled_from([1, 3]))
+    spec = ConvLayerSpec(
+        name="prop",
+        in_height=draw(st.integers(4, 8)),
+        in_width=draw(st.integers(4, 8)),
+        in_channels=draw(st.integers(1, 2 * chunk_size + 3)),
+        kernel=kernel,
+        n_filters=draw(st.integers(4, 11)),
+        stride=draw(st.integers(1, 2)),
+        padding=draw(st.integers(0, kernel // 2)),
+        input_density=draw(st.floats(0.3, 1.0)),
+        filter_density=draw(st.floats(0.05, 1.0)),
+    )
+    assume(spec.out_height * spec.out_width >= 4 * n_clusters)
+    cfg = HardwareConfig(
+        name="prop", n_clusters=n_clusters, units_per_cluster=units,
+        chunk_size=chunk_size, bisection_width=1,
+    )
+    return spec, cfg, draw(st.integers(0, 2**16))
+
+
+class TestFunctionalProperty:
+    """``arch/`` and ``sim/`` agree cluster by cluster on random layers."""
+
+    @given(case=conv_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_per_cluster_cycles_match_functional(self, case):
+        spec, cfg, seed = case
+        data = synthesize_layer(spec, seed=seed)
+        work = compute_chunk_work(data, cfg, need_counts=True)
+        pairing = gb_s_plan(data.filter_masks, cfg.units_per_cluster).pairing
+        for sided, variant, mode, kwargs in (
+            ("two", "no_gb", "plain", {}),
+            ("two", "gb_s", "paired", {"pairing": pairing}),
+            ("one", "no_gb", "plain", {"one_sided": True}),
+        ):
+            result = simulate_sparten(
+                spec, cfg, variant=variant, sided=sided, data=data, work=work
+            )
+            functional, _ = functional_cluster_cycles(data, cfg, mode, **kwargs)
+            np.testing.assert_array_equal(
+                sim_cluster_cycles(result, cfg), functional, err_msg=result.scheme
+            )
 
 
 class TestBreakdownIdentity:

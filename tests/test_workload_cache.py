@@ -1,15 +1,13 @@
 """Tests for the cross-experiment workload cache (core/workload.py)."""
 
 import dataclasses
-import gc
-import sys
-import warnings
 
 import numpy as np
 import pytest
 
-from repro import config
+from repro import config, telemetry
 from repro.core import workload
+from repro.core.compare import run_scheme_cached
 from repro.core.workload import (
     cache_stats,
     clear_caches,
@@ -127,138 +125,31 @@ class TestResultMemo:
 
 
 class TestDiskStore:
-    def test_npz_roundtrip_across_process_state(self, tmp_path, monkeypatch):
+    """The store holds finished results only; workloads never reach it."""
+
+    def _publish(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         spec, cfg = _spec(), _cfg()
-        data, work = get_workload(spec, cfg, seed=0)
-        files = list(tmp_path.glob("workload-*.npz"))
-        assert len(files) == 1
-        # Simulate a new process: drop the in-memory LRU, reload from disk.
+        result = run_scheme_cached("sparten", spec, cfg, 0)
+        (path,) = tmp_path.iterdir()
+        assert path.match("result-*.json")
         clear_caches()
-        data2, work2 = get_workload(spec, cfg, seed=0)
-        assert cache_stats()["workloads"]["disk_hits"] == 1
-        assert np.array_equal(data2.input_mask, data.input_mask)
-        assert np.array_equal(data2.filter_masks, data.filter_masks)
-        assert data2.input_mask.dtype == data2.filter_masks.dtype == bool
-        assert np.array_equal(work2.counts, work.counts)
-        assert work2.counts.dtype == work.counts.dtype
-        assert np.array_equal(work2.input_pop, work.input_pop)
-        assert np.array_equal(work2.match_sums, work.match_sums)
-        assert np.array_equal(work2.filter_chunk_nnz, work.filter_chunk_nnz)
-        assert np.array_equal(work2.assignment.indices, work.assignment.indices)
-        assert work2.n_chunks == work.n_chunks
+        telemetry.reset()
+        return result, path
 
     def test_corrupt_file_falls_back_to_compute(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        spec, cfg = _spec(), _cfg()
-        get_workload(spec, cfg, seed=0)
-        (path,) = tmp_path.glob("workload-*.npz")
-        path.write_bytes(b"not an npz")
-        clear_caches()
-        data, work = get_workload(spec, cfg, seed=0)  # must not raise
-        assert work.counts is not None
-        assert cache_stats()["workloads"]["disk_hits"] == 0
-
-    def test_truncated_npz_quarantined_and_recomputed(self, tmp_path, monkeypatch):
-        # Regression: a half-written archive from a crashed process raises
-        # zipfile.BadZipFile, which the loader used to let propagate and
-        # kill the run. It must quarantine the entry and recompute.
-        from repro import telemetry
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        spec, cfg = _spec(), _cfg()
-        data, work = get_workload(spec, cfg, seed=0)
-        (path,) = tmp_path.glob("workload-*.npz")
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])  # torn write / truncation
-        clear_caches()
-        telemetry.reset()
-        data2, work2 = get_workload(spec, cfg, seed=0)  # must not raise
-        assert np.array_equal(work2.counts, work.counts)
-        # The damaged bytes are preserved for postmortem, not deleted.
-        assert path.with_suffix(".npz.corrupt").exists()
-        assert not path.exists() or path.stat().st_size > len(raw) // 2
-        counters = telemetry.get_recorder().counters()
-        assert counters["cache.disk.quarantine"] == 1.0
-        # The recompute re-stored a healthy entry: next cold load hits disk.
-        clear_caches()
-        get_workload(spec, cfg, seed=0)
-        assert cache_stats()["workloads"]["disk_hits"] == 1
-
-    def test_truncated_npz_load_closes_its_file(self, tmp_path, monkeypatch):
-        # Regression: np.load(path) raised on a truncated archive before
-        # its own ``with`` owned the file, leaking the handle.
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        spec, cfg = _spec(), _cfg()
-        get_workload(spec, cfg, seed=0)
-        (path,) = tmp_path.glob("workload-*.npz")
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])
-        key = workload_key(spec, cfg, 0)
-        # A warning raised in a finalizer is routed to sys.unraisablehook,
-        # not to the caller, so collect it there.
-        unraisable = []
-        prior_hook = sys.unraisablehook
-        sys.unraisablehook = unraisable.append
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", ResourceWarning)
-                assert workload._disk_load(key, spec, need_counts=True) is None
-                gc.collect()
-        finally:
-            sys.unraisablehook = prior_hook
-        assert [u.exc_value for u in unraisable] == []
-        assert path.with_suffix(".npz.corrupt").exists()
-
-    def test_packed_masks_reload_bit_for_bit(self, tmp_path, monkeypatch):
-        # 5*7*3 = 105 input and 3*3*3*3 = 81 filter elements: neither is
-        # a multiple of 8, so the last packed byte of each is partial.
-        from repro.nets.synthesis import synthesize_layer
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        spec = _spec(in_height=5, in_width=7, in_channels=3, n_filters=3)
-        get_workload(spec, _cfg(chunk_size=8), seed=3)
-        clear_caches()
-        masks, _ = get_workload(spec, _cfg(chunk_size=8), seed=3)
-        assert cache_stats()["workloads"]["disk_hits"] == 1
-        dense = synthesize_layer(spec, seed=3)
-        assert masks.input_mask.dtype == masks.filter_masks.dtype == bool
-        assert np.array_equal(masks.input_mask, dense.input_map != 0)
-        assert np.array_equal(masks.filter_masks, dense.filters != 0)
-
-    def test_short_packed_mask_quarantined_and_recomputed(self, tmp_path, monkeypatch):
-        from repro import telemetry
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        spec, cfg = _spec(), _cfg()
-        masks, work = get_workload(spec, cfg, seed=0)
-        (path,) = tmp_path.glob("workload-*.npz")
-        with np.load(path) as z:
-            members = {name: z[name] for name in z.files}
-        members["input_mask"] = members["input_mask"][:-1]  # one byte short
-        with open(path, "wb") as fh:
-            np.savez(fh, **members)
-        clear_caches()
-        telemetry.reset()
-        masks2, work2 = get_workload(spec, cfg, seed=0)  # must not raise
-        assert cache_stats()["workloads"]["disk_hits"] == 0
-        assert telemetry.get_recorder().counters()["cache.disk.quarantine"] == 1.0
-        assert path.with_suffix(".npz.corrupt").exists()
-        assert np.array_equal(masks2.input_mask, masks.input_mask)
-        assert np.array_equal(work2.counts, work.counts)
+        want, path = self._publish(tmp_path, monkeypatch)
+        path.write_bytes(b"not an entry")
+        got = run_scheme_cached("sparten", _spec(), _cfg(), 0)  # must not raise
+        assert got == want
+        assert cache_stats()["results"]["disk_hits"] == 0
+        assert telemetry.get_recorder().span_totals()["synthesize"]["calls"] == 1
 
     def test_garbage_bytes_quarantined(self, tmp_path, monkeypatch):
-        from repro import telemetry
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        spec, cfg = _spec(), _cfg()
-        get_workload(spec, cfg, seed=0)
-        (path,) = tmp_path.glob("workload-*.npz")
-        path.write_bytes(b"\x00\xffgarbage that is definitely not a zip")
-        clear_caches()
-        telemetry.reset()
-        get_workload(spec, cfg, seed=0)  # must not raise
-        assert path.with_suffix(".npz.corrupt").exists()
+        _, path = self._publish(tmp_path, monkeypatch)
+        path.write_bytes(b"\x00\xffgarbage that is definitely not an entry")
+        run_scheme_cached("sparten", _spec(), _cfg(), 0)  # must not raise
+        assert path.with_suffix(".json.corrupt").exists()
         assert telemetry.get_recorder().counters()["cache.disk.quarantine"] == 1.0
 
 
